@@ -25,19 +25,14 @@ from .dataset import (
 from .measures import (
     Constraints,
     JaccardVariants,
-    OccurrenceProfile,
     Redescription,
     RedescriptionSet,
-    ScoreContext,
-    Scores,
     StatusCounts,
     aaj,
     aej,
     jaccard,
     jaccard_variants,
     p_value,
-    scores,
-    variability,
 )
 from .mine import MiningParams, Rule, RuleSet, mine
 from .query import (
@@ -55,7 +50,15 @@ from .query import (
     print_query,
     tri_support,
 )
-from .reduce import ReducedSet, WeightVector, compute_occurrence, find_best, find_specific, reduce_set
+from .reduce import (
+    OccurrenceProfile,
+    ReducedSet,
+    WeightVector,
+    compute_occurrence,
+    find_best,
+    find_specific,
+    reduce_set,
+)
 from .refine import RefinementOutcome, construct_and_refine, refine_pair, tighten_bounds
 from .tree import PctParams, Split, Tree, best_split, build_tree, extract_rules
 

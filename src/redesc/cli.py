@@ -54,7 +54,6 @@ def _dataset_overrides(args) -> dict:
         "schema2": args.schema2,
         "seed": args.seed,
         "out": args.out,
-        "workers": args.workers,
     }
 
 
@@ -168,6 +167,7 @@ def cmd_eval(args) -> int:
         print("no usable records in input", file=sys.stderr)
         return EXIT_ERROR
 
+    redundancy = [(aej(m, members), aaj(m, members)) for m in members]
     rows_path = out_dir / "eval_redescriptions.csv"
     with rows_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -187,7 +187,7 @@ def cmd_eval(args) -> int:
                 "aaj",
             ]
         )
-        for m in members:
+        for m, (m_aej, m_aaj) in zip(members, redundancy):
             writer.writerow(
                 [
                     m.key[0],
@@ -200,8 +200,8 @@ def cmd_eval(args) -> int:
                     repr(m.variability),
                     m.support_size,
                     m.attr_count,
-                    repr(aej(m, members)),
-                    repr(aaj(m, members)),
+                    repr(m_aej),
+                    repr(m_aaj),
                 ]
             )
 
@@ -217,8 +217,8 @@ def cmd_eval(args) -> int:
         "attribute_coverage": len(union_attrs) / n_attrs_total,
         "mean_j_qnm": sum(m.j_qnm for m in members) / len(members),
         "mean_log10_p_value": sum(_log10_floored(m.p_value) for m in members) / len(members),
-        "mean_aej": sum(aej(m, members) for m in members) / len(members),
-        "mean_aaj": sum(aaj(m, members) for m in members) / len(members),
+        "mean_aej": sum(e for e, _ in redundancy) / len(members),
+        "mean_aaj": sum(a for _, a in redundancy) / len(members),
         "mean_norm_query_size": sum(score_size(m.attr_count) for m in members) / len(members),
     }
     summary_path = out_dir / "eval_summary.csv"
@@ -247,11 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key-value configuration file")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument("--out", help="output directory (default 'out')")
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="worker cap; the engine currently runs single-process",
-        )
 
     p_mine = sub.add_parser("mine", help="mine a redescription set from a dataset")
     add_common(p_mine)

@@ -3,13 +3,13 @@
 Grammar: one `key = value` pair per line; `#` starts a comment; blank lines
 are ignored. The `weights` key may repeat, each occurrence adding one row of
 the importance-weight matrix (5 or 6 comma-separated non-negative numbers).
+Any other key is rejected.
 
 Recognized keys:
 
   view1, schema1, view2, schema2   dataset file paths
   out                              output directory
   seed                             integer random seed
-  workers                          worker cap (engine currently runs serially)
   min_jaccard, min_ref_jaccard     accuracy floors (admission / refinement)
   max_pvalue                       significance ceiling
   min_support, max_support         support bounds (max_support 0 = unbounded)
@@ -17,6 +17,7 @@ Recognized keys:
   max_depth, min_leaf_size         tree limits (min_leaf_size 0 = auto)
   target_window                    most-recent-rules cap for target matrices
   max_set_size                     mined-set memory cap
+  dedup_supports                   true | false: keep one member per support
   operator_mode                    conj | conjneg | all
   refine                           true | false
   disjunction_threshold            accuracy gate for disjunction building
@@ -38,6 +39,16 @@ from .tree import PctParams
 
 _MODE_ALIASES = {"conj": "conjunctive", "conjneg": "conjneg", "all": "all"}
 
+_KEYS = frozenset(
+    {
+        "view1", "schema1", "view2", "schema2", "out", "seed",
+        "min_jaccard", "min_ref_jaccard", "max_pvalue", "min_support", "max_support",
+        "max_iter", "max_depth", "min_leaf_size", "target_window", "max_set_size",
+        "dedup_supports", "operator_mode", "refine", "disjunction_threshold",
+        "max_disjuncts", "sizes", "weights",
+    }
+)
+
 
 class ConfigError(ValueError):
     """Unusable configuration file or flag combination."""
@@ -54,6 +65,8 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key == "weights":
             out.setdefault("weights", []).append(value)
         elif key in out:
@@ -96,7 +109,6 @@ class RunConfig:
     schema2: str | None = None
     out: str = "out"
     seed: int = 0
-    workers: int = 1
     constraints: Constraints = field(default_factory=Constraints)
     mining: MiningParams = field(default_factory=MiningParams)
     weight_rows: list[WeightVector] = field(default_factory=list)
@@ -128,7 +140,6 @@ class RunConfig:
             pct = PctParams(
                 max_depth=_as_int(take("max_depth", "7"), "max_depth"),
                 min_leaf_size=leaf_raw if leaf_raw > 0 else max(2, min_support // 2),
-                seed=_as_int(take("seed", "0"), "seed"),
             )
             mode = str(take("operator_mode", "all"))
             mode = _MODE_ALIASES.get(mode, mode)
@@ -158,9 +169,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if any(s < 1 for s in sizes):
             raise ConfigError("sizes must all be at least 1")
-        workers = _as_int(take("workers", "1"), "workers")
-        if workers < 1:
-            raise ConfigError("workers must be at least 1")
         return cls(
             view1=take("view1"),
             schema1=take("schema1"),
@@ -168,7 +176,6 @@ class RunConfig:
             schema2=take("schema2"),
             out=str(take("out", "out")),
             seed=_as_int(take("seed", "0"), "seed"),
-            workers=workers,
             constraints=constraints,
             mining=mining,
             weight_rows=weight_rows,

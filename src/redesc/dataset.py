@@ -255,6 +255,8 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             rows.append([tok.strip() for tok in row])
+    if not rows:
+        raise DataError(f"{path}: no data rows")
 
     attributes: list[Attribute] = []
     columns: list[np.ndarray] = []

@@ -3,8 +3,8 @@
 Covers the accuracy measures (classic Jaccard plus its query-non-missing,
 optimistic, and pessimistic variants under missing values), the binomial-tail
 significance p-value, the variability index, set-level redundancy measures
-(average element/attribute Jaccard), and the six normalized scores consumed
-by reduced-set construction.
+(average element/attribute Jaccard), and the normalized significance and
+query-size scores. The weighted selection score lives in `reduce`.
 
 Canonical redescription support uses query-non-missing semantics throughout:
 supp(R) is the set of instances both queries definitely describe.
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
 from scipy.stats import binom
 
 from .dataset import Dataset
@@ -81,14 +80,6 @@ class StatusCounts:
             n_ui=(un1 & in2).bit_count(),
             n_uo=(un1 & out2).bit_count(),
             n_uu=(un1 & un2).bit_count(),
-        )
-
-    @property
-    def total(self) -> int:
-        return (
-            self.n_ii + self.n_io + self.n_iu
-            + self.n_oi + self.n_oo + self.n_ou
-            + self.n_ui + self.n_uo + self.n_uu
         )
 
     @property
@@ -228,11 +219,6 @@ class Redescription:
         return self.tri1.n
 
 
-def variability(r: Redescription) -> float:
-    """Maximum accuracy swing attributable to missing values."""
-    return r.j_opt - r.j_pess
-
-
 class RedescriptionSet:
     """Ordered collection with canonical-pair dedup and optional dedup by
     identical support (keeping the more accurate of two same-support members).
@@ -297,14 +283,20 @@ class RedescriptionSet:
                 raise AssertionError(f"constraint violation in mined set: {m.key}")
 
 
-def aej(r: Redescription, members: Sequence[Redescription]) -> float:
-    """Average Jaccard of r's support against every other member's support."""
+def _others(r: Redescription, members: Sequence[Redescription]) -> list[Redescription]:
+    """Every member but r: r itself, or, when r is passed by value, the first
+    member equal to it."""
     others = [m for m in members if m is not r]
-    if len(others) == len(members):  # r passed by value; drop one equal member
+    if len(others) == len(members):
         for i, m in enumerate(members):
             if m == r:
-                others = list(members[:i]) + list(members[i + 1 :])
-                break
+                return list(members[:i]) + list(members[i + 1 :])
+    return others
+
+
+def aej(r: Redescription, members: Sequence[Redescription]) -> float:
+    """Average Jaccard of r's support against every other member's support."""
+    others = _others(r, members)
     if not others:
         return 0.0
     return sum(mask_jaccard(r.supp_mask, m.supp_mask) for m in others) / len(others)
@@ -312,12 +304,7 @@ def aej(r: Redescription, members: Sequence[Redescription]) -> float:
 
 def aaj(r: Redescription, members: Sequence[Redescription]) -> float:
     """Average Jaccard of r's attribute set against every other member's."""
-    others = [m for m in members if m is not r]
-    if len(others) == len(members):
-        for i, m in enumerate(members):
-            if m == r:
-                others = list(members[:i]) + list(members[i + 1 :])
-                break
+    others = _others(r, members)
     if not others:
         return 0.0
     return sum(jaccard(r.attrs, m.attrs) for m in others) / len(others)
@@ -326,22 +313,6 @@ def aaj(r: Redescription, members: Sequence[Redescription]) -> float:
 # ---------------------------------------------------------------------------
 # Normalized scores
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OccurrenceProfile:
-    """Per-element and per-attribute counts of containing redescriptions."""
-
-    element_counts: np.ndarray
-    attribute_counts: dict[tuple[int, int], int]
-
-    @property
-    def element_total(self) -> float:
-        return float(self.element_counts.sum())
-
-    @property
-    def attribute_total(self) -> float:
-        return float(sum(self.attribute_counts.values()))
 
 
 def score_pval(pv: float) -> float:
@@ -353,64 +324,6 @@ def score_pval(pv: float) -> float:
 
 def score_size(attr_count: int, k: int = DEFAULT_SIZE_NORMALIZER) -> float:
     return min(attr_count / k, 1.0)
-
-
-def score_ocur_el(r: Redescription, profile: OccurrenceProfile) -> float:
-    total = profile.element_total
-    if total == 0:
-        return 0.0
-    idx = mask_to_indices(r.supp_mask)
-    return float(profile.element_counts[idx].sum()) / total
-
-
-def score_ocur_at(r: Redescription, profile: OccurrenceProfile) -> float:
-    total = profile.attribute_total
-    if total == 0:
-        return 0.0
-    return sum(profile.attribute_counts.get(a, 0) for a in r.attrs) / total
-
-
-def score_elem_sim(r: Redescription, reduced: Sequence[Redescription]) -> float:
-    if not reduced:
-        return 0.0
-    return max(mask_jaccard(r.supp_mask, m.supp_mask) for m in reduced)
-
-
-def score_attr_sim(r: Redescription, reduced: Sequence[Redescription]) -> float:
-    if not reduced:
-        return 0.0
-    return max(jaccard(r.attrs, m.attrs) for m in reduced)
-
-
-class Scores(NamedTuple):
-    pval: float
-    size: float
-    ocur_el: float
-    ocur_at: float
-    elem_sim: float
-    attr_sim: float
-
-
-@dataclass
-class ScoreContext:
-    """Inputs the normalized scores draw on: an occurrence profile for the
-    full set and/or the partially built reduced set."""
-
-    profile: OccurrenceProfile | None = None
-    reduced: Sequence[Redescription] = ()
-    k: int = DEFAULT_SIZE_NORMALIZER
-
-
-def scores(r: Redescription, ctx: ScoreContext) -> Scores:
-    """All six normalized scores for one redescription; each lies in [0, 1]."""
-    return Scores(
-        pval=score_pval(r.p_value),
-        size=score_size(r.attr_count, ctx.k),
-        ocur_el=score_ocur_el(r, ctx.profile) if ctx.profile is not None else 0.0,
-        ocur_at=score_ocur_at(r, ctx.profile) if ctx.profile is not None else 0.0,
-        elem_sim=score_elem_sim(r, ctx.reduced),
-        attr_sim=score_attr_sim(r, ctx.reduced),
-    )
 
 
 # ---------------------------------------------------------------------------

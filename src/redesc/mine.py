@@ -19,7 +19,9 @@ import numpy as np
 
 from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
 from .measures import Constraints, Redescription, RedescriptionSet, mask_jaccard
-from .query import Not, Or, Query, TriSupport, iter_literals, print_query, tri_support
+from .query import (
+    Not, Or, Query, TriSupport, iter_literals, mask_to_bools, print_query, tri_support
+)
 from .tree import PctParams, Tree, build_tree, extract_rules
 
 OPERATOR_MODES = ("conjunctive", "conjneg", "all")
@@ -177,11 +179,7 @@ def construct_targets(rules: Sequence[Rule], n_elements: int, window: int = 64) 
     recent = rules[-window:]
     out = np.zeros((n_elements, len(recent)), dtype=np.float64)
     for j, rule in enumerate(recent):
-        mask = rule.tri.in_mask
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1, j] = 1.0
-            mask ^= low
+        out[:, j] = mask_to_bools(rule.tri.in_mask, n_elements)
     return out
 
 

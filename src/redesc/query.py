@@ -112,12 +112,10 @@ def mask_to_bools(mask: int, n: int) -> np.ndarray:
 
 def mask_to_indices(mask: int) -> list[int]:
     out = []
-    i = 0
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-        i += 1
     return out
 
 
@@ -157,12 +155,6 @@ class TriSupport:
     @property
     def unk_set(self) -> frozenset[int]:
         return frozenset(mask_to_indices(self.unk_mask))
-
-    def in_count(self) -> int:
-        return self.in_mask.bit_count()
-
-    def unk_count(self) -> int:
-        return self.unk_mask.bit_count()
 
     def intersect(self, other: "TriSupport") -> "TriSupport":
         """Kleene AND combined at the set level (min per instance)."""
@@ -478,15 +470,7 @@ class _Parser:
         tok = self.peek()
         if tok[:2] == ("sym", "!"):
             self.take("sym", "!")
-            inner = self.parse_factor()
-            if isinstance(inner, Leaf):
-                lit = inner.literal
-                return Leaf(
-                    Literal(lit.attr, lit.kind, lit.lo, lit.hi, lit.category, not lit.negated)
-                )
-            if isinstance(inner, Not):
-                return inner.child
-            return Not(inner)
+            return Not(self.parse_factor())
         if tok[:2] == ("sym", "("):
             self.take("sym", "(")
             node = self.parse_or()

@@ -11,13 +11,12 @@ support. Positive weights make each pick a non-dominated candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .measures import (
     Constraints,
-    OccurrenceProfile,
     Redescription,
     RedescriptionSet,
     jaccard,
@@ -25,7 +24,7 @@ from .measures import (
     score_pval,
     score_size,
 )
-from .query import mask_to_indices
+from .query import mask_to_bools
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,22 @@ def _members(pool) -> list[Redescription]:
     return list(pool)
 
 
+@dataclass
+class OccurrenceProfile:
+    """Per-element and per-attribute counts of containing redescriptions."""
+
+    element_counts: np.ndarray
+    attribute_counts: dict[tuple[int, int], int]
+
+    @property
+    def element_total(self) -> float:
+        return float(self.element_counts.sum())
+
+    @property
+    def attribute_total(self) -> float:
+        return float(sum(self.attribute_counts.values()))
+
+
 def compute_occurrence(pool) -> OccurrenceProfile:
     """Count, per element and per attribute, how many redescriptions in the
     pool cover or use it."""
@@ -99,11 +114,37 @@ def compute_occurrence(pool) -> OccurrenceProfile:
     element_counts = np.zeros(n, dtype=np.float64)
     attribute_counts: dict[tuple[int, int], int] = {}
     for m in members:
-        for e in mask_to_indices(m.supp_mask):
-            element_counts[e] += 1
+        element_counts += mask_to_bools(m.supp_mask, n)
         for a in m.attrs:
             attribute_counts[a] = attribute_counts.get(a, 0) + 1
     return OccurrenceProfile(element_counts, attribute_counts)
+
+
+def _first_min(
+    w: WeightVector, scored: Iterable[tuple[Redescription, float, float, float]]
+) -> Redescription | None:
+    """The candidate with the lowest weighted score; ties keep the earliest.
+
+    Each item is (candidate, significance term, element term, attribute
+    term); accuracy, query size and variability come from the candidate. None
+    when no candidate scores below infinity.
+    """
+    best_r: Redescription | None = None
+    best_score = float("inf")
+    for r, pval_term, elem_term, attr_term in scored:
+        # float addition is not associative: reordering the terms can flip near-ties
+        score = (
+            w.j * (1.0 - r.j_qnm)
+            + w.pval * pval_term
+            + w.elem_jaccard * elem_term
+            + w.attr_jaccard * attr_term
+            + w.query_size * score_size(r.attr_count)
+            + w.variability * r.variability
+        )
+        if score < best_score:
+            best_score = score
+            best_r = r
+    return best_r
 
 
 def find_specific(pool, profile: OccurrenceProfile, w: WeightVector) -> Redescription:
@@ -112,13 +153,13 @@ def find_specific(pool, profile: OccurrenceProfile, w: WeightVector) -> Redescri
     members = _members(pool)
     if not members:
         raise ValueError("empty candidate pool")
+    counts = profile.element_counts
     el_total = profile.element_total
     at_total = profile.attribute_total
-    best_idx = 0
-    best_score = float("inf")
-    for i, r in enumerate(members):
+
+    def occurrence(r: Redescription) -> tuple[Redescription, float, float, float]:
         ocur_el = (
-            float(profile.element_counts[mask_to_indices(r.supp_mask)].sum()) / el_total
+            float(counts[mask_to_bools(r.supp_mask, len(counts))].sum()) / el_total
             if el_total
             else 0.0
         )
@@ -127,18 +168,10 @@ def find_specific(pool, profile: OccurrenceProfile, w: WeightVector) -> Redescri
             if at_total
             else 0.0
         )
-        score = (
-            w.j * (1.0 - r.j_qnm)
-            + w.pval * score_pval(r.p_value)
-            + w.elem_jaccard * ocur_el
-            + w.attr_jaccard * ocur_at
-            + w.query_size * score_size(r.attr_count)
-            + w.variability * r.variability
-        )
-        if score < best_score:
-            best_score = score
-            best_idx = i
-    return members[best_idx]
+        return r, score_pval(r.p_value), ocur_el, ocur_at
+
+    best = _first_min(w, map(occurrence, members))
+    return members[0] if best is None else best
 
 
 def find_best(
@@ -157,26 +190,19 @@ def find_best(
     chosen = {id(r) for r in reduced}
     k = len(reduced)
     total = members[0].n_elements if members else 1
-    best_r: Redescription | None = None
-    best_score = float("inf")
-    for r in members:
-        if id(r) in chosen:
-            continue
-        elem_sim = max((mask_jaccard(r.supp_mask, m.supp_mask) for m in reduced), default=0.0)
-        attr_sim = max((jaccard(r.attrs, m.attrs) for m in reduced), default=0.0)
-        blend = (k / n) * score_pval(r.p_value) + (1.0 - k / n) * (r.support_size / total)
-        score = (
-            w.j * (1.0 - r.j_qnm)
-            + w.pval * blend
-            + w.elem_jaccard * elem_sim
-            + w.attr_jaccard * attr_sim
-            + w.query_size * score_size(r.attr_count)
-            + w.variability * r.variability
-        )
-        if score < best_score:
-            best_score = score
-            best_r = r
-    return best_r
+    return _first_min(
+        w,
+        (
+            (
+                r,
+                (k / n) * score_pval(r.p_value) + (1.0 - k / n) * (r.support_size / total),
+                max((mask_jaccard(r.supp_mask, m.supp_mask) for m in reduced), default=0.0),
+                max((jaccard(r.attrs, m.attrs) for m in reduced), default=0.0),
+            )
+            for r in members
+            if id(r) not in chosen
+        ),
+    )
 
 
 def reduce_set(

@@ -10,6 +10,7 @@ query semantics: such instances re-evaluate to unknown, never to in.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,7 +28,6 @@ class PctParams:
 
     max_depth: int = 7
     min_leaf_size: int = 2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
@@ -65,9 +65,9 @@ class Tree:
     params: PctParams
 
     def iter_nodes(self) -> Iterator[TreeNode]:
-        queue = [self.root]
+        queue = deque([self.root])
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             yield node
             if node.left is not None:
                 queue.append(node.left)
@@ -220,9 +220,9 @@ def extract_rules(tree: Tree) -> list[tuple[Query, np.ndarray]]:
     on the path from the root, with same-attribute intervals intersected.
     Returned covers are the node covers from induction."""
     results: list[tuple[Query, np.ndarray]] = []
-    queue: list[tuple[TreeNode, tuple[Literal, ...]]] = [(tree.root, ())]
+    queue: deque[tuple[TreeNode, tuple[Literal, ...]]] = deque([(tree.root, ())])
     while queue:
-        node, conds = queue.pop(0)
+        node, conds = queue.popleft()
         if conds:
             root: QueryNode = Leaf(conds[0]) if len(conds) == 1 else And(
                 tuple(Leaf(c) for c in conds)

@@ -93,6 +93,28 @@ class TestMineCommand:
             outs.append((out / "mined.tsv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("line", ["min_jacard = 0.9", "workers = 3"])
+    def test_unknown_config_key_exits_two_and_names_line(self, planted_files, tmp_path, capsys, line):
+        _, _, paths = planted_files
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"min_support = 10\n{line}\n", encoding="utf-8")
+        code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{cfg}:2: unknown key {line.split()[0]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mine", "reduce", "eval"])
+def test_header_only_view_exits_two_and_names_file(tmp_path, capsys, command):
+    _, paths = _wide_dataset(tmp_path)
+    header = paths["view2"].read_text(encoding="utf-8").splitlines()[0]
+    paths["view2"].write_text(header + "\n", encoding="utf-8")
+    src = tmp_path / "pool.tsv"
+    _synthetic_interchange(src, 5)
+    inputs = [] if command == "mine" else [str(src)]
+    code = main([command, *inputs, *_dataset_args(paths), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{paths['view2']}: no data rows" in capsys.readouterr().err
+
 
 def _wide_dataset(tmp_path, n_rows=60, n_attrs=25):
     rng = np.random.default_rng(44)
@@ -246,6 +268,19 @@ class TestEvalCommand:
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
         summary = list(csv.DictReader((out / "eval_summary.csv").open()))[0]
         assert float(summary["element_coverage"]) == 1.0
+
+    def test_summary_redundancy_is_mean_of_rows(self, tmp_path):
+        ds, paths = _wide_dataset(tmp_path)
+        src = tmp_path / "pool.tsv"
+        _synthetic_interchange(src, 30)
+        out = tmp_path / "ev"
+        assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "eval_redescriptions.csv").open()))
+        summary = list(csv.DictReader((out / "eval_summary.csv").open()))[0]
+        assert len(rows) == 30
+        for column in ("aej", "aaj"):
+            mean = sum(float(r[column]) for r in rows) / len(rows)
+            assert float(summary[f"mean_{column}"]) == mean
 
 
 class TestInterchangeRoundTrip:

@@ -1,5 +1,6 @@
 """Accuracy variants, significance, redundancy measures, and scores."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -8,22 +9,20 @@ import pytest
 
 from redesc.measures import (
     Constraints,
-    OccurrenceProfile,
     Redescription,
-    ScoreContext,
     StatusCounts,
     aaj,
     aej,
     binomial_tail,
     jaccard,
     jaccard_variants,
+    mask_jaccard,
     p_value,
     score_pval,
     score_size,
-    scores,
-    variability,
 )
 from redesc.query import TriSupport, parse_query
+from redesc.reduce import OccurrenceProfile, WeightVector, compute_occurrence, find_specific
 
 from conftest import fabricate_pool, make_dataset
 
@@ -143,17 +142,17 @@ class TestVariability:
 
     def test_complete_data_has_zero_variability(self):
         r = self._with_both_unknown(45, 0)
-        assert variability(r) == 0.0
+        assert r.variability == 0.0
 
     def test_pessimistic_45_gives_spread_55(self):
         r = self._with_both_unknown(45, 55)
         assert r.j_opt == 1.0 and r.j_pess == 0.45
-        assert abs(variability(r) - 0.55) < 1e-12
+        assert abs(r.variability - 0.55) < 1e-12
 
     def test_pessimistic_88_gives_spread_12(self):
         r = self._with_both_unknown(88, 12)
         assert r.j_opt == 1.0 and r.j_pess == 0.88
-        assert abs(variability(r) - 0.12) < 1e-12
+        assert abs(r.variability - 0.12) < 1e-12
 
     def test_zero_iff_no_unknowns_for_nonempty_support(self):
         rng = np.random.default_rng(4)
@@ -258,6 +257,16 @@ class TestSetMeasures:
         assert aej(pool[0], pool) == 0.0
         assert aaj(pool[0], pool) == 0.0
 
+    def test_equal_but_distinct_member_drops_exactly_one_copy(self):
+        rng = np.random.default_rng(12)
+        (a, b), _ = fabricate_pool(rng, 2, n_elements=40)
+        twin, probe = dataclasses.replace(a), dataclasses.replace(a)
+        assert twin == a and twin is not a and probe is not a
+        members = [a, twin, b]
+        # probe is none of the members: it stands in for a, so only a drops
+        assert aej(probe, members) == (1.0 + mask_jaccard(a.supp_mask, b.supp_mask)) / 2
+        assert aaj(probe, members) == (1.0 + jaccard(a.attrs, b.attrs)) / 2
+
 
 def _dataset_of(pool):
     # fabricate_pool builds all members over one shared dataset shape
@@ -287,22 +296,31 @@ class TestScores:
     def test_all_scores_in_unit_interval(self):
         rng = np.random.default_rng(9)
         pool, _ = fabricate_pool(rng, 40, n_elements=60, missing=True)
-        from redesc.reduce import compute_occurrence
-
         profile = compute_occurrence(pool)
-        ctx = ScoreContext(profile=profile, reduced=pool[:5])
+        assert profile.element_total == sum(r.support_size for r in pool)
+        assert profile.attribute_total == sum(len(r.attrs) for r in pool)
+        reduced = pool[:5]
         for r in pool:
-            s = scores(r, ctx)
-            for value in s:
+            values = (
+                score_pval(r.p_value),
+                score_size(r.attr_count),
+                sum(profile.element_counts[e] for e in r.supp) / profile.element_total,
+                sum(profile.attribute_counts[a] for a in r.attrs) / profile.attribute_total,
+                max(mask_jaccard(r.supp_mask, m.supp_mask) for m in reduced),
+                max(jaccard(r.attrs, m.attrs) for m in reduced),
+                r.variability,
+            )
+            for value in values:
                 assert 0.0 <= value <= 1.0
 
     def test_occurrence_scores_empty_profile_denominator(self):
         rng = np.random.default_rng(10)
         pool, _ = fabricate_pool(rng, 2, n_elements=10)
         empty = OccurrenceProfile(np.zeros(10), {})
-        ctx = ScoreContext(profile=empty)
-        s = scores(pool[0], ctx)
-        assert s.ocur_el == 0.0 and s.ocur_at == 0.0
+        # both occurrence terms are 0 for every candidate, so the first one wins
+        w = WeightVector(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+        assert find_specific(pool, empty, w) is pool[0]
+        assert find_specific(pool[::-1], empty, w) is pool[1]
 
 
 class TestConstraints:

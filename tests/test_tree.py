@@ -147,7 +147,7 @@ class TestBuildTree:
         rng = np.random.default_rng(3)
         view = random_view(rng, 50, n_num=3, n_bool=1)
         targets = (rng.random((50, 4)) < 0.4).astype(float)
-        params = PctParams(max_depth=4, min_leaf_size=2, seed=9)
+        params = PctParams(max_depth=4, min_leaf_size=2)
         t1 = build_tree(view, targets, params)
         t2 = build_tree(view, targets, params)
         r1 = [(str(q.root), list(c)) for q, c in extract_rules(t1)]
