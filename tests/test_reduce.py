@@ -1,11 +1,15 @@
 """Occurrence profiling and scalarized greedy selection."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redesc.measures import Constraints
+from redesc.measures import Constraints, Redescription
 from redesc.reduce import (
     WeightVector,
     compute_occurrence,
@@ -191,6 +195,33 @@ class TestFindBest:
         }
         assert scores[id(pick)] == min(scores.values())
 
+    def test_object_listed_twice_is_excluded_once_picked(self):
+        rng = np.random.default_rng(17)
+        pool, _ = fabricate_pool(rng, 15, n_elements=60)
+        w = WeightVector(1, 0, 0, 0, 0, 0)
+        best = max(pool, key=lambda r: r.j_qnm)
+        doubled = [best] + pool + [best]
+        assert find_best(doubled, [], w, n=5) is best
+        assert find_best(doubled, [best], w, n=5) is not best
+        out = reduce_set(doubled, [WeightVector.from_row(ACCURACY_LADDER[0])], 40)[0]
+        ids = [id(m) for m in out.members]
+        assert len(ids) == len(set(ids)) == len(pool)
+
+    def test_reduced_member_outside_pool_enters_similarity(self):
+        rng = np.random.default_rng(18)
+        pool, _ = fabricate_pool(rng, 30, n_elements=70, missing=True)
+        outsider = fabricate_pool(rng, 1, n_elements=70)[0][0]
+        assert all(r is not outsider for r in pool)
+        elem = find_best(pool, [outsider], WeightVector(0, 0, 0, 1, 0, 0), n=10)
+        assert elem is min(pool, key=lambda r: _set_jaccard(r.supp, outsider.supp))
+        attr = find_best(pool, [outsider], WeightVector(0, 0, 1, 0, 0, 0), n=10)
+        assert attr is min(pool, key=lambda r: _set_jaccard(r.attrs, outsider.attrs))
+        # an equal copy outside the pool excludes nothing: exclusion is by identity
+        best = max(pool, key=lambda r: r.j_qnm)
+        copy = dataclasses.replace(best)
+        assert copy == best and copy is not best
+        assert find_best(pool, [copy], WeightVector(1, 0, 0, 0, 0, 0), n=10) is best
+
     def test_accuracy_heavy_row_matches_oracle_stepwise(self):
         rng = np.random.default_rng(9)
         pool, _ = fabricate_pool(rng, 200, n_elements=150, missing=True)
@@ -198,6 +229,41 @@ class TestFindBest:
         got = reduce_set(pool, [w], 30)[0]
         want = oracle_reduce(pool, w, 30)
         assert [id(m) for m in got.members] == [id(m) for m in want]
+
+
+# weights drawn with zeros common: a zero weight drops its term and makes ties
+_weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 60),
+    n_elements=st.integers(1, 140),
+    missing=st.booleans(),
+    row=st.lists(_weight, min_size=5, max_size=6),
+    data=st.data(),
+)
+def test_reduce_set_matches_oracle_property(seed, size, n_elements, missing, row, data):
+    rng = np.random.default_rng(seed)
+    pool, dataset = fabricate_pool(rng, size, n_elements=n_elements, missing=missing)
+    # equal-support duplicates: an equal copy ties on every term, a different
+    # query pair over the same supports ties on all but the attribute terms
+    for i in data.draw(st.lists(st.integers(0, size - 1), max_size=6)):
+        donor = pool[data.draw(st.integers(0, size - 1))]
+        twin = data.draw(
+            st.sampled_from(
+                [
+                    dataclasses.replace(pool[i]),
+                    Redescription.create(donor.q1, donor.q2, pool[i].tri1, pool[i].tri2, dataset),
+                ]
+            )
+        )
+        pool.insert(data.draw(st.integers(0, len(pool))), twin)
+    w = WeightVector.from_row(row)
+    n = data.draw(st.integers(1, len(pool) + 5))
+    got = reduce_set(pool, [w], n)[0].members
+    assert [id(m) for m in got] == [id(m) for m in oracle_reduce(pool, w, n)]
 
 
 class TestReduceSet:
@@ -224,6 +290,21 @@ class TestReduceSet:
             ids = [id(m) for m in reduced.members]
             assert len(set(ids)) == len(ids)
             assert len(ids) <= 40
+
+    def test_trim_scale_pool(self):
+        # the size of mine's max_set_size trim: thousands of picks from a pool
+        # of thousands, which a per-pick rescan of the picked set cannot afford
+        rng = np.random.default_rng(19)
+        pool, _ = fabricate_pool(rng, 3000, n_elements=200, missing=True)
+        equal = WeightVector(0.2, 0.2, 0.2, 0.2, 0.2, 0.0)
+        started = time.perf_counter()
+        out = reduce_set(pool, [equal], 1500)[0]
+        elapsed = time.perf_counter() - started
+        assert out.status == "ok"
+        ids = [id(m) for m in out.members]
+        assert len(ids) == len(set(ids)) == 1500
+        assert set(ids) <= {id(r) for r in pool}
+        assert elapsed < 30.0
 
     def test_constraint_refilter_and_warning_status(self):
         rng = np.random.default_rng(13)
