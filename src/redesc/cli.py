@@ -21,21 +21,19 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import FIELDS, ConfigError, RunConfig
 from .dataset import DataError, Dataset, SchemaError, load_dataset
 from .interchange import merge_records, read_records, write_records
-from .measures import aaj, aej, score_size
+from .measures import PVALUE_SCORE_FLOOR, aaj, aej, score_size
 from .mine import mine
 from .reduce import reduce_set
 
 EXIT_OK = 0
 EXIT_ERROR = 2
 
-PVALUE_DISPLAY_FLOOR = 1e-17
-
 
 def _log10_floored(pv: float) -> float:
-    return math.log10(max(pv, PVALUE_DISPLAY_FLOOR))
+    return math.log10(max(pv, PVALUE_SCORE_FLOOR))
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -46,24 +44,14 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return load_dataset(cfg.view1, cfg.schema1, cfg.view2, cfg.schema2)
 
 
-def _dataset_overrides(args) -> dict:
-    return {
-        "view1": args.view1,
-        "schema1": args.schema1,
-        "view2": args.view2,
-        "schema2": args.schema2,
-        "seed": args.seed,
-        "out": args.out,
-    }
+def _run_config(args) -> RunConfig:
+    """The config file with the flags the user gave (each dest is its key)."""
+    flags = {key: value for key, value in vars(args).items() if key in FIELDS}
+    return RunConfig.from_sources(args.config, flags)
 
 
 def cmd_mine(args) -> int:
-    overrides = _dataset_overrides(args)
-    if args.operator_mode is not None:
-        overrides["operator_mode"] = args.operator_mode
-    if args.no_refine:
-        overrides["refine"] = "false"
-    cfg = RunConfig.from_sources(args.config, overrides)
+    cfg = _run_config(args)
     dataset = _load_dataset(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -77,7 +65,7 @@ def cmd_mine(args) -> int:
     report = {
         "command": "mine",
         "tool_version": __version__,
-        "seed": cfg.seed,
+        "seed": cfg.mining.seed,
         "config_hash": cfg.digest(),
         "n_elements": dataset.n_elements,
         "redescriptions": len(result.members),
@@ -102,9 +90,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    cfg = RunConfig.from_sources(args.config, _dataset_overrides(args))
-    if args.sizes:
-        cfg.sizes = [int(s) for s in args.sizes.split(",")]
+    cfg = _run_config(args)
     dataset = _load_dataset(cfg)
     for path in args.inputs:
         if not Path(path).exists():
@@ -139,7 +125,7 @@ def cmd_reduce(args) -> int:
     report = {
         "command": "reduce",
         "tool_version": __version__,
-        "seed": cfg.seed,
+        "seed": cfg.mining.seed,
         "config_hash": cfg.digest(),
         "inputs": [str(p) for p in args.inputs],
         "pool_size": len(pool),
@@ -153,7 +139,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig.from_sources(args.config, _dataset_overrides(args))
+    cfg = _run_config(args)
     dataset = _load_dataset(cfg)
     if not Path(args.input).exists():
         raise ConfigError(f"input file does not exist: {args.input}")
@@ -245,20 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--view2", help="CSV file for the second view")
         p.add_argument("--schema2", help="schema file for the second view")
         p.add_argument("--config", help="key-value configuration file")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
+        p.add_argument("--seed", help="random seed (default 0)")
         p.add_argument("--out", help="output directory (default 'out')")
 
     p_mine = sub.add_parser("mine", help="mine a redescription set from a dataset")
     add_common(p_mine)
     p_mine.add_argument(
-        "--operator-mode",
-        choices=["conj", "conjneg", "all"],
-        dest="operator_mode",
-        help="query operators to allow",
+        "--operator-mode", choices=["conj", "conjneg", "all"], help="query operators to allow"
     )
     p_mine.add_argument(
         "--no-refine",
-        action="store_true",
+        action="store_const",
+        const="false",
+        dest="refine",
         help="disable the conjunctive refinement pass",
     )
     p_mine.set_defaults(func=cmd_mine)

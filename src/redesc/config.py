@@ -5,6 +5,12 @@ are ignored. The `weights` key may repeat, each occurrence adding one row of
 the importance-weight matrix (5 or 6 comma-separated non-negative numbers).
 Any other key is rejected.
 
+Each CLI flag sets the key of its name (`--no-refine` is `refine = false`)
+and overrides the file. `FIELDS` maps each key to the dataclass field it sets;
+a key given nowhere keeps that field's default. Two values are sentinels:
+`max_support = 0` is unbounded, and `min_leaf_size <= 0` (or absent) is
+`max(2, min_support // 2)`.
+
 Recognized keys:
 
   view1, schema1, view2, schema2   dataset file paths
@@ -34,20 +40,10 @@ from pathlib import Path
 
 from .measures import Constraints
 from .mine import MiningParams
-from .reduce import WeightVector
+from .reduce import EQUAL_WEIGHTS, WeightVector
 from .tree import PctParams
 
 _MODE_ALIASES = {"conj": "conjunctive", "conjneg": "conjneg", "all": "all"}
-
-_KEYS = frozenset(
-    {
-        "view1", "schema1", "view2", "schema2", "out", "seed",
-        "min_jaccard", "min_ref_jaccard", "max_pvalue", "min_support", "max_support",
-        "max_iter", "max_depth", "min_leaf_size", "target_window", "max_set_size",
-        "dedup_supports", "operator_mode", "refine", "disjunction_threshold",
-        "max_disjuncts", "sizes", "weights",
-    }
-)
 
 
 class ConfigError(ValueError):
@@ -65,7 +61,7 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEYS:
+        if key not in FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key == "weights":
             out.setdefault("weights", []).append(value)
@@ -76,8 +72,12 @@ def parse_config_file(path: str | Path) -> dict:
     return out
 
 
-def _as_bool(value: str, key: str) -> bool:
-    low = value.lower()
+def _as_str(value, key: str) -> str:
+    return str(value)
+
+
+def _as_bool(value, key: str) -> bool:
+    low = str(value).lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
@@ -85,18 +85,62 @@ def _as_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
-def _as_int(value: str, key: str) -> int:
+def _as_int(value, key: str) -> int:
     try:
         return int(value)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _as_float(value: str, key: str) -> float:
+def _as_float(value, key: str) -> float:
     try:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _as_bound(value, key: str) -> int | None:
+    return _as_int(value, key) or None  # 0: unbounded
+
+
+def _as_mode(value, key: str) -> str:
+    return _MODE_ALIASES.get(str(value), str(value))
+
+
+def _as_sizes(value, key: str) -> list[int]:
+    sizes = [_as_int(x.strip(), key) for x in str(value).split(",")]
+    if any(s < 1 for s in sizes):
+        raise ConfigError(f"{key} must all be at least 1")
+    return sizes
+
+
+def _as_weights(rows, key: str) -> list[WeightVector]:
+    return [WeightVector.from_row([x.strip() for x in row.split(",")]) for row in rows]
+
+
+# key -> (section, dataclass field, parser). Section "run" is RunConfig itself;
+# the others are the Constraints, MiningParams and PctParams it holds.
+FIELDS = {
+    **{key: ("run", key, _as_str) for key in ("view1", "schema1", "view2", "schema2", "out")},
+    "sizes": ("run", "sizes", _as_sizes),
+    "weights": ("run", "weight_rows", _as_weights),
+    "min_jaccard": ("constraints", "min_jaccard", _as_float),
+    "min_ref_jaccard": ("constraints", "min_ref_jaccard", _as_float),
+    "max_pvalue": ("constraints", "max_pvalue", _as_float),
+    "min_support": ("constraints", "min_support", _as_int),
+    "max_support": ("constraints", "max_support", _as_bound),
+    "seed": ("mining", "seed", _as_int),
+    "max_iter": ("mining", "max_iter", _as_int),
+    "target_window": ("mining", "target_window", _as_int),
+    "max_set_size": ("mining", "max_set_size", _as_int),
+    "dedup_supports": ("mining", "dedup_supports", _as_bool),
+    "operator_mode": ("mining", "operator_mode", _as_mode),
+    "refine": ("mining", "use_refinement", _as_bool),
+    "disjunction_threshold": ("mining", "disjunction_threshold", _as_float),
+    "max_disjuncts": ("mining", "max_disjuncts", _as_int),
+    "max_depth": ("pct", "max_depth", _as_int),
+    "min_leaf_size": ("pct", "min_leaf_size", _as_int),
+}
 
 
 @dataclass
@@ -108,79 +152,30 @@ class RunConfig:
     view2: str | None = None
     schema2: str | None = None
     out: str = "out"
-    seed: int = 0
     constraints: Constraints = field(default_factory=Constraints)
     mining: MiningParams = field(default_factory=MiningParams)
-    weight_rows: list[WeightVector] = field(default_factory=list)
+    weight_rows: list[WeightVector] = field(default_factory=lambda: [EQUAL_WEIGHTS])
     sizes: list[int] = field(default_factory=lambda: [50])
 
     @classmethod
     def from_sources(cls, config_path: str | Path | None, overrides: dict) -> "RunConfig":
-        """Merge a config file (if any) with CLI overrides (which win)."""
+        """Merge a config file (if any) with overrides keyed like the file
+        (which win; None values are ignored)."""
         raw = parse_config_file(config_path) if config_path else {}
         raw.update({k: v for k, v in overrides.items() if v is not None})
-
-        def take(key, default=None):
-            return raw.get(key, default)
-
+        sections: dict[str, dict] = {"run": {}, "constraints": {}, "mining": {}, "pct": {}}
         try:
-            min_support = _as_int(take("min_support", "10"), "min_support")
-            max_support_raw = _as_int(take("max_support", "0"), "max_support")
-            min_ref_raw = take("min_ref_jaccard")
-            constraints = Constraints(
-                min_jaccard=_as_float(take("min_jaccard", "0.6"), "min_jaccard"),
-                min_ref_jaccard=(
-                    None if min_ref_raw is None else _as_float(min_ref_raw, "min_ref_jaccard")
-                ),
-                max_pvalue=_as_float(take("max_pvalue", "0.01"), "max_pvalue"),
-                min_support=min_support,
-                max_support=None if max_support_raw == 0 else max_support_raw,
-            )
-            leaf_raw = _as_int(take("min_leaf_size", "0"), "min_leaf_size")
-            pct = PctParams(
-                max_depth=_as_int(take("max_depth", "7"), "max_depth"),
-                min_leaf_size=leaf_raw if leaf_raw > 0 else max(2, min_support // 2),
-            )
-            mode = str(take("operator_mode", "all"))
-            mode = _MODE_ALIASES.get(mode, mode)
-            disj_raw = take("disjunction_threshold")
-            mining = MiningParams(
-                max_iter=_as_int(take("max_iter", "3"), "max_iter"),
-                pct=pct,
-                seed=_as_int(take("seed", "0"), "seed"),
-                use_refinement=_as_bool(str(take("refine", "true")), "refine"),
-                operator_mode=mode,
-                target_window=_as_int(take("target_window", "64"), "target_window"),
-                max_set_size=_as_int(take("max_set_size", "10000"), "max_set_size"),
-                dedup_supports=_as_bool(str(take("dedup_supports", "true")), "dedup_supports"),
-                disjunction_threshold=(
-                    None if disj_raw is None else _as_float(disj_raw, "disjunction_threshold")
-                ),
-                max_disjuncts=_as_int(take("max_disjuncts", "2"), "max_disjuncts"),
-            )
-            weight_rows = [
-                WeightVector.from_row([x.strip() for x in row.split(",")])
-                for row in raw.get("weights", [])
-            ] or [WeightVector(0.2, 0.2, 0.2, 0.2, 0.2, 0.0)]
-            sizes = [
-                _as_int(x.strip(), "sizes") for x in str(take("sizes", "50")).split(",")
-            ]
+            for key, value in raw.items():
+                section, name, parse = FIELDS[key]
+                sections[section][name] = parse(value, key)
+            constraints = Constraints(**sections["constraints"])
+            pct = sections["pct"]
+            if pct.get("min_leaf_size", 0) <= 0:
+                pct["min_leaf_size"] = max(2, constraints.min_support // 2)
+            mining = MiningParams(pct=PctParams(**pct), **sections["mining"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if any(s < 1 for s in sizes):
-            raise ConfigError("sizes must all be at least 1")
-        return cls(
-            view1=take("view1"),
-            schema1=take("schema1"),
-            view2=take("view2"),
-            schema2=take("schema2"),
-            out=str(take("out", "out")),
-            seed=_as_int(take("seed", "0"), "seed"),
-            constraints=constraints,
-            mining=mining,
-            weight_rows=weight_rows,
-            sizes=sizes,
-        )
+        return cls(constraints=constraints, mining=mining, **sections["run"])
 
     def require_dataset(self) -> None:
         missing = [
@@ -198,7 +193,7 @@ class RunConfig:
             f"schema1={self.schema1}",
             f"view2={self.view2}",
             f"schema2={self.schema2}",
-            f"seed={self.seed}",
+            f"seed={self.mining.seed}",
             f"constraints={self.constraints}",
             f"mining={self.mining}",
             f"weights={[w.as_tuple() for w in self.weight_rows]}",

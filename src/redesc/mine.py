@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import reduce, refine
 from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
 from .measures import Constraints, Redescription, RedescriptionSet, mask_jaccard
 from .query import (
@@ -285,8 +286,6 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
     """Full mining loop: bootstrap, then `max_iter` rounds of cross-view
     target construction, tree induction, rule harvesting, and redescription
     creation (with refinement and disjunction building when enabled)."""
-    from .reduce import WeightVector, reduce_set  # deferred; reduce imports measures
-
     rules = init_rules(dataset, params)
     rset = RedescriptionSet(dedup_supports=params.dedup_supports)
     seen_pairs: set[tuple[str, str]] = set()
@@ -306,10 +305,8 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
             _harvest(tree, dataset, tree.view_id, rules, params.operator_mode)
 
         if params.use_refinement:
-            from .refine import construct_and_refine
-
             before_keys = {m.key for m in rset.members}
-            construct_and_refine(
+            refine.construct_and_refine(
                 rules.rules1, rules.rules2, rset, constraints, dataset, seen_pairs
             )
             fresh = [m for m in rset.members if m.key not in before_keys]
@@ -326,8 +323,7 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
                 rset.add(extended)
 
         if len(rset) > params.max_set_size:
-            equal = WeightVector(0.2, 0.2, 0.2, 0.2, 0.2, 0.0)
-            reduced = reduce_set(rset, [equal], params.max_set_size // 2)[0]
+            reduced = reduce.reduce_set(rset, [reduce.EQUAL_WEIGHTS], params.max_set_size // 2)[0]
             trimmed = RedescriptionSet(dedup_supports=params.dedup_supports)
             for member in reduced.members:
                 trimmed.add(member)

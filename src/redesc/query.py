@@ -548,10 +548,6 @@ def parse_query(text: str, view: View, view_id: int) -> Query:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_count(node: Node) -> int:
-    return sum(1 for _ in iter_literals(node))
-
-
 def _remove_leaf(node: Node, target: int) -> tuple[Node | None, int]:
     """Rebuild `node` without the target-th leaf (preorder index).
 
@@ -623,7 +619,7 @@ def minimize_query(q: Query, view: View) -> Query:
     changed = True
     while changed:
         changed = False
-        n_leaves = _leaf_count(current.root)
+        n_leaves = query_attr_count(current)
         if n_leaves <= 1:
             break
         for target in range(n_leaves):

@@ -64,6 +64,10 @@ class WeightVector:
         )
 
 
+# The default row of a run config and the row of mine()'s max_set_size trim.
+EQUAL_WEIGHTS = WeightVector(0.2, 0.2, 0.2, 0.2, 0.2, 0.0)
+
+
 @dataclass
 class ReducedSet:
     """Selection result for one weight row, in selection order."""

@@ -26,8 +26,9 @@ from .query import (
     Leaf,
     Literal,
     Query,
+    canonicalize,
     is_conjunctive,
-    mask_to_indices,
+    mask_to_bools,
     minimize_query,
 )
 
@@ -60,6 +61,18 @@ def _tighten_query(q: Query, target_rows: np.ndarray, view) -> Query:
     return Query(root, q.view_id)
 
 
+def _tightened_queries(
+    ref: Redescription, target_mask: int, dataset: Dataset
+) -> tuple[Query, Query]:
+    """Both refiner queries tightened to the hull of the target rows, in the
+    canonical form `Redescription.create` would give them."""
+    rows = np.flatnonzero(mask_to_bools(target_mask, ref.n_elements))
+    return (
+        canonicalize(_tighten_query(ref.q1, rows, dataset.view1)),
+        canonicalize(_tighten_query(ref.q2, rows, dataset.view2)),
+    )
+
+
 def tighten_bounds(ref: Redescription, target_support: frozenset[int] | set[int], dataset: Dataset) -> Redescription:
     """Refiner with numeric bounds shrunk to the hull of `target_support`.
 
@@ -73,10 +86,7 @@ def tighten_bounds(ref: Redescription, target_support: frozenset[int] | set[int]
         target_mask |= 1 << e
     if target_mask & ~ref.supp_mask:
         raise ValueError("target support is not contained in the refiner's support")
-    rows = np.fromiter(mask_to_indices(target_mask), dtype=np.int64)
-    q1 = _tighten_query(ref.q1, rows, dataset.view1)
-    q2 = _tighten_query(ref.q2, rows, dataset.view2)
-    return Redescription.evaluate(q1, q2, dataset)
+    return Redescription.evaluate(*_tightened_queries(ref, target_mask, dataset), dataset)
 
 
 def strict_witness(r: Redescription, tightened_ref: Redescription) -> bool:
@@ -102,13 +112,9 @@ def refine_pair(r: Redescription, ref: Redescription, dataset: Dataset) -> Refin
     if r.key == ref.key:
         # conjoining a redescription with itself is the identity
         return RefinementOutcome(refined=r, improved=False, applied=True)
-    tightened = tighten_bounds(ref, r.supp, dataset)
-    q1 = minimize_query(
-        Query(And((r.q1.root, tightened.q1.root)), r.q1.view_id), dataset.view1
-    )
-    q2 = minimize_query(
-        Query(And((r.q2.root, tightened.q2.root)), r.q2.view_id), dataset.view2
-    )
+    t1, t2 = _tightened_queries(ref, r.supp_mask, dataset)
+    q1 = minimize_query(Query(And((r.q1.root, t1.root)), r.q1.view_id), dataset.view1)
+    q2 = minimize_query(Query(And((r.q2.root, t2.root)), r.q2.view_id), dataset.view2)
     refined = Redescription.evaluate(q1, q2, dataset)
     return RefinementOutcome(
         refined=refined, improved=refined.j_qnm > r.j_qnm, applied=True

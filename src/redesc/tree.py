@@ -140,19 +140,10 @@ def best_split(
                 cut = boundaries[pick]
                 threshold = float((xs[cut - 1] + xs[cut]) / 2.0)
                 best = Split(attr_id, NUMERIC, float(gain[pick]), threshold=threshold)
-        elif attr.kind == BOOLEAN:
-            left = col == 1.0
-            nl = int(left.sum())
-            nr = n - nl
-            if nl < min_leaf_size or nr < min_leaf_size:
-                continue
-            sl = sub[left].sum(axis=0)
-            score = float((sl**2).sum()) / nl + float(((tot - sl) ** 2).sum()) / nr
-            gain = (score - base) / n
-            if gain > 0.0 and (best is None or gain > best.gain):
-                best = Split(attr_id, BOOLEAN, gain)
         else:
-            for code, label in enumerate(attr.categories):
+            # a boolean attribute is one test: the single label 1.0 (true)
+            tests = [(1.0, None)] if attr.kind == BOOLEAN else enumerate(attr.categories)
+            for code, label in tests:
                 left = col == code
                 nl = int(left.sum())
                 nr = n - nl
@@ -162,7 +153,7 @@ def best_split(
                 score = float((sl**2).sum()) / nl + float(((tot - sl) ** 2).sum()) / nr
                 gain = (score - base) / n
                 if gain > 0.0 and (best is None or gain > best.gain):
-                    best = Split(attr_id, CATEGORICAL, gain, category=label)
+                    best = Split(attr_id, attr.kind, gain, category=label)
     return best
 
 

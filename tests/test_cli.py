@@ -223,6 +223,42 @@ class TestReduceCommand:
         ]
 
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ("0", "error: sizes must all be at least 1"),
+            ("abc", "error: sizes must be an integer, got 'abc'"),
+            ("5,", "error: sizes must be an integer, got ''"),
+        ],
+        ids=["zero", "word", "trailing-comma"],
+    )
+    def test_bad_sizes_flag_exits_two_and_names_key(self, tmp_path, capsys, sizes, message):
+        ds, paths = _wide_dataset(tmp_path)
+        src = tmp_path / "pool.tsv"
+        _synthetic_interchange(src, 10)
+        out = tmp_path / "red"
+        code = main(["reduce", str(src), *_dataset_args(paths), "--sizes", sizes, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_overrides_config_file(self, tmp_path):
+        ds, paths = _wide_dataset(tmp_path)
+        src = tmp_path / "pool.tsv"
+        _synthetic_interchange(src, 20)
+        cfg = tmp_path / "reduce.cfg"
+        cfg.write_text("sizes = 5,10\n", encoding="utf-8")
+        out = tmp_path / "red"
+        code = main(
+            ["reduce", str(src), *_dataset_args(paths), "--config", str(cfg),
+             "--sizes", "3", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads((out / "reduce_report.json").read_text())
+        assert [o["requested"] for o in report["outputs"]] == [3]
+        assert sorted(p.name for p in out.glob("reduced_*.tsv")) == ["reduced_w1_n3.tsv"]
+
+
 class TestEvalCommand:
     def test_singleton_set_scores_zero_redundancy(self, tmp_path):
         ds, paths = _wide_dataset(tmp_path)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redesc.dataset import BOOLEAN, NUMERIC
 from redesc.query import (
@@ -24,7 +26,7 @@ from redesc.query import (
     tri_support,
 )
 
-from conftest import make_view, random_query, random_view
+from conftest import _random_node, make_view, random_query, random_view
 
 
 def _leaf(attr, lo=float("-inf"), hi=float("inf"), negated=False):
@@ -238,6 +240,23 @@ class TestGrammar:
             q = random_query(rng, view, 1, depth=3)
             text = print_query(q, view)
             assert parse_query(text, view, 1) == canonicalize(q)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(0, 3),
+        missing=st.sampled_from([0.0, 0.2]),
+    )
+    def test_canonical_form_property(self, seed, depth, missing):
+        # raw trees, not canonicalized: nested same-operator nodes, double
+        # negations and duplicate children all occur
+        rng = np.random.default_rng(seed)
+        view = random_view(rng, 8, n_num=2, n_bool=2, n_cat=1, missing_rate=missing)
+        raw = Query(_random_node(rng, view, depth), 2)
+        canon = canonicalize(raw)
+        assert canonicalize(canon) == canon
+        assert parse_query(print_query(raw, view), view, 2) == canon
+        assert print_query(canon, view) == print_query(raw, view)
 
     def test_categorical_equality_round_trip(self):
         view = make_view([("k", "categorical", ["red", "blue", "red"])])
