@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import FIELDS, ConfigError, RunConfig
+from .config import FIELDS, MODE_ALIASES, ConfigError, RunConfig
 from .dataset import DataError, Dataset, SchemaError, load_dataset
 from .interchange import merge_records, read_records, write_records
 from .measures import PVALUE_SCORE_FLOOR, aaj, aej, score_size
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", help="mine a redescription set from a dataset")
     add_common(p_mine)
     p_mine.add_argument(
-        "--operator-mode", choices=["conj", "conjneg", "all"], help="query operators to allow"
+        "--operator-mode", choices=list(MODE_ALIASES), help="query operators to allow"
     )
     p_mine.add_argument(
         "--no-refine",

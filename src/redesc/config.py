@@ -43,7 +43,7 @@ from .mine import MiningParams
 from .reduce import EQUAL_WEIGHTS, WeightVector
 from .tree import PctParams
 
-_MODE_ALIASES = {"conj": "conjunctive", "conjneg": "conjneg", "all": "all"}
+MODE_ALIASES = {"conj": "conjunctive", "conjneg": "conjneg", "all": "all"}
 
 
 class ConfigError(ValueError):
@@ -104,7 +104,12 @@ def _as_bound(value, key: str) -> int | None:
 
 
 def _as_mode(value, key: str) -> str:
-    return _MODE_ALIASES.get(str(value), str(value))
+    try:
+        return MODE_ALIASES[str(value)]
+    except KeyError:
+        raise ConfigError(
+            f"{key} must be one of {', '.join(MODE_ALIASES)}, got {value!r}"
+        ) from None
 
 
 def _as_sizes(value, key: str) -> list[int]:

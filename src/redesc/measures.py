@@ -352,6 +352,10 @@ class Constraints:
             raise ValueError("max_pvalue must lie in [0, 1]")
         if self.min_support < 0:
             raise ValueError("min_support must be non-negative")
+        if self.max_support is not None and self.max_support < self.min_support:
+            raise ValueError(
+                f"max_support ({self.max_support}) must not be below min_support ({self.min_support})"
+            )
         if self.min_ref_jaccard is not None and self.min_ref_jaccard > self.min_jaccard:
             raise ValueError("min_ref_jaccard must not exceed min_jaccard")
 
@@ -359,11 +363,13 @@ class Constraints:
     def ref_jaccard(self) -> float:
         return self.min_jaccard if self.min_ref_jaccard is None else self.min_ref_jaccard
 
+    def admits_support(self, n: int) -> bool:
+        """The support bounds alone, for pre-screens that know only |supp|."""
+        return self.min_support <= n and (self.max_support is None or n <= self.max_support)
+
     def admits(self, r: Redescription) -> bool:
-        if r.j_qnm < self.min_jaccard or r.p_value > self.max_pvalue:
-            return False
-        if r.support_size < self.min_support:
-            return False
-        if self.max_support is not None and r.support_size > self.max_support:
-            return False
-        return True
+        return (
+            r.j_qnm >= self.min_jaccard
+            and r.p_value <= self.max_pvalue
+            and self.admits_support(r.support_size)
+        )

@@ -20,9 +20,7 @@ import numpy as np
 from . import reduce, refine
 from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
 from .measures import Constraints, Redescription, RedescriptionSet, mask_jaccard
-from .query import (
-    Not, Or, Query, TriSupport, iter_literals, mask_to_bools, print_query, tri_support
-)
+from .query import Or, Query, TriSupport, iter_literals, mask_to_bools, print_query, tri_support
 from .tree import PctParams, Tree, build_tree, extract_rules
 
 OPERATOR_MODES = ("conjunctive", "conjneg", "all")
@@ -83,28 +81,13 @@ class RuleSet:
         return True
 
 
-def _query_has_negation(q: Query) -> bool:
-    """Negation in the operator sense: NOT nodes, or negated boolean or
-    categorical literals. Interval literals never count (a right-branch
-    numeric test materializes as a plain interval)."""
-    stack = [q.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            return True
-        if hasattr(node, "children"):
-            stack.extend(node.children)
-        elif hasattr(node, "child"):
-            stack.append(node.child)
-    return any(
+def _mode_accepts(q: Query, mode: str) -> bool:
+    """Conjunctive mode rejects negation: tree rules are literals or ANDs of
+    literals, so it shows only as a negated boolean or categorical literal
+    (a right-branch numeric test materializes as a plain interval)."""
+    return mode != "conjunctive" or not any(
         lit.negated and lit.kind in (BOOLEAN, CATEGORICAL) for lit in iter_literals(q.root)
     )
-
-
-def _mode_accepts(q: Query, mode: str) -> bool:
-    if mode == "conjunctive":
-        return not _query_has_negation(q)
-    return True
 
 
 def _harvest(tree: Tree, dataset: Dataset, view_id: int, rules: RuleSet, mode: str) -> int:
@@ -189,28 +172,20 @@ def create_redescriptions(
     rules2: Sequence[Rule],
     constraints: Constraints,
     dataset: Dataset,
-    seen_pairs: set[tuple[str, str]] | None = None,
 ) -> list[Redescription]:
     """Score the Cartesian product of the two rule lists and keep the pairs
-    satisfying every hard constraint."""
+    satisfying every hard constraint. Pre-screens on the two definite
+    supports skip most pairs before a redescription is built."""
     kept: list[Redescription] = []
-    max_support = constraints.max_support
     for r1, r2 in product(rules1, rules2):
-        key = (r1.text, r2.text)
-        if seen_pairs is not None:
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
         overlap = (r1.tri.in_mask & r2.tri.in_mask).bit_count()
-        if overlap < constraints.min_support:
-            continue
-        if max_support is not None and overlap > max_support:
+        if not constraints.admits_support(overlap):
             continue
         union = (r1.tri.in_mask | r2.tri.in_mask).bit_count()
         if union == 0 or overlap / union < constraints.min_jaccard:
             continue
         candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
-        if candidate.p_value <= constraints.max_pvalue:
+        if constraints.admits(candidate):
             kept.append(candidate)
     return kept
 
@@ -258,10 +233,7 @@ def combine_disjunctive(
                 other = current.tri2 if side == 1 else current.tri1
                 for rule in rules.rules(side):
                     in_new = own.in_mask | rule.tri.in_mask
-                    overlap = (in_new & other.in_mask).bit_count()
-                    if overlap < constraints.min_support:
-                        continue
-                    if constraints.max_support is not None and overlap > constraints.max_support:
+                    if not constraints.admits_support((in_new & other.in_mask).bit_count()):
                         continue
                     j_new = mask_jaccard(in_new, other.in_mask)
                     if j_new > current.j_qnm:
@@ -288,8 +260,8 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
     creation (with refinement and disjunction building when enabled)."""
     rules = init_rules(dataset, params)
     rset = RedescriptionSet(dedup_supports=params.dedup_supports)
-    seen_pairs: set[tuple[str, str]] = set()
     n = dataset.n_elements
+    done1 = done2 = 0  # rules of each view paired in earlier rounds
 
     for _ in range(params.max_iter):
         new_trees: list[Tree] = []
@@ -304,19 +276,23 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
         for tree in new_trees:
             _harvest(tree, dataset, tree.view_id, rules, params.operator_mode)
 
+        # Rule lists only grow, so the unpaired part of rules1 × rules2 is, in
+        # product order, the old view-1 rules with the new view-2 rules, then
+        # the new view-1 rules with every view-2 rule.
+        rules1, rules2 = rules.rules1, rules.rules2
+        blocks = ((rules1[:done1], rules2[done2:]), (rules1[done1:], rules2))
+        done1, done2 = len(rules1), len(rules2)
         if params.use_refinement:
             before_keys = {m.key for m in rset.members}
-            refine.construct_and_refine(
-                rules.rules1, rules.rules2, rset, constraints, dataset, seen_pairs
-            )
+            for block1, block2 in blocks:
+                refine.construct_and_refine(block1, block2, rset, constraints, dataset)
             fresh = [m for m in rset.members if m.key not in before_keys]
         else:
             fresh = []
-            for candidate in create_redescriptions(
-                rules.rules1, rules.rules2, constraints, dataset, seen_pairs
-            ):
-                if rset.add(candidate):
-                    fresh.append(candidate)
+            for block1, block2 in blocks:
+                for candidate in create_redescriptions(block1, block2, constraints, dataset):
+                    if rset.add(candidate):
+                        fresh.append(candidate)
 
         if params.operator_mode == "all" and fresh:
             for extended in combine_disjunctive(fresh, rules, constraints, dataset, params):

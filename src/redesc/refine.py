@@ -127,7 +127,6 @@ def construct_and_refine(
     rset: RedescriptionSet,
     constraints: Constraints,
     dataset: Dataset,
-    seen_pairs: set[tuple[str, str]] | None = None,
 ) -> RedescriptionSet:
     """Cartesian-product candidate generation with bidirectional refinement.
 
@@ -137,11 +136,6 @@ def construct_and_refine(
     it never joins.
     """
     for r1, r2 in product(rules1, rules2):
-        key = (r1.text, r2.text)
-        if seen_pairs is not None:
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
         quick_j = mask_jaccard(r1.tri.in_mask, r2.tri.in_mask)
         if quick_j < constraints.ref_jaccard:
             continue

@@ -102,6 +102,37 @@ class TestMineCommand:
         assert code == 2
         assert f"{cfg}:2: unknown key {line.split()[0]!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["max_support = -5", "max_support = 9"])
+    def test_max_support_below_min_support_exits_two(self, planted_files, tmp_path, capsys, line):
+        _, _, paths = planted_files
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(f"min_support = 10\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "error: max_support" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["conjunctive2", "conjunctive"])
+    def test_unknown_operator_mode_in_file_exits_two(self, planted_files, tmp_path, capsys, mode):
+        _, _, paths = planted_files
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(f"operator_mode = {mode}\n", encoding="utf-8")
+        code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: operator_mode must be one of conj, conjneg, all, got {mode!r}" in err
+
+    def test_unknown_operator_mode_flag_exits_two(self, planted_files, tmp_path, capsys):
+        _, _, paths = planted_files
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", *_dataset_args(paths), "--operator-mode", "conjunctive",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'conjunctive'" in err
+        assert all(mode in err.split("choose from")[1] for mode in ("conj", "conjneg", "all"))
+
 
 @pytest.mark.parametrize("command", ["mine", "reduce", "eval"])
 def test_header_only_view_exits_two_and_names_file(tmp_path, capsys, command):

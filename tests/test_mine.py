@@ -1,6 +1,11 @@
 """Bootstrap, cross-view iteration, candidate creation, and the full loop."""
 
+import importlib
+from collections import Counter
+from itertools import product
+
 import numpy as np
+import pytest
 
 from redesc.dataset import BOOLEAN, NUMERIC
 from redesc.measures import Constraints
@@ -18,6 +23,10 @@ from redesc.query import TriSupport, iter_literals, parse_query, print_query, tr
 from redesc.tree import PctParams
 
 from conftest import make_dataset, planted_dataset, refinement_benefit_dataset
+
+# the package re-exports the `mine` function under the submodule's name
+mine_module = importlib.import_module("redesc.mine")
+refine_module = importlib.import_module("redesc.refine")
 
 
 def _rule(text, view, view_id):
@@ -143,15 +152,6 @@ class TestCreateRedescriptions:
         )
         assert kept == []
 
-    def test_seen_pairs_not_rescored(self):
-        ds = self._fixture()
-        r1 = _rule("[0.0 <= x <= 2.0]", ds.view1, 1)
-        r2 = _rule("y", ds.view2, 2)
-        c = Constraints(min_jaccard=0.5, max_pvalue=1.0, min_support=1)
-        seen = set()
-        assert len(create_redescriptions([r1], [r2], c, ds, seen)) == 1
-        assert create_redescriptions([r1], [r2], c, ds, seen) == []
-
 
 class TestCombineDisjunctive:
     def _two_box(self):
@@ -245,6 +245,37 @@ def _planted_params(**kw):
 
 
 class TestMine:
+    @pytest.mark.parametrize("use_refinement", [True, False], ids=["refine", "no-refine"])
+    def test_each_rule_pair_scored_once(self, monkeypatch, use_refinement):
+        ds, _ = planted_dataset(seed=11)
+        scored: list[tuple[str, str]] = []
+        blocks: list[int] = []
+        rule_sets = []
+
+        def spy(original):
+            def wrapped(rules1, rules2, *args, **kwargs):
+                blocks.append(len(rules1) * len(rules2))
+                scored.extend((r1.text, r2.text) for r1, r2 in product(rules1, rules2))
+                return original(rules1, rules2, *args, **kwargs)
+            return wrapped
+
+        def keep_rules(*args, **kwargs):
+            rule_sets.append(init_rules(*args, **kwargs))
+            return rule_sets[-1]
+
+        monkeypatch.setattr(refine_module, "construct_and_refine", spy(refine_module.construct_and_refine))
+        monkeypatch.setattr(mine_module, "create_redescriptions", spy(create_redescriptions))
+        monkeypatch.setattr(mine_module, "init_rules", keep_rules)
+        mine(ds, PLANTED_CONSTRAINTS, _planted_params(max_iter=3, use_refinement=use_refinement))
+
+        (rules,) = rule_sets
+        assert any(blocks[2:]), "later rounds harvested no new rule"
+        counts = Counter(scored)
+        assert max(counts.values()) == 1
+        assert set(counts) == {
+            (r1.text, r2.text) for r1, r2 in product(rules.rules1, rules.rules2)
+        }
+
     def test_planted_redescription_recovered(self):
         ds, S = planted_dataset(seed=11)
         result = mine(ds, PLANTED_CONSTRAINTS, _planted_params())
