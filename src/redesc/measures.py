@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
 from scipy.stats import binom
 
 from .dataset import Dataset
@@ -24,7 +25,7 @@ from .query import (
     Query,
     TriSupport,
     canonicalize,
-    mask_to_indices,
+    mask_to_bools,
     print_query,
     query_attr_count,
     query_attrs,
@@ -65,11 +66,8 @@ class StatusCounts:
     def from_supports(cls, tri1: TriSupport, tri2: TriSupport) -> "StatusCounts":
         if tri1.n != tri2.n:
             raise ValueError("supports cover different instance counts")
-        in1, un1 = tri1.in_mask, tri1.unk_mask
-        in2, un2 = tri2.in_mask, tri2.unk_mask
-        full = (1 << tri1.n) - 1
-        out1 = full & ~(in1 | un1)
-        out2 = full & ~(in2 | un2)
+        in1, un1, out1 = tri1.in_mask, tri1.unk_mask, tri1.negate().in_mask
+        in2, un2, out2 = tri2.in_mask, tri2.unk_mask, tri2.negate().in_mask
         return cls(
             n_ii=(in1 & in2).bit_count(),
             n_io=(in1 & out2).bit_count(),
@@ -208,7 +206,7 @@ class Redescription:
 
     @property
     def supp(self) -> frozenset[int]:
-        return frozenset(mask_to_indices(self.supp_mask))
+        return frozenset(np.flatnonzero(mask_to_bools(self.supp_mask, self.n_elements)).tolist())
 
     @property
     def variability(self) -> float:

@@ -42,6 +42,10 @@ class MiningParams:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.max_set_size < 2:
+            raise ValueError(f"max_set_size must be at least 2, got {self.max_set_size}")
         if self.operator_mode not in OPERATOR_MODES:
             raise ValueError(f"operator_mode must be one of {OPERATOR_MODES}")
         if self.target_window < 1:

@@ -7,8 +7,9 @@ missing cell is UNKNOWN, AND takes the minimum, OR the maximum, and NOT swaps
 TRUE/FALSE while fixing UNKNOWN.
 
 Two evaluation paths exist on purpose: `eval_query` is a plain row-by-row
-interpreter, `tri_support` a vectorized columnwise pass. They are kept
-independent so each can check the other.
+interpreter, and `tri_support` folds each literal's `TriSupport` masks with
+`intersect` (AND), `union` (OR) and `negate` (NOT). They are kept independent
+so each can check the other.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Union
 
 import numpy as np
@@ -110,15 +112,6 @@ def mask_to_bools(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
 
 
-def mask_to_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 @dataclass(frozen=True)
 class TriSupport:
     """Partition of the instance set by query outcome.
@@ -150,11 +143,11 @@ class TriSupport:
 
     @property
     def in_set(self) -> frozenset[int]:
-        return frozenset(mask_to_indices(self.in_mask))
+        return frozenset(np.flatnonzero(mask_to_bools(self.in_mask, self.n)).tolist())
 
     @property
     def unk_set(self) -> frozenset[int]:
-        return frozenset(mask_to_indices(self.unk_mask))
+        return frozenset(np.flatnonzero(mask_to_bools(self.unk_mask, self.n)).tolist())
 
     def intersect(self, other: "TriSupport") -> "TriSupport":
         """Kleene AND combined at the set level (min per instance)."""
@@ -167,6 +160,11 @@ class TriSupport:
         """Kleene OR combined at the set level (max per instance)."""
         in_mask = self.in_mask | other.in_mask
         return TriSupport(in_mask, (self.unk_mask | other.unk_mask) & ~in_mask, self.n)
+
+    def negate(self) -> "TriSupport":
+        """Kleene NOT: in and out swap, unknown stays."""
+        out_mask = ((1 << self.n) - 1) & ~(self.in_mask | self.unk_mask)
+        return TriSupport(out_mask, self.unk_mask, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +233,10 @@ def eval_query(q: Query, view: View, row: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_literal_vec(lit: Literal, view: View) -> np.ndarray:
+def _literal_support(lit: Literal, view: View) -> TriSupport:
     col = view.columns[lit.attr]
     if lit.kind == CATEGORICAL:
-        code = view.attributes[lit.attr].category_code(lit.category)
-        holds = col == code
+        holds = col == view.attributes[lit.attr].category_code(lit.category)
         unknown = col < 0
     elif lit.kind == BOOLEAN:
         holds = col == 1.0
@@ -247,26 +244,25 @@ def _eval_literal_vec(lit: Literal, view: View) -> np.ndarray:
     else:
         holds = (col >= lit.lo) & (col <= lit.hi)
         unknown = np.isnan(col)
-    out = np.where(holds, TRUE, FALSE).astype(np.int8)
-    out[unknown] = UNKNOWN
-    return 2 - out if lit.negated else out
+    if lit.negated:
+        holds = ~holds
+    return TriSupport(bools_to_mask(holds & ~unknown), bools_to_mask(unknown), view.n_rows)
 
 
-def _eval_node_vec(node: Node, view: View) -> np.ndarray:
+def _fold(node: Node, supports: Iterator[TriSupport]) -> TriSupport:
+    """Combine the supports of `node`'s literals, consumed in preorder."""
     if isinstance(node, Leaf):
-        return _eval_literal_vec(node.literal, view)
-    if isinstance(node, And):
-        return np.minimum.reduce([_eval_node_vec(c, view) for c in node.children])
-    if isinstance(node, Or):
-        return np.maximum.reduce([_eval_node_vec(c, view) for c in node.children])
-    return 2 - _eval_node_vec(node.child, view)
+        return next(supports)
+    if isinstance(node, Not):
+        return _fold(node.child, supports).negate()
+    combine = TriSupport.intersect if isinstance(node, And) else TriSupport.union
+    return reduce(combine, [_fold(child, supports) for child in node.children])
 
 
 def tri_support(q: Query, view: View) -> TriSupport:
     """Partition all instances of `view` by the query outcome."""
     _check_attrs(q.root, view)
-    values = _eval_node_vec(q.root, view)
-    return TriSupport(bools_to_mask(values == TRUE), bools_to_mask(values == UNKNOWN), view.n_rows)
+    return _fold(q.root, (_literal_support(lit, view) for lit in iter_literals(q.root)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,21 +611,21 @@ def minimize_query(q: Query, view: View) -> Query:
     common AND. The result evaluates identically to the input on `view`.
     """
     current = canonicalize(q)
-    base = tri_support(current, view)
+    _check_attrs(current.root, view)
+    # literal supports in preorder; dropping leaf `target` drops its entry
+    supports = [_literal_support(lit, view) for lit in iter_literals(current.root)]
+    base = _fold(current.root, iter(supports))
     changed = True
     while changed:
         changed = False
-        n_leaves = query_attr_count(current)
-        if n_leaves <= 1:
+        if len(supports) <= 1:
             break
-        for target in range(n_leaves):
-            candidate_root, _ = _remove_leaf(current.root, target)
-            if candidate_root is None:
-                continue
-            candidate = Query(candidate_root, q.view_id)
-            if tri_support(candidate, view) == base:
-                current = candidate
+        for target in range(len(supports)):
+            candidate_root, _ = _remove_leaf(current.root, target)  # never None: 2+ leaves
+            rest = supports[:target] + supports[target + 1:]
+            if _fold(candidate_root, iter(rest)) == base:
+                current = Query(candidate_root, q.view_id)
+                supports = rest
                 changed = True
                 break
-    current = canonicalize(Query(_merge_intervals(current.root), q.view_id))
-    return current
+    return canonicalize(Query(_merge_intervals(current.root), q.view_id))

@@ -133,6 +133,29 @@ class TestMineCommand:
         assert "invalid choice: 'conjunctive'" in err
         assert all(mode in err.split("choose from")[1] for mode in ("conj", "conjneg", "all"))
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_exits_two(self, planted_files, tmp_path, capsys, source):
+        _, _, paths = planted_files
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n" if source == "file" else "", encoding="utf-8")
+        flag = ["--seed", "-1"] if source == "flag" else []
+        out = tmp_path / "out"
+        code = main(["mine", *_dataset_args(paths), "--config", str(cfg), *flag, "--out", str(out)])
+        assert code == 2
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_max_set_size_below_two_exits_two(self, planted_files, tmp_path, capsys, size):
+        _, _, paths = planted_files
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(f"max_set_size = {size}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"error: max_set_size must be at least 2, got {size}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["mine", "reduce", "eval"])
 def test_header_only_view_exits_two_and_names_file(tmp_path, capsys, command):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from redesc.dataset import BOOLEAN, NUMERIC
+from redesc.dataset import BOOLEAN, NUMERIC, SchemaError
 from redesc.query import (
     FALSE,
     TRUE,
@@ -17,12 +17,15 @@ from redesc.query import (
     Or,
     Query,
     QuerySyntaxError,
+    _merge_intervals,
+    _remove_leaf,
     canonicalize,
     eval_query,
     is_conjunctive,
     minimize_query,
     parse_query,
     print_query,
+    query_attr_count,
     tri_support,
 )
 
@@ -31,6 +34,26 @@ from conftest import _random_node, make_view, random_query, random_view
 
 def _leaf(attr, lo=float("-inf"), hi=float("inf"), negated=False):
     return Leaf(Literal(attr, NUMERIC, lo, hi, negated=negated))
+
+
+# row counts on both sides of the byte and 64-bit word edges of the masks
+EDGE_ROWS = [1, 7, 8, 9, 63, 64, 65]
+
+
+def _raw_query_view(seed, n_rows, depth, missing):
+    """A view with numeric, boolean and categorical columns, and a raw
+    (uncanonicalized) query tree over it: `Not` over `And`/`Or`, double
+    negations and duplicate children all occur."""
+    rng = np.random.default_rng(seed)
+    try:
+        view = random_view(rng, n_rows, n_num=2, n_bool=1, n_cat=1, missing_rate=missing)
+    except SchemaError:  # every categorical cell missing: no label to test
+        assume(False)
+    return view, Query(_random_node(rng, view, depth), 1)
+
+
+def _row_values(q, view):
+    return [eval_query(q, view, r) for r in range(view.n_rows)]
 
 
 class TestKleeneSemantics:
@@ -140,6 +163,22 @@ class TestTriSupport:
             expected_unk = {r for r in range(20) if eval_query(q, view, r) == UNKNOWN}
             assert tri.in_set == expected_in
             assert tri.unk_set == expected_unk
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from(EDGE_ROWS),
+        depth=st.integers(0, 4),
+        missing=st.sampled_from([0.0, 0.2]),
+    )
+    def test_matches_row_interpreter_property(self, seed, n_rows, depth, missing):
+        view, q = _raw_query_view(seed, n_rows, depth, missing)
+        tri = tri_support(q, view)
+        got = [
+            TRUE if tri.in_mask >> r & 1 else UNKNOWN if tri.unk_mask >> r & 1 else FALSE
+            for r in range(n_rows)
+        ]
+        assert got == _row_values(q, view)
 
     def test_attribute_out_of_range_rejected(self):
         view = make_view([("x", NUMERIC, [1.0])])
@@ -306,6 +345,19 @@ class TestMinimize:
             m = minimize_query(q, view)
             assert tri_support(m, view) == tri_support(q, view)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from(EDGE_ROWS),
+        depth=st.integers(0, 3),
+        missing=st.sampled_from([0.0, 0.2]),
+    )
+    def test_matches_reevaluating_loop_property(self, seed, n_rows, depth, missing):
+        view, q = _raw_query_view(seed, n_rows, depth, missing)
+        m = minimize_query(q, view)
+        assert m == _reevaluating_minimize(q, view)
+        assert _row_values(m, view) == _row_values(q, view)
+
     def test_never_grows_literal_count(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -313,6 +365,30 @@ class TestMinimize:
             q = random_query(rng, view, 1, depth=2)
             m = minimize_query(q, view)
             assert sum(1 for _ in _leaves(m.root)) <= sum(1 for _ in _leaves(q.root))
+
+
+def _reevaluating_minimize(q, view):
+    """Oracle: the greedy leaf-removal loop that rebuilds each candidate with
+    `_remove_leaf` and compares its support, taken row by row with
+    `eval_query`, to the input's."""
+    current = canonicalize(q)
+    base = _row_values(current, view)
+    changed = True
+    while changed:
+        changed = False
+        n_leaves = query_attr_count(current)
+        if n_leaves <= 1:
+            break
+        for target in range(n_leaves):
+            candidate_root, _ = _remove_leaf(current.root, target)
+            if candidate_root is None:
+                continue
+            candidate = Query(candidate_root, q.view_id)
+            if _row_values(candidate, view) == base:
+                current = candidate
+                changed = True
+                break
+    return canonicalize(Query(_merge_intervals(current.root), q.view_id))
 
 
 def _leaves(node):
