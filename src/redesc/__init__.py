@@ -30,7 +30,6 @@ from .measures import (
     StatusCounts,
     aaj,
     aej,
-    jaccard,
     jaccard_variants,
     p_value,
 )

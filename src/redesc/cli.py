@@ -20,11 +20,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import FIELDS, MODE_ALIASES, ConfigError, RunConfig
 from .dataset import DataError, Dataset, SchemaError, load_dataset
 from .interchange import merge_records, read_records, write_records
-from .measures import PVALUE_SCORE_FLOOR, aaj, aej, score_size
+from .measures import PVALUE_SCORE_FLOOR, PackedMembers, aaj, aej, score_size
 from .mine import mine
 from .reduce import reduce_set
 
@@ -153,7 +155,8 @@ def cmd_eval(args) -> int:
         print("no usable records in input", file=sys.stderr)
         return EXIT_ERROR
 
-    redundancy = [(aej(m, members), aaj(m, members)) for m in members]
+    packed = PackedMembers(members)
+    redundancy = [(aej(m, packed), aaj(m, packed)) for m in members]
     rows_path = out_dir / "eval_redescriptions.csv"
     with rows_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -191,16 +194,12 @@ def cmd_eval(args) -> int:
                 ]
             )
 
-    union_supp = 0
-    union_attrs = set()
-    for m in members:
-        union_supp |= m.supp_mask
-        union_attrs |= m.attrs
+    covered = int(np.bitwise_count(np.bitwise_or.reduce(packed.words)).sum())
     n_attrs_total = dataset.view1.n_cols + dataset.view2.n_cols
     summary = {
         "redescriptions": len(members),
-        "element_coverage": union_supp.bit_count() / dataset.n_elements,
-        "attribute_coverage": len(union_attrs) / n_attrs_total,
+        "element_coverage": covered / dataset.n_elements,
+        "attribute_coverage": len(packed.attr_col) / n_attrs_total,
         "mean_j_qnm": sum(m.j_qnm for m in members) / len(members),
         "mean_log10_p_value": sum(_log10_floored(m.p_value) for m in members) / len(members),
         "mean_aej": sum(e for e, _ in redundancy) / len(members),

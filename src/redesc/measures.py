@@ -3,8 +3,9 @@
 Covers the accuracy measures (classic Jaccard plus its query-non-missing,
 optimistic, and pessimistic variants under missing values), the binomial-tail
 significance p-value, the variability index, set-level redundancy measures
-(average element/attribute Jaccard), and the normalized significance and
-query-size scores. The weighted selection score lives in `reduce`.
+(average element/attribute Jaccard), the normalized significance and
+query-size scores, and the packed member matrix that reduction and evaluation
+share. The weighted selection score lives in `reduce`.
 
 Canonical redescription support uses query-non-missing semantics throughout:
 supp(R) is the set of instances both queries definitely describe.
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import betainc
 
 from .dataset import Dataset
 from .query import (
@@ -34,13 +34,6 @@ from .query import (
 
 PVALUE_SCORE_FLOOR = 1e-17
 DEFAULT_SIZE_NORMALIZER = 20
-
-
-def jaccard(a: Iterable, b: Iterable) -> float:
-    """|a ∩ b| / |a ∪ b| over two sets; 0.0 when both are empty."""
-    a, b = set(a), set(b)
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
 
 
 def mask_jaccard(a: int, b: int) -> float:
@@ -124,12 +117,14 @@ def jaccard_variants(counts: StatusCounts) -> JaccardVariants:
     return JaccardVariants(qnm, opt, pess)
 
 
-@lru_cache(maxsize=200_000)
 def binomial_tail(overlap: int, supp1: int, supp2: int, total: int) -> float:
     """P(X >= overlap) for X ~ Binomial(total, supp1/total * supp2/total),
-    via a numerically stable survival function, clamped to [0, 1]."""
+    as the regularized incomplete beta I_p(overlap, total - overlap + 1),
+    clamped to [0, 1]."""
+    if overlap <= 0:
+        return 1.0
     p = (supp1 / total) * (supp2 / total)
-    value = float(binom.sf(overlap - 1, total, p))
+    value = float(betainc(overlap, total - overlap + 1, p))
     return min(1.0, max(0.0, value))
 
 
@@ -281,33 +276,6 @@ class RedescriptionSet:
                 raise AssertionError(f"constraint violation in mined set: {m.key}")
 
 
-def _others(r: Redescription, members: Sequence[Redescription]) -> list[Redescription]:
-    """Every member but r: r itself, or, when r is passed by value, the first
-    member equal to it."""
-    others = [m for m in members if m is not r]
-    if len(others) == len(members):
-        for i, m in enumerate(members):
-            if m == r:
-                return list(members[:i]) + list(members[i + 1 :])
-    return others
-
-
-def aej(r: Redescription, members: Sequence[Redescription]) -> float:
-    """Average Jaccard of r's support against every other member's support."""
-    others = _others(r, members)
-    if not others:
-        return 0.0
-    return sum(mask_jaccard(r.supp_mask, m.supp_mask) for m in others) / len(others)
-
-
-def aaj(r: Redescription, members: Sequence[Redescription]) -> float:
-    """Average Jaccard of r's attribute set against every other member's."""
-    others = _others(r, members)
-    if not others:
-        return 0.0
-    return sum(jaccard(r.attrs, m.attrs) for m in others) / len(others)
-
-
 # ---------------------------------------------------------------------------
 # Normalized scores
 # ---------------------------------------------------------------------------
@@ -322,6 +290,125 @@ def score_pval(pv: float) -> float:
 
 def score_size(attr_count: int, k: int = DEFAULT_SIZE_NORMALIZER) -> float:
     return min(attr_count / k, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Packed member matrix
+# ---------------------------------------------------------------------------
+
+# bits unpacked per block in `PackedMembers._bit_blocks`; the block and its
+# float64 product stay under 40 KB, so packing adds no visible peak memory
+_BLOCK_CELLS = 1 << 12
+
+
+class PackedMembers:
+    """A member list packed once for bulk work: reduction, evaluation and occurrence counts.
+
+    Supports are rows of uint64 words (the bitmask's little-endian bytes),
+    attributes a boolean incidence matrix over the distinct (view, attribute)
+    pairs. Each float64 entry is the double a per-member Python loop gives:
+    the score terms that do not depend on the reduced set come from Python
+    scalar arithmetic, and Jaccard counts below 2**53 convert exactly, so each
+    quotient is int / int's double (dividing by max(union, 1) gives an empty
+    union's 0.0, its intersection being empty too).
+    """
+
+    def __init__(self, members: list[Redescription]) -> None:
+        if not members:
+            raise ValueError("cannot pack an empty member list")
+        self.members = members
+        self.n_elements = members[0].n_elements
+        self.n_bytes = nb = 8 * max(1, -(-self.n_elements // 64))
+        self.words = np.empty((len(members), nb // 8), dtype=np.uint64)
+        raw = self.words.data.cast("B")
+        for i, r in enumerate(members):
+            raw[i * nb : (i + 1) * nb] = r.supp_mask.to_bytes(nb, "little")
+        self.supp_sizes = np.bitwise_count(self.words).sum(axis=1, dtype=np.int64)
+
+        self.attr_sizes = np.array([len(r.attrs) for r in members], dtype=np.int64)
+        self.attr_col: dict[tuple[int, int], int] = {}
+        cols = np.fromiter(
+            (self.attr_col.setdefault(a, len(self.attr_col)) for r in members for a in r.attrs),
+            dtype=np.intp,
+            count=int(self.attr_sizes.sum()),
+        )
+        self.incidence = np.zeros((len(members), len(self.attr_col)), dtype=bool)
+        self.incidence[np.repeat(np.arange(len(members)), self.attr_sizes), cols] = True
+
+        # exclusion is by identity: a list holding one object twice loses both rows
+        self.ids = np.fromiter(map(id, members), dtype=np.uint64, count=len(members))
+
+        def column(values) -> np.ndarray:
+            return np.fromiter(values, dtype=np.float64, count=len(members))
+
+        self.inaccuracy = column(1.0 - r.j_qnm for r in members)
+        self.pval_score = column(score_pval(r.p_value) for r in members)
+        self.rel_support = column(r.support_size / self.n_elements for r in members)
+        self.size_score = column(score_size(r.attr_count) for r in members)
+        self.variability = column(r.variability for r in members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def _bit_blocks(self):
+        """(first row, unpacked support bits) per block of rows."""
+        step = max(1, _BLOCK_CELLS // self.n_elements)
+        for lo in range(0, len(self), step):
+            block = self.words[lo : lo + step].view(np.uint8)
+            yield lo, np.unpackbits(block, axis=1, count=self.n_elements, bitorder="little")
+
+    def support_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Per member, the sum of `weights` over the elements it supports."""
+        out = np.empty(len(self))
+        for lo, bits in self._bit_blocks():
+            out[lo : lo + len(bits)] = (bits * weights).sum(axis=1)
+        return out
+
+    def element_counts(self) -> np.ndarray:
+        """Per element, how many members support it."""
+        counts = np.zeros(self.n_elements)
+        for _, bits in self._bit_blocks():
+            counts += bits.sum(axis=0)
+        return counts
+
+    def element_similarity(self, m: Redescription) -> np.ndarray:
+        """Support Jaccard of every member against m, which need not be one."""
+        supp = m.supp_mask
+        word = np.frombuffer(supp.to_bytes(self.n_bytes, "little"), dtype=np.uint64)
+        inter = np.bitwise_count(self.words & word).sum(axis=1, dtype=np.int64)
+        return inter / np.maximum(self.supp_sizes + supp.bit_count() - inter, 1)
+
+    def attribute_similarity(self, m: Redescription) -> np.ndarray:
+        """Attribute-set Jaccard of every member against m."""
+        cols = [self.attr_col[a] for a in m.attrs if a in self.attr_col]
+        shared = self.incidence[:, cols].sum(axis=1, dtype=np.int64)
+        return shared / np.maximum(self.attr_sizes + len(m.attrs) - shared, 1)
+
+
+def _mean_over_others(r: Redescription, members, similarity) -> float:
+    """Mean of `similarity(packed, r)` over every member of the list or
+    `PackedMembers` but r itself (or, if absent, the first member equal to r)."""
+    if not len(members):
+        return 0.0
+    packed = members if isinstance(members, PackedMembers) else PackedMembers(list(members))
+    keep = packed.ids != id(r)
+    if keep.all():
+        equal = next((i for i, m in enumerate(packed.members) if m == r), None)
+        if equal is not None:
+            keep[equal] = False
+    count = int(keep.sum())
+    # summed left to right, as a loop over the other members would
+    return sum(similarity(packed, r)[keep].tolist()) / count if count else 0.0
+
+
+def aej(r: Redescription, members: Sequence[Redescription] | PackedMembers) -> float:
+    """Average Jaccard of r's support against every other member's support."""
+    return _mean_over_others(r, members, PackedMembers.element_similarity)
+
+
+def aaj(r: Redescription, members: Sequence[Redescription] | PackedMembers) -> float:
+    """Average Jaccard of r's attribute set against every other member's."""
+    return _mean_over_others(r, members, PackedMembers.attribute_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +431,10 @@ class Constraints:
     max_support: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.min_jaccard <= 1.0:
-            raise ValueError("min_jaccard must lie in [0, 1]")
-        if not 0.0 <= self.max_pvalue <= 1.0:
-            raise ValueError("max_pvalue must lie in [0, 1]")
+        for name in ("min_jaccard", "min_ref_jaccard", "max_pvalue"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:  # also rejects NaN
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.min_support < 0:
             raise ValueError("min_support must be non-negative")
         if self.max_support is not None and self.max_support < self.min_support:

@@ -50,6 +50,11 @@ class MiningParams:
             raise ValueError(f"operator_mode must be one of {OPERATOR_MODES}")
         if self.target_window < 1:
             raise ValueError("target_window must be at least 1")
+        t = self.disjunction_threshold
+        if t is not None and not 0.0 <= t <= 1.0:
+            raise ValueError(f"disjunction_threshold must lie in [0, 1], got {t}")
+        if self.max_disjuncts < 0:
+            raise ValueError(f"max_disjuncts must be non-negative, got {self.max_disjuncts}")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,10 @@ import numpy as np
 
 from .measures import (
     Constraints,
+    PackedMembers,
     Redescription,
-    RedescriptionSet,
     mask_jaccard,  # unused here; kept bound because bench/tracer.py counts calls through it
-    score_pval,
-    score_size,
 )
-from .query import mask_to_bools
 
 
 @dataclass(frozen=True)
@@ -41,8 +38,8 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if value < 0:
-                raise ValueError(f"weight {name} must be non-negative, got {value}")
+            if not 0 <= value < np.inf:  # also False for NaN
+                raise ValueError(f"weights must be finite and non-negative, got {name} = {value}")
 
     @classmethod
     def from_row(cls, row: Sequence[float]) -> "WeightVector":
@@ -85,12 +82,6 @@ class ReducedSet:
         return iter(self.members)
 
 
-def _members(pool) -> list[Redescription]:
-    if isinstance(pool, RedescriptionSet):
-        return list(pool.members)
-    return list(pool)
-
-
 @dataclass
 class OccurrenceProfile:
     """Per-element and per-attribute counts of containing redescriptions."""
@@ -109,100 +100,11 @@ class OccurrenceProfile:
 
 def compute_occurrence(pool) -> OccurrenceProfile:
     """Count, per element and per attribute, how many redescriptions in the
-    pool cover or use it."""
-    members = _members(pool)
-    if not members:
-        raise ValueError("cannot profile an empty redescription set")
-    n = members[0].n_elements
-    element_counts = np.zeros(n, dtype=np.float64)
-    attribute_counts: dict[tuple[int, int], int] = {}
-    for m in members:
-        element_counts += mask_to_bools(m.supp_mask, n)
-        for a in m.attrs:
-            attribute_counts[a] = attribute_counts.get(a, 0) + 1
-    return OccurrenceProfile(element_counts, attribute_counts)
-
-
-# bits unpacked per block in `_Candidates.support_sums`; the block and its
-# float64 product stay under 40 KB, so packing adds no visible peak memory
-_BLOCK_CELLS = 1 << 12
-
-
-class _Candidates:
-    """A candidate list packed once for bulk scoring.
-
-    Supports are rows of uint64 words (the bitmask's little-endian bytes),
-    attributes a boolean incidence matrix over the distinct (view, attribute)
-    pairs. The score terms that do not depend on the reduced set are float64
-    arrays whose entries come from Python scalar arithmetic, so each is the
-    double a per-candidate loop would compute.
-    """
-
-    def __init__(self, members: list[Redescription]) -> None:
-        self.members = members
-        self.n_elements = members[0].n_elements
-        self.n_bytes = nb = 8 * max(1, -(-self.n_elements // 64))
-        self.words = np.empty((len(members), nb // 8), dtype=np.uint64)
-        raw = self.words.data.cast("B")
-        for i, r in enumerate(members):
-            raw[i * nb : (i + 1) * nb] = r.supp_mask.to_bytes(nb, "little")
-        self.supp_sizes = np.bitwise_count(self.words).sum(axis=1, dtype=np.int64)
-
-        self.attr_sizes = np.array([len(r.attrs) for r in members], dtype=np.int64)
-        self.attr_col: dict[tuple[int, int], int] = {}
-        cols = np.fromiter(
-            (self.attr_col.setdefault(a, len(self.attr_col)) for r in members for a in r.attrs),
-            dtype=np.intp,
-            count=int(self.attr_sizes.sum()),
-        )
-        self.incidence = np.zeros((len(members), len(self.attr_col)), dtype=bool)
-        self.incidence[np.repeat(np.arange(len(members)), self.attr_sizes), cols] = True
-
-        # exclusion is by identity: a pool listing one object twice loses both rows
-        self.ids = np.fromiter(map(id, members), dtype=np.uint64, count=len(members))
-
-        def column(values) -> np.ndarray:
-            return np.fromiter(values, dtype=np.float64, count=len(members))
-
-        self.inaccuracy = column(1.0 - r.j_qnm for r in members)
-        self.pval_score = column(score_pval(r.p_value) for r in members)
-        self.rel_support = column(r.support_size / self.n_elements for r in members)
-        self.size_score = column(score_size(r.attr_count) for r in members)
-        self.variability = column(r.variability for r in members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def support_sums(self, weights: np.ndarray) -> np.ndarray:
-        """Per candidate, the sum of `weights` over the elements it supports."""
-        out = np.empty(len(self))
-        step = max(1, _BLOCK_CELLS // self.n_elements)
-        for lo in range(0, len(self), step):
-            bits = np.unpackbits(
-                self.words[lo : lo + step].view(np.uint8),
-                axis=1,
-                count=self.n_elements,
-                bitorder="little",
-            )
-            out[lo : lo + step] = (bits * weights).sum(axis=1)
-        return out
-
-    def similarity(self, m: Redescription) -> tuple[np.ndarray, np.ndarray]:
-        """Element and attribute Jaccard of every candidate against m, which
-        need not be a candidate itself.
-
-        Counts below 2**53 convert to float64 exactly, so each quotient is the
-        double Python's int / int gives; an empty union has an empty
-        intersection, so dividing by max(union, 1) gives its 0.0.
-        """
-        supp = m.supp_mask
-        word = np.frombuffer(supp.to_bytes(self.n_bytes, "little"), dtype=np.uint64)
-        inter = np.bitwise_count(self.words & word).sum(axis=1, dtype=np.int64)
-        elem = inter / np.maximum(self.supp_sizes + supp.bit_count() - inter, 1)
-        cols = [self.attr_col[a] for a in m.attrs if a in self.attr_col]
-        shared = self.incidence[:, cols].sum(axis=1, dtype=np.int64)
-        attr = shared / np.maximum(self.attr_sizes + len(m.attrs) - shared, 1)
-        return elem, attr
+    pool cover or use it. `pool` may be already packed."""
+    if not isinstance(pool, PackedMembers):
+        pool = PackedMembers(list(pool))
+    per_attr = pool.incidence.sum(axis=0).tolist()
+    return OccurrenceProfile(pool.element_counts(), dict(zip(pool.attr_col, per_attr)))
 
 
 class _Selection:
@@ -210,7 +112,7 @@ class _Selection:
     each candidate's highest element and attribute Jaccard against the
     members folded in so far."""
 
-    def __init__(self, cand: _Candidates) -> None:
+    def __init__(self, cand: PackedMembers) -> None:
         self.cand = cand
         self.taken = np.zeros(len(cand), dtype=bool)
         self.elem_max = np.zeros(len(cand))
@@ -222,15 +124,14 @@ class _Selection:
         when called once per pick)."""
         for m in reduced[self.folded :]:
             self.taken |= self.cand.ids == id(m)
-            elem, attr = self.cand.similarity(m)
-            np.maximum(self.elem_max, elem, out=self.elem_max)
-            np.maximum(self.attr_max, attr, out=self.attr_max)
+            np.maximum(self.elem_max, self.cand.element_similarity(m), out=self.elem_max)
+            np.maximum(self.attr_max, self.cand.attribute_similarity(m), out=self.attr_max)
         self.folded = len(reduced)
 
 
 def _first_min(
     w: WeightVector,
-    cand: _Candidates,
+    cand: PackedMembers,
     taken: np.ndarray,
     pval_term: np.ndarray,
     elem_term: np.ndarray,
@@ -258,18 +159,18 @@ def _first_min(
 
 
 def find_specific(
-    pool, profile: OccurrenceProfile, w: WeightVector, *, cand: _Candidates | None = None
+    pool, profile: OccurrenceProfile, w: WeightVector, *, cand: PackedMembers | None = None
 ) -> Redescription:
     """First pick: accurate, significant, small, and built from elements and
     attributes that few other redescriptions touch. Ties keep input order.
 
     `cand` is the pool already packed by `reduce_set`.
     """
-    members = _members(pool)
+    members = list(pool)
     if not members:
         raise ValueError("empty candidate pool")
     if cand is None:
-        cand = _Candidates(members)
+        cand = PackedMembers(members)
     el_total = profile.element_total
     at_total = profile.attribute_total
     # the counts are integers, so these sums are exact in any order
@@ -303,10 +204,10 @@ def find_best(
     `reduced` added since the previous call.
     """
     if state is None:
-        members = _members(pool)
+        members = list(pool)
         if not members:
             return None
-        state = _Selection(_Candidates(members))
+        state = _Selection(PackedMembers(members))
     state.catch_up(reduced)
     cand = state.cand
     k = len(reduced)
@@ -331,7 +232,7 @@ def reduce_set(
     if n < 1:
         raise ValueError("reduced set size must be at least 1")
     rows = [r if isinstance(r, WeightVector) else WeightVector.from_row(r) for r in weight_rows]
-    members = _members(pool)
+    members = list(pool)
     candidates = [r for r in members if constraints.admits(r)] if constraints else members
     if not candidates:
         return [
@@ -344,8 +245,8 @@ def reduce_set(
             )
             for w in rows
         ]
-    cand = _Candidates(candidates)
-    profile = compute_occurrence(candidates)
+    cand = PackedMembers(candidates)
+    profile = compute_occurrence(cand)
     outputs: list[ReducedSet] = []
     for w in rows:
         state = _Selection(cand)

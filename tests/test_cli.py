@@ -145,6 +145,28 @@ class TestMineCommand:
         assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("min_ref_jaccard = nan", "min_ref_jaccard must lie in [0, 1], got nan"),
+            ("min_ref_jaccard = -0.5", "min_ref_jaccard must lie in [0, 1], got -0.5"),
+            ("disjunction_threshold = nan", "disjunction_threshold must lie in [0, 1], got nan"),
+            ("max_disjuncts = -3", "max_disjuncts must be non-negative, got -3"),
+        ],
+        ids=["min_ref_jaccard-nan", "min_ref_jaccard-negative", "disjunction_threshold", "max_disjuncts"],
+    )
+    def test_out_of_range_value_exits_two_and_names_key(
+        self, planted_files, tmp_path, capsys, line, message
+    ):
+        _, _, paths = planted_files
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", [1, 0, -3])
     def test_max_set_size_below_two_exits_two(self, planted_files, tmp_path, capsys, size):
         _, _, paths = planted_files
@@ -293,6 +315,21 @@ class TestReduceCommand:
         out = tmp_path / "red"
         code = main(["reduce", str(src), *_dataset_args(paths), "--sizes", sizes, "--out", str(out)])
         assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_non_finite_or_negative_weight_exits_two_and_names_key(self, tmp_path, capsys, value):
+        ds, paths = _wide_dataset(tmp_path)
+        src = tmp_path / "pool.tsv"
+        _synthetic_interchange(src, 10)
+        cfg = tmp_path / "weights.cfg"
+        cfg.write_text(f"weights = {value},0.2,0.2,0.2,0.2\n", encoding="utf-8")
+        out = tmp_path / "red"
+        code = main(["reduce", str(src), *_dataset_args(paths), "--config", str(cfg),
+                     "--sizes", "5", "--out", str(out)])
+        assert code == 2
+        message = f"error: weights must be finite and non-negative, got j = {float(value)}"
         assert message in capsys.readouterr().err
         assert not out.exists()
 

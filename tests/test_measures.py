@@ -2,19 +2,27 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
+import redesc
 from redesc.measures import (
     Constraints,
+    PackedMembers,
     Redescription,
     StatusCounts,
     aaj,
     aej,
     binomial_tail,
-    jaccard,
     jaccard_variants,
     mask_jaccard,
     p_value,
@@ -76,21 +84,40 @@ def random_counts(rng: np.random.Generator, total: int, max_unknown_cells: int |
     )
 
 
+def set_jaccard(a, b) -> float:
+    """|a ∩ b| / |a ∪ b| over two sets; 0.0 when both are empty."""
+    a, b = set(a), set(b)
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+def _mask(elements) -> int:
+    return sum(1 << e for e in elements)
+
+
 class TestJaccard:
+    """`mask_jaccard` over bitmasks, checked against the set oracle."""
+
+    @staticmethod
+    def _both(a, b) -> float:
+        value = mask_jaccard(_mask(a), _mask(b))
+        assert value == set_jaccard(a, b)
+        return value
+
     def test_simple_overlap(self):
-        assert jaccard({1, 2, 3}, {2, 3, 4}) == 0.5
+        assert self._both({1, 2, 3}, {2, 3, 4}) == 0.5
 
     def test_identity(self):
-        assert jaccard({1, 2}, {1, 2}) == 1.0
+        assert self._both({1, 2}, {1, 2}) == 1.0
 
     def test_both_empty_is_zero(self):
-        assert jaccard(set(), set()) == 0.0
+        assert self._both(set(), set()) == 0.0
 
     def test_worked_example_34_of_38(self):
         # 34 locations described by both queries, 38 by at least one
         described_by_both = set(range(34))
         described_by_one = described_by_both | {100, 101, 102, 103}
-        value = jaccard(described_by_one, described_by_both)
+        value = self._both(described_by_one, described_by_both)
         assert value == 34 / 38
         assert round(value, 3) == 0.895
 
@@ -207,6 +234,34 @@ class TestPValue:
         assert p_value(c, 6) == binomial_tail(2, 3, 2, 6)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    total=st.integers(1, 20_000),
+    k_frac=st.floats(0.0, 1.0),
+    s1_frac=st.floats(0.0, 1.0),
+    s2_frac=st.floats(0.0, 1.0),
+)
+@example(total=37, k_frac=0.0, s1_frac=0.4, s2_frac=0.7)  # k = 0
+@example(total=37, k_frac=1.0, s1_frac=0.9, s2_frac=0.8)  # k = n
+@example(total=37, k_frac=0.5, s1_frac=1.0, s2_frac=1.0)  # p = 1
+@example(total=37, k_frac=1.0, s1_frac=1.0, s2_frac=1.0)  # k = n, p = 1
+def test_binomial_tail_equals_binom_sf_property(total, k_frac, s1_frac, s2_frac):
+    k, s1, s2 = (round(f * total) for f in (k_frac, s1_frac, s2_frac))
+    p = (s1 / total) * (s2 / total)
+    want = min(1.0, max(0.0, float(binom.sf(k - 1, total, p))))
+    assert repr(binomial_tail(k, s1, s2, total)) == repr(want)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(redesc.__file__).resolve().parents[1]
+    code = "import sys, redesc.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestSetMeasures:
     def _worked_set(self, climate_species_dataset):
         ds = climate_species_dataset
@@ -265,7 +320,7 @@ class TestSetMeasures:
         members = [a, twin, b]
         # probe is none of the members: it stands in for a, so only a drops
         assert aej(probe, members) == (1.0 + mask_jaccard(a.supp_mask, b.supp_mask)) / 2
-        assert aaj(probe, members) == (1.0 + jaccard(a.attrs, b.attrs)) / 2
+        assert aaj(probe, members) == (1.0 + set_jaccard(a.attrs, b.attrs)) / 2
 
 
 def _dataset_of(pool):
@@ -273,6 +328,57 @@ def _dataset_of(pool):
     spec1 = [(f"a{i}", "boolean", [False] * pool[0].n_elements) for i in range(30)]
     spec2 = [(f"z{i}", "boolean", [False] * pool[0].n_elements) for i in range(30)]
     return make_dataset(spec1, spec2)
+
+
+def _loop_others(r, members):
+    """Every member but r: r itself, or, when r is passed by value, the first
+    member equal to it (the pairwise loop the packed path replaces)."""
+    others = [m for m in members if m is not r]
+    if len(others) == len(members):
+        for i, m in enumerate(members):
+            if m == r:
+                return list(members[:i]) + list(members[i + 1 :])
+    return others
+
+
+def loop_aej(r, members):
+    others = _loop_others(r, members)
+    if not others:
+        return 0.0
+    return sum(mask_jaccard(r.supp_mask, m.supp_mask) for m in others) / len(others)
+
+
+def loop_aaj(r, members):
+    others = _loop_others(r, members)
+    if not others:
+        return 0.0
+    return sum(set_jaccard(r.attrs, m.attrs) for m in others) / len(others)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 12),
+    n_elements=st.integers(1, 150),
+    missing=st.booleans(),
+    data=st.data(),
+)
+def test_set_redundancy_matches_pairwise_loop_property(seed, size, n_elements, missing, data):
+    rng = np.random.default_rng(seed)
+    pool, _ = fabricate_pool(rng, size + 1, n_elements=n_elements, missing=missing)
+    outsider = pool.pop()  # never in the list
+    members = list(pool)
+    # an object listed twice, or an equal copy listed next to its original
+    for _ in range(data.draw(st.integers(0, 3)) if pool else 0):
+        src = data.draw(st.sampled_from(pool))
+        twin = data.draw(st.sampled_from([src, dataclasses.replace(src)]))
+        members.insert(data.draw(st.integers(0, len(members))), twin)
+    packed = PackedMembers(members) if members else members
+    probes = members + [outsider] + [dataclasses.replace(m) for m in pool]
+    for r in probes:
+        want = repr((loop_aej(r, members), loop_aaj(r, members)))
+        assert repr((aej(r, members), aaj(r, members))) == want
+        assert repr((aej(r, packed), aaj(r, packed))) == want
 
 
 class TestScores:
@@ -307,7 +413,7 @@ class TestScores:
                 sum(profile.element_counts[e] for e in r.supp) / profile.element_total,
                 sum(profile.attribute_counts[a] for a in r.attrs) / profile.attribute_total,
                 max(mask_jaccard(r.supp_mask, m.supp_mask) for m in reduced),
-                max(jaccard(r.attrs, m.attrs) for m in reduced),
+                max(set_jaccard(r.attrs, m.attrs) for m in reduced),
                 r.variability,
             )
             for value in values:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redesc.measures import Constraints, Redescription
+from redesc.measures import Constraints, PackedMembers, Redescription
+from redesc.query import mask_to_bools
 from redesc.reduce import (
     WeightVector,
     compute_occurrence,
@@ -135,6 +136,30 @@ class TestComputeOccurrence:
         attrs = {a for r in pool for a in r.attrs}
         for a in attrs:
             assert profile.attribute_counts[a] == sum(1 for r in pool if a in r.attrs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 70),
+    n_elements=st.integers(1, 150),
+    repeats=st.lists(st.integers(0, 69), max_size=4),
+)
+def test_compute_occurrence_matches_per_member_loop_property(seed, size, n_elements, repeats):
+    rng = np.random.default_rng(seed)
+    pool, _ = fabricate_pool(rng, size, n_elements=n_elements, missing=True)
+    pool += [pool[i % size] for i in repeats]  # objects listed twice count twice
+    element_counts = np.zeros(n_elements)
+    attribute_counts = {}
+    for m in pool:
+        element_counts += mask_to_bools(m.supp_mask, n_elements)
+        for a in m.attrs:
+            attribute_counts[a] = attribute_counts.get(a, 0) + 1
+    for source in (pool, PackedMembers(pool)):
+        profile = compute_occurrence(source)
+        assert profile.element_counts.dtype == element_counts.dtype
+        assert np.array_equal(profile.element_counts, element_counts)
+        assert list(profile.attribute_counts.items()) == list(attribute_counts.items())
 
 
 def _dataset():
@@ -363,8 +388,9 @@ class TestReduceSet:
 
 
 def test_weight_vector_validation():
-    with pytest.raises(ValueError):
-        WeightVector(-0.1, 0, 0, 0, 0, 0)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            WeightVector(bad, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         WeightVector.from_row([0.1, 0.2])
     five = WeightVector.from_row([0.2, 0.2, 0.2, 0.2, 0.2])
