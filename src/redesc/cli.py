@@ -102,7 +102,7 @@ def cmd_reduce(args) -> int:
 
     pool, rejected = merge_records(args.inputs, dataset)
     for bad in rejected:
-        print(f"rejected record at line {bad.line_no}: {bad.reason}", file=sys.stderr)
+        print(f"rejected record in {bad.path} at line {bad.line_no}: {bad.reason}", file=sys.stderr)
     if not pool:
         print("no usable records in input", file=sys.stderr)
         return EXIT_ERROR
@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
 
     members, rejected = read_records(args.input, dataset)
     for bad in rejected:
-        print(f"rejected record at line {bad.line_no}: {bad.reason}", file=sys.stderr)
+        print(f"rejected record in {bad.path} at line {bad.line_no}: {bad.reason}", file=sys.stderr)
     if not members:
         print("no usable records in input", file=sys.stderr)
         return EXIT_ERROR

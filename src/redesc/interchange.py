@@ -21,6 +21,7 @@ _HEADER = "#q1\tq2\tj_qnm\tj_opt\tj_pess\tp_value\tvariability\tsupport_size\tat
 
 @dataclass(frozen=True)
 class RejectedRecord:
+    path: str
     line_no: int
     reason: str
 
@@ -53,7 +54,7 @@ def read_records(
     """Parse records against the dataset's views, recomputing all statistics.
 
     Records whose queries fail to parse (unknown attributes, syntax errors)
-    are rejected with their line number; reading continues.
+    are rejected with their file and line number; reading continues.
     """
     members: list[Redescription] = []
     rejected: list[RejectedRecord] = []
@@ -64,14 +65,13 @@ def read_records(
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) < 2:
-            rejected.append(RejectedRecord(line_no, "expected at least two tab-separated fields"))
-            continue
         try:
+            if len(fields) < 2:
+                raise ValueError("expected at least two tab-separated fields")
             q1 = parse_query(fields[0], dataset.view1, 1)
             q2 = parse_query(fields[1], dataset.view2, 2)
         except ValueError as exc:
-            rejected.append(RejectedRecord(line_no, str(exc)))
+            rejected.append(RejectedRecord(str(path), line_no, str(exc)))
             continue
         members.append(
             Redescription.create(

@@ -26,6 +26,7 @@ from .query import (
     TriSupport,
     canonicalize,
     mask_to_bools,
+    pack_masks,
     print_query,
     query_attr_count,
     query_attrs,
@@ -39,6 +40,13 @@ DEFAULT_SIZE_NORMALIZER = 20
 def mask_jaccard(a: int, b: int) -> float:
     union = (a | b).bit_count()
     return (a & b).bit_count() / union if union else 0.0
+
+
+def overlap_counts(words: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union sizes of each row of `words` with the bitmask `mask`."""
+    row = pack_masks([mask], 64 * words.shape[1])
+    inter = np.bitwise_count(words & row).sum(axis=1, dtype=np.int64)
+    return inter, np.bitwise_count(words | row).sum(axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -304,7 +312,7 @@ _BLOCK_CELLS = 1 << 12
 class PackedMembers:
     """A member list packed once for bulk work: reduction, evaluation and occurrence counts.
 
-    Supports are rows of uint64 words (the bitmask's little-endian bytes),
+    Supports are rows of uint64 words (see `query.pack_masks`),
     attributes a boolean incidence matrix over the distinct (view, attribute)
     pairs. Each float64 entry is the double a per-member Python loop gives:
     the score terms that do not depend on the reduced set come from Python
@@ -318,12 +326,7 @@ class PackedMembers:
             raise ValueError("cannot pack an empty member list")
         self.members = members
         self.n_elements = members[0].n_elements
-        self.n_bytes = nb = 8 * max(1, -(-self.n_elements // 64))
-        self.words = np.empty((len(members), nb // 8), dtype=np.uint64)
-        raw = self.words.data.cast("B")
-        for i, r in enumerate(members):
-            raw[i * nb : (i + 1) * nb] = r.supp_mask.to_bytes(nb, "little")
-        self.supp_sizes = np.bitwise_count(self.words).sum(axis=1, dtype=np.int64)
+        self.words = pack_masks([r.supp_mask for r in members], self.n_elements)
 
         self.attr_sizes = np.array([len(r.attrs) for r in members], dtype=np.int64)
         self.attr_col: dict[tuple[int, int], int] = {}
@@ -373,10 +376,8 @@ class PackedMembers:
 
     def element_similarity(self, m: Redescription) -> np.ndarray:
         """Support Jaccard of every member against m, which need not be one."""
-        supp = m.supp_mask
-        word = np.frombuffer(supp.to_bytes(self.n_bytes, "little"), dtype=np.uint64)
-        inter = np.bitwise_count(self.words & word).sum(axis=1, dtype=np.int64)
-        return inter / np.maximum(self.supp_sizes + supp.bit_count() - inter, 1)
+        inter, union = overlap_counts(self.words, m.supp_mask)
+        return inter / np.maximum(union, 1)
 
     def attribute_similarity(self, m: Redescription) -> np.ndarray:
         """Attribute-set Jaccard of every member against m."""
@@ -448,9 +449,9 @@ class Constraints:
     def ref_jaccard(self) -> float:
         return self.min_jaccard if self.min_ref_jaccard is None else self.min_ref_jaccard
 
-    def admits_support(self, n: int) -> bool:
-        """The support bounds alone, for pre-screens that know only |supp|."""
-        return self.min_support <= n and (self.max_support is None or n <= self.max_support)
+    def admits_support(self, n: int | np.ndarray) -> bool | np.ndarray:
+        """The support bounds alone (elementwise on arrays), for pre-screens that know |supp|."""
+        return (self.min_support <= n) & (self.max_support is None or n <= self.max_support)
 
     def admits(self, r: Redescription) -> bool:
         return (

@@ -12,15 +12,15 @@ extended with accuracy-gated disjunctions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from . import reduce, refine
 from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
-from .measures import Constraints, Redescription, RedescriptionSet, mask_jaccard
-from .query import Or, Query, TriSupport, iter_literals, mask_to_bools, print_query, tri_support
+from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts
+from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
+from .query import Or, Query, TriSupport, iter_literals, pack_masks, print_query, tri_support
 from .tree import PctParams, Tree, build_tree, extract_rules
 
 OPERATOR_MODES = ("conjunctive", "conjneg", "all")
@@ -169,11 +169,9 @@ def construct_targets(rules: Sequence[Rule], n_elements: int, window: int = 64) 
     rule, 1.0 where the rule definitely holds)."""
     if not rules:
         raise ValueError("rule list is empty")
-    recent = rules[-window:]
-    out = np.zeros((n_elements, len(recent)), dtype=np.float64)
-    for j, rule in enumerate(recent):
-        out[:, j] = mask_to_bools(rule.tri.in_mask, n_elements)
-    return out
+    words = pack_masks([rule.tri.in_mask for rule in rules[-window:]], n_elements)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_elements, bitorder="little")
+    return bits.T.astype(np.float64, order="C")
 
 
 def create_redescriptions(
@@ -183,19 +181,19 @@ def create_redescriptions(
     dataset: Dataset,
 ) -> list[Redescription]:
     """Score the Cartesian product of the two rule lists and keep the pairs
-    satisfying every hard constraint. Pre-screens on the two definite
-    supports skip most pairs before a redescription is built."""
+    satisfying every hard constraint. Pre-screens of each view-1 rule against
+    all packed view-2 definite supports skip most pairs before scoring."""
     kept: list[Redescription] = []
-    for r1, r2 in product(rules1, rules2):
-        overlap = (r1.tri.in_mask & r2.tri.in_mask).bit_count()
-        if not constraints.admits_support(overlap):
-            continue
-        union = (r1.tri.in_mask | r2.tri.in_mask).bit_count()
-        if union == 0 or overlap / union < constraints.min_jaccard:
-            continue
-        candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
-        if constraints.admits(candidate):
-            kept.append(candidate)
+    words2 = pack_masks([r2.tri.in_mask for r2 in rules2], dataset.n_elements)
+    for r1 in rules1:
+        overlap, union = overlap_counts(words2, r1.tri.in_mask)
+        screen = constraints.admits_support(overlap) & (union > 0)
+        screen &= overlap / np.maximum(union, 1) >= constraints.min_jaccard
+        for j in np.flatnonzero(screen):
+            r2 = rules2[j]
+            candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
+            if constraints.admits(candidate):
+                kept.append(candidate)
     return kept
 
 
@@ -226,6 +224,8 @@ def combine_disjunctive(
         if params.disjunction_threshold is None
         else params.disjunction_threshold
     )
+    n = dataset.n_elements
+    words = {side: pack_masks([r.tri.in_mask for r in rules.rules(side)], n) for side in (1, 2)}
     out: list[Redescription] = []
     for red in base:
         if red.j_qnm < threshold:
@@ -240,13 +240,12 @@ def combine_disjunctive(
                     continue
                 own = current.tri1 if side == 1 else current.tri2
                 other = current.tri2 if side == 1 else current.tri1
-                for rule in rules.rules(side):
-                    in_new = own.in_mask | rule.tri.in_mask
-                    if not constraints.admits_support((in_new & other.in_mask).bit_count()):
-                        continue
-                    j_new = mask_jaccard(in_new, other.in_mask)
-                    if j_new > current.j_qnm:
-                        improving.append((j_new, side, rule))
+                in_new = words[side] | pack_masks([own.in_mask], n)
+                overlap, union = overlap_counts(in_new, other.in_mask)
+                j_new = overlap / np.maximum(union, 1)
+                screen = constraints.admits_support(overlap) & (j_new > current.j_qnm)
+                for i in np.flatnonzero(screen):
+                    improving.append((float(j_new[i]), side, rules.rules(side)[i]))
             # best accuracy first; stable sort keeps generation order on ties
             improving.sort(key=lambda c: c[0], reverse=True)
             accepted = None

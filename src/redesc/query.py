@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -106,10 +106,16 @@ def bools_to_mask(flags: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:
+    """One row of uint64 words per bitmask over n instances: bit i stays bit i."""
+    nbytes = 8 * max(1, -(-n // 64))
+    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), nbytes // 8)
+
+
 def mask_to_bools(mask: int, n: int) -> np.ndarray:
-    nbytes = max(1, (n + 7) // 8)
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
+    raw = pack_masks([mask], n).view(np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
 
 
 @dataclass(frozen=True)
@@ -235,15 +241,13 @@ def eval_query(q: Query, view: View, row: int) -> int:
 
 def _literal_support(lit: Literal, view: View) -> TriSupport:
     col = view.columns[lit.attr]
+    unknown = view.missing_mask(lit.attr)
     if lit.kind == CATEGORICAL:
         holds = col == view.attributes[lit.attr].category_code(lit.category)
-        unknown = col < 0
     elif lit.kind == BOOLEAN:
         holds = col == 1.0
-        unknown = np.isnan(col)
     else:
         holds = (col >= lit.lo) & (col <= lit.hi)
-        unknown = np.isnan(col)
     if lit.negated:
         holds = ~holds
     return TriSupport(bools_to_mask(holds & ~unknown), bools_to_mask(unknown), view.n_rows)

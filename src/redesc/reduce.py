@@ -10,7 +10,7 @@ support. Positive weights make each pick a non-dominated candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,14 +51,7 @@ class WeightVector:
         return cls(*values)
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.j,
-            self.pval,
-            self.attr_jaccard,
-            self.elem_jaccard,
-            self.query_size,
-            self.variability,
-        )
+        return astuple(self)
 
 
 # The default row of a run config and the row of mine()'s max_set_size trim.

@@ -14,22 +14,24 @@ so unknown-status instances never witness containment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset, NUMERIC
-from .measures import Constraints, Redescription, RedescriptionSet, mask_jaccard
+from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts
+from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
 from .query import (
     And,
     Leaf,
     Literal,
     Query,
+    TriSupport,
     canonicalize,
     is_conjunctive,
     mask_to_bools,
     minimize_query,
+    pack_masks,
 )
 
 
@@ -81,9 +83,7 @@ def tighten_bounds(ref: Redescription, target_support: frozenset[int] | set[int]
     """
     if not (is_conjunctive(ref.q1) and is_conjunctive(ref.q2)):
         raise ValueError("refiner queries must be conjunctive")
-    target_mask = 0
-    for e in target_support:
-        target_mask |= 1 << e
+    target_mask = TriSupport.from_sets(target_support, (), ref.n_elements).in_mask
     if target_mask & ~ref.supp_mask:
         raise ValueError("target support is not contained in the refiner's support")
     return Redescription.evaluate(*_tightened_queries(ref, target_mask, dataset), dataset)
@@ -135,21 +135,22 @@ def construct_and_refine(
     candidate below the admission floor can therefore still improve members
     it never joins.
     """
-    for r1, r2 in product(rules1, rules2):
-        quick_j = mask_jaccard(r1.tri.in_mask, r2.tri.in_mask)
-        if quick_j < constraints.ref_jaccard:
-            continue
-        candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
-        idx = 0
-        while idx < len(rset.members):
-            outcome = refine_pair(rset.members[idx], candidate, dataset)
-            if outcome.improved:
-                rset.replace(idx, outcome.refined)
-            if idx < len(rset.members):
-                back = refine_pair(candidate, rset.members[idx], dataset)
-                if back.improved:
-                    candidate = back.refined
-            idx += 1
-        if constraints.admits(candidate):
-            rset.add(candidate)
+    words2 = pack_masks([r2.tri.in_mask for r2 in rules2], dataset.n_elements)
+    for r1 in rules1:
+        overlap, union = overlap_counts(words2, r1.tri.in_mask)
+        for j in np.flatnonzero(overlap / np.maximum(union, 1) >= constraints.ref_jaccard):
+            r2 = rules2[j]
+            candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
+            idx = 0
+            while idx < len(rset.members):
+                outcome = refine_pair(rset.members[idx], candidate, dataset)
+                if outcome.improved:
+                    rset.replace(idx, outcome.refined)
+                if idx < len(rset.members):
+                    back = refine_pair(candidate, rset.members[idx], dataset)
+                    if back.improved:
+                        candidate = back.refined
+                idx += 1
+            if constraints.admits(candidate):
+                rset.add(candidate)
     return rset

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 # weight rows sweeping importance from balanced toward pure accuracy, with a
 # diversity-only row last
@@ -32,6 +33,7 @@ from redesc.dataset import (
     View,
 )
 from redesc.measures import Redescription
+from redesc.mine import Rule
 from redesc.query import And, Leaf, Literal, Or, Query, TriSupport, canonicalize
 
 
@@ -297,3 +299,38 @@ def refinement_benefit_dataset(seed: int = 19, n: int = 150):
     for i in range(2, 6):
         spec2.append((f"b{i}", BOOLEAN, [bool(v) for v in rng.random(n) < 0.3]))
     return make_dataset(spec1, spec2), frozenset(S), frozenset(T)
+
+
+# ---------------------------------------------------------------------------
+# Rule lists with drawn definite supports, for the packed pair screens
+# ---------------------------------------------------------------------------
+
+# Jaccard floors including the values random pairs hit exactly
+JACCARD_FLOORS = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def rule_supports(draw, max_rules: int = 6):
+    """(n, view-1 masks, view-2 masks, min_support, max_support): word-edge
+    instance counts, empty and full supports, and empty rule lists."""
+    n = draw(st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(1, 130)))
+    mask = st.one_of(st.sampled_from([0, 2**n - 1]), st.integers(0, 2**n - 1))
+    masks1 = draw(st.lists(mask, max_size=max_rules))
+    masks2 = draw(st.lists(mask, max_size=max_rules))
+    lo = draw(st.integers(0, n))
+    hi = draw(st.one_of(st.none(), st.integers(lo, n)))
+    return n, masks1, masks2, lo, hi
+
+
+def placeholder_dataset(n: int) -> Dataset:
+    """One constant boolean attribute per view: enough to name rule queries."""
+    return make_dataset([("a0", BOOLEAN, [False] * n)], [("b0", BOOLEAN, [False] * n)])
+
+
+def mask_rules(masks, view_id: int, n: int) -> list:
+    """Rules over a placeholder query with the given definite supports; each
+    holds its own query and support object, so calls can be traced by `is`."""
+    return [
+        Rule(Query(Leaf(Literal(0, BOOLEAN)), view_id), TriSupport(m, 0, n), f"r{view_id}.{i}")
+        for i, m in enumerate(masks)
+    ]

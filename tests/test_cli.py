@@ -274,6 +274,26 @@ class TestReduceCommand:
         report = json.loads((out / "reduce_report.json").read_text())
         assert report["rejected_records"] == 1 and report["pool_size"] == 2
 
+    def test_rejected_records_name_their_file(self, tmp_path, capsys):
+        ds, paths = _wide_dataset(tmp_path)
+        good = tmp_path / "good.tsv"
+        good.write_text("[0.0 <= a0 <= 5.0]\tz0\n[0.0 <= a1 <= 5.0]\tz2\n", encoding="utf-8")
+        bad = [tmp_path / "bad1.tsv", tmp_path / "bad2.tsv"]
+        for path in bad:
+            path.write_text("[0.0 <= ghost <= 5.0]\tz1\n", encoding="utf-8")
+        out = tmp_path / "red"
+        code = main(
+            ["reduce", str(good), *map(str, bad), *_dataset_args(paths), "--sizes", "2",
+             "--out", str(out)]
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" at line 1: ")[0] for line in err] == [
+            f"rejected record in {path}" for path in bad
+        ]
+        assert main(["eval", str(bad[1]), *_dataset_args(paths), "--out", str(out)]) == 2
+        assert f"rejected record in {bad[1]} at line 1: " in capsys.readouterr().err
+
     def test_one_output_file_per_weight_row_and_size(self, tmp_path):
         ds, paths = _wide_dataset(tmp_path)
         src = tmp_path / "pool.tsv"

@@ -25,11 +25,12 @@ from redesc.measures import (
     binomial_tail,
     jaccard_variants,
     mask_jaccard,
+    overlap_counts,
     p_value,
     score_pval,
     score_size,
 )
-from redesc.query import TriSupport, parse_query
+from redesc.query import TriSupport, bools_to_mask, mask_to_bools, pack_masks, parse_query
 from redesc.reduce import OccurrenceProfile, WeightVector, compute_occurrence, find_specific
 
 from conftest import fabricate_pool, make_dataset
@@ -95,6 +96,25 @@ def _mask(elements) -> int:
     return sum(1 << e for e in elements)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(1, 300)), data=st.data())
+def test_overlap_counts_match_scalar_bit_counts_property(n, data):
+    mask = st.one_of(st.just(0), st.integers(0, 2**n - 1))
+    masks = data.draw(st.lists(mask, max_size=6))
+    probe = data.draw(mask)
+    words = pack_masks(masks, n)
+    assert words.shape == (len(masks), -(-n // 64))
+    inter, union = overlap_counts(words, probe)
+    assert inter.tolist() == [(a & probe).bit_count() for a in masks]
+    assert union.tolist() == [(a | probe).bit_count() for a in masks]
+    for rows in (inter, union):
+        assert rows.dtype == np.int64
+    assert [a.shape for a in overlap_counts(pack_masks([], n), probe)] == [(0,), (0,)]
+    for a in masks + [probe]:
+        assert bools_to_mask(mask_to_bools(a, n)) == a
+        assert mask_to_bools(a, n).tolist() == [bool(a >> i & 1) for i in range(n)]
+
+
 class TestJaccard:
     """`mask_jaccard` over bitmasks, checked against the set oracle."""
 
@@ -153,6 +173,21 @@ class TestJaccardVariants:
         c = StatusCounts(0, 0, 0, 0, 10, 0, 0, 0, 0)
         v = jaccard_variants(c)
         assert v == (0.0, 0.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 10**9), min_size=9, max_size=9))
+@example([0] * 9)
+@example([0, 0, 1, 0, 0, 0, 0, 0, 0])
+@example([3, 1, 0, 1, 5, 0, 0, 0, 0])
+def test_accuracy_variants_keep_their_order_property(counters):
+    """Exact, without a tolerance: the three variants divide integer counts,
+    and correctly rounded division is monotone."""
+    c = StatusCounts(*counters)
+    v = jaccard_variants(c)
+    assert 0.0 <= v.pess <= v.qnm <= v.opt <= 1.0
+    if c.n_iu == c.n_ou == c.n_ui == c.n_uo == c.n_uu == 0:
+        assert v.pess == v.qnm == v.opt
 
 
 class TestVariability:

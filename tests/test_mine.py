@@ -3,12 +3,15 @@
 import importlib
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redesc.dataset import BOOLEAN, NUMERIC
-from redesc.measures import Constraints
+from redesc.measures import Constraints, Redescription
 from redesc.mine import (
     MiningParams,
     Rule,
@@ -19,10 +22,28 @@ from redesc.mine import (
     init_rules,
     mine,
 )
-from redesc.query import TriSupport, iter_literals, parse_query, print_query, tri_support
+from redesc.query import (
+    Leaf,
+    Literal,
+    Query,
+    TriSupport,
+    iter_literals,
+    mask_to_bools,
+    parse_query,
+    print_query,
+    tri_support,
+)
 from redesc.tree import PctParams
 
-from conftest import make_dataset, planted_dataset, refinement_benefit_dataset
+from conftest import (
+    JACCARD_FLOORS,
+    make_dataset,
+    mask_rules,
+    placeholder_dataset,
+    planted_dataset,
+    refinement_benefit_dataset,
+    rule_supports,
+)
 
 # the package re-exports the `mine` function under the submodule's name
 mine_module = importlib.import_module("redesc.mine")
@@ -105,7 +126,10 @@ class TestConstructTargets:
         rules = self._rules(masks, 20)
         out = construct_targets(rules, 20)
         assert out.shape == (20, 7)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
         assert [int(c) for c in out.sum(axis=0)] == [len(m) for m in masks]
+        for j, rule in enumerate(rules):
+            assert out[:, j].tolist() == mask_to_bools(rule.tri.in_mask, 20).tolist()
 
     def test_window_keeps_most_recent(self):
         rules = self._rules([{0}, {1}, {2}], 3)
@@ -151,6 +175,39 @@ class TestCreateRedescriptions:
             [r1], [r2], Constraints(min_jaccard=0.5, max_pvalue=1.0, min_support=10), ds
         )
         assert kept == []
+
+
+def scalar_pair_screen(rules1, rules2, constraints):
+    """Pairs the scalar screen admits, in product order: the loop that
+    `create_redescriptions` ran before its rules were packed."""
+    c = constraints
+    for (i, r1), (j, r2) in product(enumerate(rules1), enumerate(rules2)):
+        overlap = (r1.tri.in_mask & r2.tri.in_mask).bit_count()
+        if not (c.min_support <= overlap and (c.max_support is None or overlap <= c.max_support)):
+            continue
+        union = (r1.tri.in_mask | r2.tri.in_mask).bit_count()
+        if union == 0 or overlap / union < c.min_jaccard:
+            continue
+        yield i, j
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=rule_supports(), min_jaccard=JACCARD_FLOORS)
+@example(case=(64, [0, 1], [0, 3], 0, None), min_jaccard=0.0)  # empty unions stay out
+def test_pair_screen_matches_scalar_loop_property(case, min_jaccard):
+    n, masks1, masks2, lo, hi = case
+    ds = placeholder_dataset(n)
+    rules1, rules2 = mask_rules(masks1, 1, n), mask_rules(masks2, 2, n)
+    constraints = Constraints(min_jaccard=min_jaccard, max_pvalue=1.0, min_support=lo, max_support=hi)
+    # without unknown cells j_qnm is the screened Jaccard and every p-value is
+    # at most 1, so each screened pair is kept: the output shows the screen
+    kept = create_redescriptions(rules1, rules2, constraints, ds)
+    pairs = [
+        (next(i for i, r in enumerate(rules1) if r.tri is k.tri1),
+         next(j for j, r in enumerate(rules2) if r.tri is k.tri2))
+        for k in kept
+    ]
+    assert pairs == list(scalar_pair_screen(rules1, rules2, constraints))
 
 
 class TestCombineDisjunctive:
@@ -228,6 +285,78 @@ class TestCombineDisjunctive:
         params = MiningParams(operator_mode="all", disjunction_threshold=0.9)
         out = combine_disjunctive([base], rules, constraints, ds, params)
         assert out == [base]
+
+
+class _AdmitNothing(Constraints):
+    def admits(self, r):
+        return False
+
+
+def scalar_disjunction_screen(red, rules, constraints, max_disjuncts):
+    """(side, rule index) of every improving rule, best first, as the scalar
+    loop that `combine_disjunctive` ran before its rules were packed."""
+    c = constraints
+    improving = []
+    for side in (1, 2):
+        if max_disjuncts < 1:
+            continue
+        own = red.tri1 if side == 1 else red.tri2
+        other = red.tri2 if side == 1 else red.tri1
+        for i, rule in enumerate(rules.rules(side)):
+            in_new = own.in_mask | rule.tri.in_mask
+            overlap = (in_new & other.in_mask).bit_count()
+            if not (c.min_support <= overlap and (c.max_support is None or overlap <= c.max_support)):
+                continue
+            union = (in_new | other.in_mask).bit_count()
+            j_new = overlap / union if union else 0.0
+            if j_new > red.j_qnm:
+                improving.append((j_new, side, i))
+    improving.sort(key=lambda t: t[0], reverse=True)
+    return [(side, i) for _, side, i in improving]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    case=rule_supports(),
+    threshold=JACCARD_FLOORS,
+    max_disjuncts=st.integers(0, 2),
+    data=st.data(),
+)
+def test_disjunction_screen_matches_scalar_loop_property(case, threshold, max_disjuncts, data):
+    n, masks1, masks2, lo, hi = case
+    ds = placeholder_dataset(n)
+    rules = RuleSet()
+    for view_id, masks in ((1, masks1), (2, masks2)):
+        for rule in mask_rules(masks, view_id, n):
+            assert rules.add(view_id, rule)
+    mask = st.integers(0, 2**n - 1)
+    base = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        in1, in2, unk1, unk2 = (data.draw(mask) for _ in range(4))
+        base.append(Redescription.create(
+            Query(Leaf(Literal(0, BOOLEAN)), 1), Query(Leaf(Literal(0, BOOLEAN)), 2),
+            TriSupport(in1, unk1 & ~in1, n), TriSupport(in2, unk2 & ~in2, n), ds,
+        ))
+    # nothing is admitted, so each gated base tries every improving rule once,
+    # best first, and stops after one step
+    constraints = _AdmitNothing(min_jaccard=1.0, max_pvalue=1.0, min_support=lo, max_support=hi)
+    params = MiningParams(disjunction_threshold=threshold, max_disjuncts=max_disjuncts)
+    tried = []
+
+    def spy(red, side, rule, dataset):
+        tried.append((side, next(i for i, r in enumerate(rules.rules(side)) if r is rule)))
+        return red
+
+    with mock.patch.object(mine_module, "_or_extend", spy):
+        out = combine_disjunctive(base, rules, constraints, ds, params)
+    assert out == base
+    expected = [
+        pick
+        for red in base
+        if red.j_qnm >= threshold
+        for pick in scalar_disjunction_screen(red, rules, constraints, max_disjuncts)
+    ]
+    assert tried == expected
 
 
 PLANTED_CONSTRAINTS = Constraints(min_jaccard=0.9, max_pvalue=0.01, min_support=10)

@@ -1,8 +1,14 @@
 """Support-preserving conjunctive refinement and its guarantees."""
 
+from itertools import product
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import redesc.refine as refine_module
 from redesc.dataset import BOOLEAN, NUMERIC
 from redesc.measures import Constraints, Redescription, RedescriptionSet
 from redesc.mine import Rule
@@ -19,7 +25,7 @@ from redesc.query import (
 )
 from redesc.refine import construct_and_refine, refine_pair, strict_witness, tighten_bounds
 
-from conftest import make_dataset
+from conftest import JACCARD_FLOORS, make_dataset, mask_rules, placeholder_dataset, rule_supports
 
 
 def random_two_view_dataset(rng, n_rows, missing_rate=0.1):
@@ -217,11 +223,101 @@ class TestRefinePair:
         assert applied > 150
 
 
+def _tenths(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda v: round(v, 1))
+
+
+@st.composite
+def nested_pairs(draw):
+    """(dataset, r, ref): two small views with missing cells, and r's queries
+    conjoin one more literal onto ref's, so supp(r) ⊆ supp(ref)."""
+    n = draw(st.integers(1, 30))
+
+    def column(name, kind, values):
+        cells = draw(st.lists(values, min_size=n, max_size=n))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n // 4)):
+            cells[i] = None  # a missing cell
+        return (name, kind, cells)
+
+    num, flag = _tenths(0.0, 10.0), st.booleans()
+    ds = make_dataset(
+        [column("x0", NUMERIC, num), column("x1", NUMERIC, num), column("f0", BOOLEAN, flag)],
+        [column("y0", NUMERIC, num), column("y1", NUMERIC, num), column("g0", BOOLEAN, flag)],
+    )
+
+    def leaf(view):
+        attr = draw(st.integers(0, view.n_cols - 1))
+        if view.attributes[attr].kind == BOOLEAN:
+            return Leaf(Literal(attr, BOOLEAN, negated=draw(st.booleans())))
+        # wide intervals keep most supports non-empty
+        return Leaf(Literal(attr, NUMERIC, draw(_tenths(-1.0, 4.0)), draw(_tenths(6.0, 11.0))))
+
+    queries = {}
+    for view_id, view in ((1, ds.view1), (2, ds.view2)):
+        leaves = [leaf(view) for _ in range(draw(st.integers(1, 2)))]
+        ref_root = leaves[0] if len(leaves) == 1 else And(tuple(leaves))
+        queries[view_id] = (
+            canonicalize(Query(And((ref_root, leaf(view))), view_id)),
+            canonicalize(Query(ref_root, view_id)),
+        )
+    r = Redescription.evaluate(queries[1][0], queries[2][0], ds)
+    ref = Redescription.evaluate(queries[1][1], queries[2][1], ds)
+    return ds, r, ref
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nested_pairs())
+def test_refinement_keeps_support_and_accuracy_property(case):
+    ds, r, ref = case
+    outcome = refine_pair(r, ref, ds)
+    assert outcome.applied  # nested and conjunctive by construction
+    assert outcome.refined.supp_mask == r.supp_mask
+    assert outcome.refined.j_qnm >= r.j_qnm
+
+
 def _rule(q_text, view, view_id, dataset):
     from redesc.query import parse_query
 
     q = parse_query(q_text, view, view_id)
     return Rule(query=q, tri=tri_support(q, view), text=print_query(q, view))
+
+
+def scalar_refinement_screen(rules1, rules2, constraints):
+    """Pairs the scalar screen admits, in product order: the loop that
+    `construct_and_refine` ran before its rules were packed."""
+    for (i, r1), (j, r2) in product(enumerate(rules1), enumerate(rules2)):
+        union = (r1.tri.in_mask | r2.tri.in_mask).bit_count()
+        quick_j = (r1.tri.in_mask & r2.tri.in_mask).bit_count() / union if union else 0.0
+        if quick_j >= constraints.ref_jaccard:
+            yield i, j
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=rule_supports(), ref_jaccard=JACCARD_FLOORS)
+@example(case=(64, [0, 1], [0, 3], 0, None), ref_jaccard=0.0)  # empty unions pass at 0
+def test_refinement_screen_matches_scalar_loop_property(case, ref_jaccard):
+    n, masks1, masks2, _, _ = case
+    ds = placeholder_dataset(n)
+    rules1, rules2 = mask_rules(masks1, 1, n), mask_rules(masks2, 2, n)
+    # a support floor above n admits no candidate, so the set stays empty and
+    # each screened pair is created once, in screen order
+    constraints = Constraints(min_jaccard=1.0, min_ref_jaccard=ref_jaccard, min_support=n + 1)
+    created = []
+
+    class Spy(Redescription):
+        @classmethod
+        def create(cls, q1, q2, tri1, tri2, dataset):
+            created.append((
+                next(i for i, r in enumerate(rules1) if r.tri is tri1),
+                next(j for j, r in enumerate(rules2) if r.tri is tri2),
+            ))
+            return Redescription.create(q1, q2, tri1, tri2, dataset)
+
+    rset = RedescriptionSet()
+    with mock.patch.object(refine_module, "Redescription", Spy):
+        construct_and_refine(rules1, rules2, rset, constraints, ds)
+    assert len(rset) == 0
+    assert created == list(scalar_refinement_screen(rules1, rules2, constraints))
 
 
 class TestConstructAndRefine:
