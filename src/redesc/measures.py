@@ -42,11 +42,19 @@ def mask_jaccard(a: int, b: int) -> float:
     return (a & b).bit_count() / union if union else 0.0
 
 
-def overlap_counts(words: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection and union sizes of each row of `words` with the bitmask `mask`."""
+def row_sizes(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of packed words (see `query.pack_masks`)."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def overlap_counts(
+    words: np.ndarray, sizes: np.ndarray, mask: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union sizes of each row of `words`, whose `row_sizes`
+    are `sizes`, with the bitmask `mask`."""
     row = pack_masks([mask], 64 * words.shape[1])
     inter = np.bitwise_count(words & row).sum(axis=1, dtype=np.int64)
-    return inter, np.bitwise_count(words | row).sum(axis=1, dtype=np.int64)
+    return inter, sizes + mask.bit_count() - inter
 
 
 @dataclass(frozen=True)
@@ -327,6 +335,7 @@ class PackedMembers:
         self.members = members
         self.n_elements = members[0].n_elements
         self.words = pack_masks([r.supp_mask for r in members], self.n_elements)
+        self.sizes = row_sizes(self.words)
 
         self.attr_sizes = np.array([len(r.attrs) for r in members], dtype=np.int64)
         self.attr_col: dict[tuple[int, int], int] = {}
@@ -376,7 +385,7 @@ class PackedMembers:
 
     def element_similarity(self, m: Redescription) -> np.ndarray:
         """Support Jaccard of every member against m, which need not be one."""
-        inter, union = overlap_counts(self.words, m.supp_mask)
+        inter, union = overlap_counts(self.words, self.sizes, m.supp_mask)
         return inter / np.maximum(union, 1)
 
     def attribute_similarity(self, m: Redescription) -> np.ndarray:

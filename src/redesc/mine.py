@@ -18,7 +18,7 @@ import numpy as np
 
 from . import reduce, refine
 from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
-from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts
+from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts, row_sizes
 from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
 from .query import Or, Query, TriSupport, iter_literals, pack_masks, print_query, tri_support
 from .tree import PctParams, Tree, build_tree, extract_rules
@@ -165,13 +165,13 @@ def init_rules(dataset: Dataset, params: MiningParams) -> RuleSet:
 
 
 def construct_targets(rules: Sequence[Rule], n_elements: int, window: int = 64) -> np.ndarray:
-    """Indicator matrix of the most recent rules' supports (one column per
-    rule, 1.0 where the rule definitely holds)."""
+    """Boolean indicator matrix of the most recent rules' supports (one
+    column per rule, True where the rule definitely holds)."""
     if not rules:
         raise ValueError("rule list is empty")
     words = pack_masks([rule.tri.in_mask for rule in rules[-window:]], n_elements)
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_elements, bitorder="little")
-    return bits.T.astype(np.float64, order="C")
+    return bits.T.astype(np.bool_, order="C")
 
 
 def create_redescriptions(
@@ -185,8 +185,9 @@ def create_redescriptions(
     all packed view-2 definite supports skip most pairs before scoring."""
     kept: list[Redescription] = []
     words2 = pack_masks([r2.tri.in_mask for r2 in rules2], dataset.n_elements)
+    sizes2 = row_sizes(words2)
     for r1 in rules1:
-        overlap, union = overlap_counts(words2, r1.tri.in_mask)
+        overlap, union = overlap_counts(words2, sizes2, r1.tri.in_mask)
         screen = constraints.admits_support(overlap) & (union > 0)
         screen &= overlap / np.maximum(union, 1) >= constraints.min_jaccard
         for j in np.flatnonzero(screen):
@@ -241,7 +242,7 @@ def combine_disjunctive(
                 own = current.tri1 if side == 1 else current.tri2
                 other = current.tri2 if side == 1 else current.tri1
                 in_new = words[side] | pack_masks([own.in_mask], n)
-                overlap, union = overlap_counts(in_new, other.in_mask)
+                overlap, union = overlap_counts(in_new, row_sizes(in_new), other.in_mask)
                 j_new = overlap / np.maximum(union, 1)
                 screen = constraints.admits_support(overlap) & (j_new > current.j_qnm)
                 for i in np.flatnonzero(screen):

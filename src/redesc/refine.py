@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, NUMERIC
-from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts
+from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts, row_sizes
 from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
 from .query import (
     And,
@@ -136,8 +136,9 @@ def construct_and_refine(
     it never joins.
     """
     words2 = pack_masks([r2.tri.in_mask for r2 in rules2], dataset.n_elements)
+    sizes2 = row_sizes(words2)
     for r1 in rules1:
-        overlap, union = overlap_counts(words2, r1.tri.in_mask)
+        overlap, union = overlap_counts(words2, sizes2, r1.tri.in_mask)
         for j in np.flatnonzero(overlap / np.maximum(union, 1) >= constraints.ref_jaccard):
             r2 = rules2[j]
             candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)

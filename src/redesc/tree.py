@@ -1,7 +1,11 @@
 """Multi-target clustering tree induction over one view.
 
 Trees split on single-attribute tests chosen to maximize the summed
-per-target variance reduction of a binary target matrix. Every non-root node
+per-target variance reduction of a target matrix of one of two kinds. The
+cross-view trees get a boolean matrix of rule supports, scored exactly from
+its nonzeros with every numeric attribute of a node at once; the bootstrap
+tree gets standardized real-valued targets, scored densely one attribute at a
+time. On 0/1 targets both paths choose the same split. Every non-root node
 doubles as a conjunctive rule: the AND of the edge conditions on its root
 path. Missing values route to the right (test-false) branch during
 induction, which keeps extracted rules consistent with the three-valued
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +24,8 @@ from .dataset import BOOLEAN, CATEGORICAL, NUMERIC, View
 from .query import And, Leaf, Literal, Node as QueryNode, Query, minimize_query
 
 _INF = float("inf")
+# numeric cells per block of `_sparse_tests` work arrays (each stays near 2 MB)
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,115 @@ def _split_sides(view: View, attr: int, split: Split, cover: np.ndarray) -> np.n
     return col == code
 
 
+class _Tests(NamedTuple):
+    """Candidate tests of some attributes, one row of `score` per attribute.
+
+    `score` is the summed sl²/nl + sr²/nr over targets (−inf where a position
+    holds no test) and `nl` the left-side sizes, broadcast against it. A
+    numeric test cuts between `values[row, nl - 1]` and `values[row, nl]`;
+    a categorical column is the category code, a boolean row holds one test.
+    """
+
+    attrs: Sequence[int]
+    nl: np.ndarray
+    score: np.ndarray
+    values: np.ndarray | None = None
+
+
+def _dense_tests(cover: np.ndarray, view: View, targets: np.ndarray):
+    """(base score, one `_Tests` per attribute) for any real target matrix,
+    or None on constant targets."""
+    sub = targets[cover]
+    if np.all(sub.max(axis=0) == sub.min(axis=0)):
+        return None
+    n = len(cover)
+    tot = sub.sum(axis=0)
+    blocks = []
+    for attr_id, attr in enumerate(view.attributes):
+        col = view.columns[attr_id][cover]
+        if attr.kind == NUMERIC:
+            finite = ~np.isnan(col)
+            vals = col[finite]
+            order = np.argsort(vals, kind="stable")
+            xs = vals[order]
+            nl = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+            if nl.size == 0:
+                continue
+            sl = np.cumsum(sub[np.flatnonzero(finite)[order]], axis=0)[nl - 1]
+            score = (sl**2).sum(axis=1) / nl + ((tot - sl) ** 2).sum(axis=1) / (n - nl)
+            blocks.append(_Tests([attr_id], nl[None], score[None], xs[None]))
+        else:
+            # a boolean attribute is one test: the single label 1.0 (true)
+            codes = [1.0] if attr.kind == BOOLEAN else range(len(attr.categories))
+            nl, score = [], []
+            for code in codes:
+                left = col == code
+                sl = sub[left].sum(axis=0)
+                nl.append(int(left.sum()))
+                sq_left, sq_right = float((sl**2).sum()), float(((tot - sl) ** 2).sum())
+                score.append(sq_left / max(nl[-1], 1) + sq_right / max(n - nl[-1], 1))
+            blocks.append(_Tests([attr_id], np.array([nl]), np.array([score])))
+    return float((tot**2).sum()) / n, blocks
+
+
+def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray):
+    """`_dense_tests` for a boolean target matrix, from its nonzeros alone.
+
+    Every sum is an integer below 2**53, so each score is the double the
+    dense path computes. Numeric attributes are scored together: with the
+    nonzeros ordered by target, then by the attribute's row rank, the k-th
+    nonzero of target t raises sl_t² by 2k + 1 and Σ tot·sl by tot_t, at the
+    same position in every attribute's order.
+    """
+    n, n_targets = len(cover), targets.shape[1]
+    ts, rows = np.nonzero(targets[cover].T)  # grouped by target
+    tot = np.bincount(ts, minlength=n_targets)
+    if np.all((tot == 0) | (tot == n)):
+        return None
+    total_sq = float((tot**2).sum())
+    blocks = []
+    num = [i for i, attr in enumerate(view.attributes) if attr.kind == NUMERIC]
+    if num:
+        x = np.stack([view.columns[i][cover] for i in num])
+        order = np.argsort(x, axis=1, kind="stable")  # missing values last
+        xs = np.take_along_axis(x, order, axis=1)
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n), axis=1)
+        k = np.arange(len(ts)) - (np.cumsum(tot) - tot)[ts]
+        sq_left = np.empty((len(num), n - 1))  # Σ sl² after each left-side size
+        cross = np.empty_like(sq_left)  # Σ tot·sl
+        step = max(1, _BLOCK_CELLS // len(ts))
+        for lo in range(0, len(num), step):
+            key = rank[lo : lo + step, rows] + ts * n
+            key.sort(axis=1)
+            key += (np.arange(len(key)) * n)[:, None] - ts * n  # attribute-major rank
+            for out, weights in ((sq_left, 2 * k + 1), (cross, tot[ts])):
+                counts = np.bincount(key.ravel(), np.tile(weights, len(key)), len(key) * n)
+                out[lo : lo + len(key)] = counts.reshape(len(key), n).cumsum(axis=1)[:, :-1]
+        nl = np.arange(1, n)
+        score = sq_left / nl + (total_sq - 2.0 * cross + sq_left) / (n - nl)
+        score[(xs[:, 1:] == xs[:, :-1]) | np.isnan(xs[:, 1:])] = -_INF
+        blocks.append(_Tests(num, nl[None], score, xs))
+    cat = [i for i, attr in enumerate(view.attributes) if attr.kind != NUMERIC]
+    if cat:
+        # test index per cell: the category code, 0 for a true boolean, -1 for none
+        width = max(len(view.attributes[i].categories) or 1 for i in cat)
+        x = np.stack([view.columns[i][cover] for i in cat])
+        boolean = np.array([view.attributes[i].kind == BOOLEAN for i in cat])[:, None]
+        codes = np.where(boolean, (x == 1.0) - 1, x).astype(np.intp)
+        slot = np.where(codes >= 0, codes + (np.arange(len(cat)) * width)[:, None], -1)
+        nl = np.bincount(slot[slot >= 0], minlength=len(cat) * width).reshape(len(cat), width)
+        hit = slot[:, rows]
+        keep = hit >= 0
+        sl = np.bincount(
+            (hit * n_targets + ts)[keep], minlength=len(cat) * width * n_targets
+        ).reshape(len(cat), width, n_targets)
+        sq_left, sq_right = (sl**2).sum(axis=2), ((tot - sl) ** 2).sum(axis=2)
+        score = sq_left / np.maximum(nl, 1) + sq_right / np.maximum(n - nl, 1)
+        blocks.append(_Tests(cat, nl, score))
+    return total_sq / n, blocks
+
+
 def best_split(
     cover: np.ndarray, view: View, targets: np.ndarray, min_leaf_size: int = 1
 ) -> Split | None:
@@ -100,67 +215,46 @@ def best_split(
     Candidates are numeric thresholds at midpoints between consecutive
     distinct observed values, boolean is-true, and categorical equality with
     each label. Ties resolve to the lowest attribute id, then the lowest
-    threshold / earliest category.
+    threshold / earliest category. A boolean target matrix is scored from its
+    nonzeros, any other densely; both give the same split, gain included.
     """
     n = len(cover)
     if n < 2 * min_leaf_size:
         return None
-    sub = targets[cover]
-    if np.all(sub.max(axis=0) == sub.min(axis=0)):
+    scored = (_sparse_tests if targets.dtype == np.bool_ else _dense_tests)(cover, view, targets)
+    if scored is None:
         return None  # constant targets: zero variance everywhere
-    tot = sub.sum(axis=0)
-    base = float((tot**2).sum()) / n
-
-    best: Split | None = None
-    for attr_id, attr in enumerate(view.attributes):
-        col = view.columns[attr_id][cover]
-        if attr.kind == NUMERIC:
-            finite = ~np.isnan(col)
-            nf = int(finite.sum())
-            if nf < min_leaf_size:
-                continue
-            order = np.argsort(col[finite], kind="stable")
-            xs = col[finite][order]
-            ts = sub[finite][order]
-            csum = np.cumsum(ts, axis=0)
-            boundaries = np.nonzero(xs[1:] != xs[:-1])[0] + 1  # left-side sizes
-            if boundaries.size == 0:
-                continue
-            nl = boundaries.astype(np.float64)
-            nr = n - nl
-            valid = (nl >= min_leaf_size) & (nr >= min_leaf_size)
-            if not valid.any():
-                continue
-            sl = csum[boundaries - 1]
-            score = (sl**2).sum(axis=1) / nl + ((tot - sl) ** 2).sum(axis=1) / nr
-            gain = (score - base) / n
-            gain[~valid] = -_INF
-            pick = int(np.argmax(gain))  # first max = lowest threshold
-            if gain[pick] > 0.0 and (best is None or gain[pick] > best.gain):
-                cut = boundaries[pick]
-                threshold = float((xs[cut - 1] + xs[cut]) / 2.0)
-                best = Split(attr_id, NUMERIC, float(gain[pick]), threshold=threshold)
-        else:
-            # a boolean attribute is one test: the single label 1.0 (true)
-            tests = [(1.0, None)] if attr.kind == BOOLEAN else enumerate(attr.categories)
-            for code, label in tests:
-                left = col == code
-                nl = int(left.sum())
-                nr = n - nl
-                if nl < min_leaf_size or nr < min_leaf_size:
-                    continue
-                sl = sub[left].sum(axis=0)
-                score = float((sl**2).sum()) / nl + float(((tot - sl) ** 2).sum()) / nr
-                gain = (score - base) / n
-                if gain > 0.0 and (best is None or gain > best.gain):
-                    best = Split(attr_id, attr.kind, gain, category=label)
-    return best
+    base, blocks = scored
+    tops = {}  # attribute id -> (gain, tests, row, column) of its best test
+    for tests in blocks:
+        gain = (tests.score - base) / n
+        nl = np.broadcast_to(tests.nl, gain.shape)
+        gain[(nl < min_leaf_size) | (nl > n - min_leaf_size)] = -_INF
+        picks = gain.argmax(axis=1)  # first max = lowest threshold / earliest category
+        for row, (attr_id, pick) in enumerate(zip(tests.attrs, picks.tolist())):
+            tops[attr_id] = (float(gain[row, pick]), tests, row, pick)
+    best = None
+    for attr_id in sorted(tops):  # strict > keeps the lowest attribute id on ties
+        if tops[attr_id][0] > (0.0 if best is None else tops[best][0]):
+            best = attr_id
+    if best is None:
+        return None
+    gain, tests, row, pick = tops[best]
+    attr = view.attributes[best]
+    if attr.kind == NUMERIC:
+        cut = int(np.broadcast_to(tests.nl, tests.score.shape)[row, pick])
+        xs = tests.values[row]
+        return Split(best, NUMERIC, gain, threshold=float((xs[cut - 1] + xs[cut]) / 2.0))
+    category = attr.categories[pick] if attr.kind == CATEGORICAL else None
+    return Split(best, attr.kind, gain, category=category)
 
 
 def build_tree(view: View, targets: np.ndarray, params: PctParams, view_id: int = 1) -> Tree:
     """Recursive best-first induction until depth, leaf-size, or no positive
     split stops growth. Fully deterministic for fixed inputs."""
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets)
+    if targets.dtype != np.bool_:
+        targets = targets.astype(np.float64, copy=False)
     if targets.ndim == 1:
         targets = targets[:, None]
     if targets.shape[0] != view.n_rows:

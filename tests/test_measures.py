@@ -27,6 +27,7 @@ from redesc.measures import (
     mask_jaccard,
     overlap_counts,
     p_value,
+    row_sizes,
     score_pval,
     score_size,
 )
@@ -104,12 +105,15 @@ def test_overlap_counts_match_scalar_bit_counts_property(n, data):
     probe = data.draw(mask)
     words = pack_masks(masks, n)
     assert words.shape == (len(masks), -(-n // 64))
-    inter, union = overlap_counts(words, probe)
+    sizes = row_sizes(words)
+    assert sizes.tolist() == [a.bit_count() for a in masks]
+    inter, union = overlap_counts(words, sizes, probe)
     assert inter.tolist() == [(a & probe).bit_count() for a in masks]
     assert union.tolist() == [(a | probe).bit_count() for a in masks]
-    for rows in (inter, union):
+    for rows in (sizes, inter, union):
         assert rows.dtype == np.int64
-    assert [a.shape for a in overlap_counts(pack_masks([], n), probe)] == [(0,), (0,)]
+    empty = pack_masks([], n)
+    assert [a.shape for a in overlap_counts(empty, row_sizes(empty), probe)] == [(0,), (0,)]
     for a in masks + [probe]:
         assert bools_to_mask(mask_to_bools(a, n)) == a
         assert mask_to_bools(a, n).tolist() == [bool(a >> i & 1) for i in range(n)]

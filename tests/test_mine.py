@@ -126,7 +126,7 @@ class TestConstructTargets:
         rules = self._rules(masks, 20)
         out = construct_targets(rules, 20)
         assert out.shape == (20, 7)
-        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.dtype == np.bool_ and out.flags.c_contiguous
         assert [int(c) for c in out.sum(axis=0)] == [len(m) for m in masks]
         for j, rule in enumerate(rules):
             assert out[:, j].tolist() == mask_to_bools(rule.tri.in_mask, 20).tolist()

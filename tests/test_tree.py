@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redesc.dataset import BOOLEAN, NUMERIC
+from redesc.dataset import BOOLEAN, CATEGORICAL, NUMERIC, Attribute, View
 from redesc.query import Leaf, tri_support
 from redesc.tree import PctParams, Split, Tree, TreeNode, best_split, build_tree, extract_rules
 
@@ -70,11 +72,12 @@ class TestBestSplit:
         split = best_split(np.arange(4), view, targets, min_leaf_size=2)
         assert split is None or split.threshold == 2.5
 
-    def test_agrees_with_exhaustive_oracle(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_agrees_with_exhaustive_oracle(self, dtype):
         rng = np.random.default_rng(21)
         for trial in range(60):
             view = random_view(rng, 30, n_num=4, n_bool=0)
-            targets = (rng.random((30, 3)) < 0.5).astype(float)
+            targets = (rng.random((30, 3)) < 0.5).astype(dtype)
             cover = np.sort(rng.choice(30, 24, replace=False))
             got = best_split(cover, view, targets, min_leaf_size=2)
             want = oracle_best_split(cover, view, targets, 2)
@@ -99,6 +102,45 @@ class TestBestSplit:
         split = best_split(np.arange(4), view, targets, 1)
         assert split is not None and split.gain == pytest.approx(0.25, abs=1e-12)
         assert split.attr == 0  # tie with k=a resolves to the lower attribute id
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 50),
+    kinds=st.lists(st.sampled_from([NUMERIC, BOOLEAN, CATEGORICAL]), min_size=1, max_size=6),
+    levels=st.sampled_from([2, 4, 1000]),
+    n_targets=st.sampled_from([1, 3, 64]),
+    density=st.sampled_from([0.05, 0.5, 0.95]),
+    min_leaf_size=st.integers(1, 5),
+)
+def test_sparse_scoring_equals_dense_property(
+    seed, n_rows, kinds, levels, n_targets, density, min_leaf_size
+):
+    """A boolean target matrix takes the sparse path, its float copy the dense
+    one; both must return the same split with the same gain, bit for bit."""
+    rng = np.random.default_rng(seed)
+    attributes, columns = [], []
+    for j, kind in enumerate(kinds):
+        codes = rng.integers(0, levels, n_rows)
+        missing = rng.random(n_rows) < 0.05
+        if kind == CATEGORICAL:
+            attributes.append(Attribute(j, f"a{j}", kind, ("p", "q", "r", "s")))
+            columns.append(np.where(missing, -1, codes % 4).astype(np.int32))
+        else:
+            attributes.append(Attribute(j, f"a{j}", kind))
+            values = codes * 0.25 - 3.0 if kind == NUMERIC else codes % 2.0
+            columns.append(np.where(missing, np.nan, values))
+    view = View(attributes, columns)
+    targets = rng.random((n_rows, n_targets)) < density
+    targets[:, rng.random(n_targets) < 0.2] = False  # all-zero columns
+    targets[:, rng.random(n_targets) < 0.2] = True  # all-one columns
+    cover = np.flatnonzero(rng.random(n_rows) < rng.choice([0.2, 0.7, 1.0]))
+    sparse = best_split(cover, view, targets, min_leaf_size)
+    dense = best_split(cover, view, targets.astype(float), min_leaf_size)
+    assert sparse == dense
+    if sparse is not None:
+        assert sparse.gain == dense.gain
 
 
 def _oracle_second_best(cover, view, targets, min_leaf_size, best):
