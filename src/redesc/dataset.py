@@ -3,7 +3,10 @@
 A dataset is a pair of views over a shared instance set: each view holds its
 own attributes and an instances-by-attributes cell matrix. Cells are numeric,
 boolean, or categorical, and any cell may be missing. Views are immutable
-after construction and safe to share across workers.
+after construction and safe to share across workers. Each view memoizes the
+support of every literal evaluated against it (see `query._literal_support`),
+so a derived view (a shuffled twin, a row stack) starts with its own empty
+memo.
 
 Storage is columnar: numeric and boolean columns are float64 arrays (missing
 cells are NaN; booleans are 0.0/1.0), categorical columns are int32 code
@@ -13,6 +16,7 @@ arrays (missing cells are -1).
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,6 +115,8 @@ class View:
                 raise DataError(f"categorical column {attr.name!r} must hold integer codes")
         self.n_rows = len(self.columns[0]) if self.columns else 0
         self._index = {a.name: a.id for a in self.attributes}
+        # query._literal_support's memo: Literal -> TriSupport over these rows
+        self._literal_supports: dict = {}
 
     @property
     def n_cols(self) -> int:
@@ -212,8 +218,10 @@ def _parse_numeric(token: str, path, lineno: int, name: str) -> float:
         raise DataError(
             f"{path}:{lineno}: non-numeric token {token!r} in numeric column {name!r}"
         ) from None
-    if np.isnan(value):
-        raise DataError(f"{path}:{lineno}: 'nan' is not a value; use the missing marker '?'")
+    if not math.isfinite(value):
+        if math.isnan(value):
+            raise DataError(f"{path}:{lineno}: 'nan' is not a value; use the missing marker '?'")
+        raise DataError(f"{path}:{lineno}: non-finite token {token!r} in numeric column {name!r}")
     return value
 
 
@@ -230,8 +238,9 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     """Load a CSV file (header row, comma separated) into a View.
 
     Every column must be declared in `schema`; the missing markers '?' and ''
-    parse as MISSING. Categorical categories are inferred from the data and
-    ordered lexicographically.
+    parse as MISSING, and numeric cells must be finite. Categorical categories
+    are inferred from the data and ordered lexicographically. Errors name the
+    file and its 1-based line.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -247,14 +256,16 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
             if name not in schema:
                 raise SchemaError(f"{path}: column {name!r} not declared in schema")
         rows: list[list[str]] = []
-        for lineno, row in enumerate(reader, start=2):
+        linenos: list[int] = []  # file line of each data row; blank lines are skipped
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
             rows.append([tok.strip() for tok in row])
+            linenos.append(reader.line_num)
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -275,8 +286,8 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
         else:
             parse = _parse_numeric if kind == NUMERIC else _parse_boolean
             vals = np.empty(len(tokens), dtype=np.float64)
-            for i, t in enumerate(tokens):
-                vals[i] = np.nan if t in MISSING_TOKENS else parse(t, path, i + 2, name)
+            for i, (t, lineno) in enumerate(zip(tokens, linenos)):
+                vals[i] = np.nan if t in MISSING_TOKENS else parse(t, path, lineno, name)
             col = vals
             attributes.append(Attribute(j, name, kind))
         columns.append(col)

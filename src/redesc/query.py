@@ -10,6 +10,12 @@ Two evaluation paths exist on purpose: `eval_query` is a plain row-by-row
 interpreter, and `tri_support` folds each literal's `TriSupport` masks with
 `intersect` (AND), `union` (OR) and `negate` (NOT). They are kept independent
 so each can check the other.
+
+`_literal_support` is the one place a literal meets a column. It memoizes
+each literal's masks on the view it was evaluated against, so `tri_support`
+and `minimize_query` evaluate a literal once per view however many mined,
+refined or parsed queries repeat it; `eval_query` reads the cells directly
+and stays uncached.
 """
 
 from __future__ import annotations
@@ -240,6 +246,15 @@ def eval_query(q: Query, view: View, row: int) -> int:
 
 
 def _literal_support(lit: Literal, view: View) -> TriSupport:
+    """The literal's support on `view`, computed once per view: the view is
+    immutable and `Literal` is frozen, so the memo never goes stale."""
+    cached = view._literal_supports.get(lit)
+    if cached is None:
+        cached = view._literal_supports[lit] = _compute_literal_support(lit, view)
+    return cached
+
+
+def _compute_literal_support(lit: Literal, view: View) -> TriSupport:
     col = view.columns[lit.attr]
     unknown = view.missing_mask(lit.attr)
     if lit.kind == CATEGORICAL:

@@ -9,6 +9,11 @@ chance of a strict accuracy gain.
 Refiners must be conjunctive (a literal or an AND of literals); disjunctive
 refiners are skipped. Subset tests use definite (query-non-missing) supports,
 so unknown-status instances never witness containment.
+
+Whether a refinement improves is decided from supports before any query is
+built: the conjunction's support is the Kleene intersection of r's supports
+with the tightened refiner's, so only a strict accuracy gain pays for
+minimizing the conjoined queries and printing the new redescription.
 """
 
 from __future__ import annotations
@@ -19,7 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, NUMERIC
-from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts, row_sizes
+from . import query  # tri_support is reached through its module, where bench/tracer.py wraps it
+from .measures import (
+    Constraints,
+    Redescription,
+    RedescriptionSet,
+    StatusCounts,
+    jaccard_variants,
+    overlap_counts,
+    row_sizes,
+)
 from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
 from .query import (
     And,
@@ -101,23 +115,29 @@ def strict_witness(r: Redescription, tightened_ref: Redescription) -> bool:
 def refine_pair(r: Redescription, ref: Redescription, dataset: Dataset) -> RefinementOutcome:
     """Refine r with ref when supp(r) ⊆ supp(ref).
 
-    The refined redescription conjoins r's queries with the bound-tightened
-    refiner queries (minimized); its support equals supp(r) and its accuracy
-    never drops. `improved` flags a strict accuracy gain.
+    The conjunction of r's queries with the bound-tightened refiner queries
+    keeps supp(r) and never lowers accuracy. `improved` flags a strict
+    accuracy gain, and only then is the conjunction built: `refined` is its
+    minimized form, and otherwise `refined` is r itself. The gain is decided
+    from supports alone, as `tri_support` of a conjunction is the Kleene
+    intersection of its parts and minimization keeps the tri-valued support,
+    so no discarded candidate is minimized or evaluated.
     """
-    if not (is_conjunctive(ref.q1) and is_conjunctive(ref.q2)):
-        return RefinementOutcome(refined=r, improved=False, applied=False)
-    if r.supp_mask & ~ref.supp_mask:
+    # the cheap mask test first: most pairs in `construct_and_refine` are not nested
+    if r.supp_mask & ~ref.supp_mask or not (is_conjunctive(ref.q1) and is_conjunctive(ref.q2)):
         return RefinementOutcome(refined=r, improved=False, applied=False)
     if r.key == ref.key:
         # conjoining a redescription with itself is the identity
         return RefinementOutcome(refined=r, improved=False, applied=True)
     t1, t2 = _tightened_queries(ref, r.supp_mask, dataset)
+    tri1 = r.tri1.intersect(query.tri_support(t1, dataset.view1))
+    tri2 = r.tri2.intersect(query.tri_support(t2, dataset.view2))
+    if not jaccard_variants(StatusCounts.from_supports(tri1, tri2)).qnm > r.j_qnm:
+        return RefinementOutcome(refined=r, improved=False, applied=True)
     q1 = minimize_query(Query(And((r.q1.root, t1.root)), r.q1.view_id), dataset.view1)
     q2 = minimize_query(Query(And((r.q2.root, t2.root)), r.q2.view_id), dataset.view2)
-    refined = Redescription.evaluate(q1, q2, dataset)
     return RefinementOutcome(
-        refined=refined, improved=refined.j_qnm > r.j_qnm, applied=True
+        refined=Redescription.create(q1, q2, tri1, tri2, dataset), improved=True, applied=True
     )
 
 

@@ -80,6 +80,23 @@ class TestMineCommand:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["bogus", "nan", "inf", "-inf", "infinity", "1e999"])
+    def test_bad_numeric_cell_exits_two_and_names_file_line(
+        self, planted_files, tmp_path, capsys, token
+    ):
+        _, _, paths = planted_files
+        lines = paths["view1"].read_text(encoding="utf-8").splitlines()
+        lines.insert(5, "")  # a blank line: file line 12 holds data row 10
+        cells = lines[11].split(",")
+        cells[0] = token
+        lines[11] = ",".join(cells)
+        paths["view1"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["mine", *_dataset_args(paths), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{paths['view1']}:12: " in err
+        assert repr(token) in err
+
     def test_fixed_seed_gives_byte_identical_interchange(self, planted_files, tmp_path):
         _, _, paths = planted_files
         cfg = _mine_config(tmp_path)

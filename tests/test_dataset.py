@@ -1,5 +1,7 @@
 """Loading, validation, shuffled twins, and format round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,23 @@ class TestLoadView:
         csv = _write(tmp_path, "v.csv", "a,b\n1,2\n3\n")
         with pytest.raises(DataError, match=":3"):
             load_view(csv, {"a": "numeric", "b": "numeric"})
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        csv = _write(tmp_path, "v.csv", "a,b\n1,2\n\n3,4\n5\n")
+        with pytest.raises(DataError, match=r"v\.csv:5: expected 2 fields"):
+            load_view(csv, {"a": "numeric", "b": "numeric"})
+        csv = _write(tmp_path, "v.csv", "a\n\n1\n\nbogus\n")
+        with pytest.raises(DataError, match=r"v\.csv:5: non-numeric token 'bogus'"):
+            load_view(csv, {"a": "numeric"})
+        csv = _write(tmp_path, "v.csv", "f\n1\n\nmaybe\n")
+        with pytest.raises(DataError, match=r"v\.csv:4: non-boolean token 'maybe'"):
+            load_view(csv, {"f": "boolean"})
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "+inf", "Infinity", "1e999"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        csv = _write(tmp_path, "v.csv", f"a\n1\n{token}\n")
+        with pytest.raises(DataError, match=re.escape(f"v.csv:3: non-finite token {token!r}")):
+            load_view(csv, {"a": "numeric"})
 
     def test_non_numeric_token_names_row(self, tmp_path):
         csv = _write(tmp_path, "v.csv", "a\n1\nbogus\n")

@@ -1,11 +1,15 @@
-"""Three-valued evaluation, grammar round-trips, and minimization."""
+"""Three-valued evaluation, the per-view literal memo, grammar round-trips,
+and minimization."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from redesc.dataset import BOOLEAN, NUMERIC, SchemaError
+import redesc.query as query_module
+from redesc.dataset import BOOLEAN, NUMERIC, SchemaError, View, concat_rows, make_artificial
 from redesc.query import (
     FALSE,
     TRUE,
@@ -22,6 +26,7 @@ from redesc.query import (
     canonicalize,
     eval_query,
     is_conjunctive,
+    iter_literals,
     minimize_query,
     parse_query,
     print_query,
@@ -54,6 +59,18 @@ def _raw_query_view(seed, n_rows, depth, missing):
 
 def _row_values(q, view):
     return [eval_query(q, view, r) for r in range(view.n_rows)]
+
+
+def _tri_values(tri):
+    return [
+        TRUE if tri.in_mask >> r & 1 else UNKNOWN if tri.unk_mask >> r & 1 else FALSE
+        for r in range(tri.n)
+    ]
+
+
+def _cold_copy(view):
+    """The same cells in a new view, whose literal memo starts empty."""
+    return View(view.attributes, view.columns)
 
 
 class TestKleeneSemantics:
@@ -173,12 +190,7 @@ class TestTriSupport:
     )
     def test_matches_row_interpreter_property(self, seed, n_rows, depth, missing):
         view, q = _raw_query_view(seed, n_rows, depth, missing)
-        tri = tri_support(q, view)
-        got = [
-            TRUE if tri.in_mask >> r & 1 else UNKNOWN if tri.unk_mask >> r & 1 else FALSE
-            for r in range(n_rows)
-        ]
-        assert got == _row_values(q, view)
+        assert _tri_values(tri_support(q, view)) == _row_values(q, view)
 
     def test_attribute_out_of_range_rejected(self):
         view = make_view([("x", NUMERIC, [1.0])])
@@ -365,6 +377,84 @@ class TestMinimize:
             q = random_query(rng, view, 1, depth=2)
             m = minimize_query(q, view)
             assert sum(1 for _ in _leaves(m.root)) <= sum(1 for _ in _leaves(q.root))
+
+
+class TestLiteralMemo:
+    """Each view memoizes its literal supports; the memo must never change a
+    result, and a derived view must never read another view's memo."""
+
+    def test_each_literal_is_computed_once_per_view(self, monkeypatch):
+        computed = []
+        compute = query_module._compute_literal_support
+
+        def recording(lit, view):
+            computed.append((lit, id(view)))
+            return compute(lit, view)
+
+        monkeypatch.setattr(query_module, "_compute_literal_support", recording)
+        rng = np.random.default_rng(3)
+        view = random_view(rng, 30, n_num=3, n_bool=1, n_cat=1, missing_rate=0.1)
+        queries = [random_query(rng, view, 1, depth=3) for _ in range(20)]
+        for q in queries + queries:
+            tri_support(q, view)
+            minimize_query(q, view)
+        assert set(Counter(computed).values()) == {1}
+        assert {lit for lit, _ in computed} == {
+            lit for q in queries for lit in iter_literals(q.root)
+        }
+        cold = _cold_copy(view)
+        tri_support(queries[0], cold)
+        assert {lit for lit, v in computed if v == id(cold)} == set(iter_literals(queries[0].root))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from(EDGE_ROWS),
+        depth=st.integers(0, 3),
+        missing=st.sampled_from([0.0, 0.2]),
+    )
+    def test_warm_view_matches_cold_copy_and_rows_property(self, seed, n_rows, depth, missing):
+        view, q = _raw_query_view(seed, n_rows, depth, missing)
+        rng = np.random.default_rng([seed, 1])
+        for _ in range(3):  # other queries over the same columns share literals
+            tri_support(Query(_random_node(rng, view, depth), 1), view)
+        minimized = minimize_query(q, view)  # fills the memo with q's literals
+        warm = tri_support(q, view)
+        assert set(iter_literals(canonicalize(q).root)) <= set(view._literal_supports)
+        cold = _cold_copy(view)
+        assert warm == tri_support(q, cold)
+        assert minimized == minimize_query(q, view) == minimize_query(q, cold)
+        assert _tri_values(warm) == _row_values(q, view)
+        assert _tri_values(tri_support(minimized, view)) == _row_values(q, view)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from(EDGE_ROWS),
+        depth=st.integers(0, 3),
+        missing=st.sampled_from([0.0, 0.2]),
+        doubled_first=st.booleans(),
+    )
+    def test_doubled_view_never_serves_the_original_property(
+        self, seed, n_rows, depth, missing, doubled_first
+    ):
+        # the bootstrap stacks a view on its shuffled twin; both are views of
+        # the same attributes, so only the memo's owner keeps them apart
+        view, q = _raw_query_view(seed, n_rows, depth, missing)
+        doubled = concat_rows(view, make_artificial(view, seed))
+        if doubled_first:
+            on_doubled = tri_support(q, doubled)
+            assert view._literal_supports == {}
+            on_view = tri_support(q, view)
+        else:
+            on_view = tri_support(q, view)
+            on_doubled = tri_support(q, doubled)
+        assert on_view.n == n_rows and on_doubled.n == 2 * n_rows
+        assert on_view == tri_support(q, _cold_copy(view))
+        assert on_doubled == tri_support(q, _cold_copy(doubled))
+        assert _tri_values(on_view) == _row_values(q, view)
+        # the doubled view's first half is the view itself
+        assert _tri_values(on_doubled)[:n_rows] == _tri_values(on_view)
 
 
 def _reevaluating_minimize(q, view):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redesc.refine as refine_module
-from redesc.dataset import BOOLEAN, NUMERIC
+from redesc.dataset import BOOLEAN, NUMERIC, Dataset, View
 from redesc.measures import Constraints, Redescription, RedescriptionSet
 from redesc.mine import Rule
 from redesc.query import (
@@ -19,11 +19,19 @@ from redesc.query import (
     Or,
     Query,
     canonicalize,
+    is_conjunctive,
     iter_literals,
+    minimize_query,
     print_query,
     tri_support,
 )
-from redesc.refine import construct_and_refine, refine_pair, strict_witness, tighten_bounds
+from redesc.refine import (
+    RefinementOutcome,
+    construct_and_refine,
+    refine_pair,
+    strict_witness,
+    tighten_bounds,
+)
 
 from conftest import JACCARD_FLOORS, make_dataset, mask_rules, placeholder_dataset, rule_supports
 
@@ -227,10 +235,8 @@ def _tenths(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda v: round(v, 1))
 
 
-@st.composite
-def nested_pairs(draw):
-    """(dataset, r, ref): two small views with missing cells, and r's queries
-    conjoin one more literal onto ref's, so supp(r) ⊆ supp(ref)."""
+def _small_dataset(draw):
+    """Two small views, three columns each, with missing cells."""
     n = draw(st.integers(1, 30))
 
     def column(name, kind, values):
@@ -240,24 +246,31 @@ def nested_pairs(draw):
         return (name, kind, cells)
 
     num, flag = _tenths(0.0, 10.0), st.booleans()
-    ds = make_dataset(
+    return make_dataset(
         [column("x0", NUMERIC, num), column("x1", NUMERIC, num), column("f0", BOOLEAN, flag)],
         [column("y0", NUMERIC, num), column("y1", NUMERIC, num), column("g0", BOOLEAN, flag)],
     )
 
-    def leaf(view):
-        attr = draw(st.integers(0, view.n_cols - 1))
-        if view.attributes[attr].kind == BOOLEAN:
-            return Leaf(Literal(attr, BOOLEAN, negated=draw(st.booleans())))
-        # wide intervals keep most supports non-empty
-        return Leaf(Literal(attr, NUMERIC, draw(_tenths(-1.0, 4.0)), draw(_tenths(6.0, 11.0))))
 
+def _small_leaf(draw, view):
+    attr = draw(st.integers(0, view.n_cols - 1))
+    if view.attributes[attr].kind == BOOLEAN:
+        return Leaf(Literal(attr, BOOLEAN, negated=draw(st.booleans())))
+    # wide intervals keep most supports non-empty
+    return Leaf(Literal(attr, NUMERIC, draw(_tenths(-1.0, 4.0)), draw(_tenths(6.0, 11.0))))
+
+
+@st.composite
+def nested_pairs(draw):
+    """(dataset, r, ref): two small views with missing cells, and r's queries
+    conjoin one more literal onto ref's, so supp(r) ⊆ supp(ref)."""
+    ds = _small_dataset(draw)
     queries = {}
     for view_id, view in ((1, ds.view1), (2, ds.view2)):
-        leaves = [leaf(view) for _ in range(draw(st.integers(1, 2)))]
+        leaves = [_small_leaf(draw, view) for _ in range(draw(st.integers(1, 2)))]
         ref_root = leaves[0] if len(leaves) == 1 else And(tuple(leaves))
         queries[view_id] = (
-            canonicalize(Query(And((ref_root, leaf(view))), view_id)),
+            canonicalize(Query(And((ref_root, _small_leaf(draw, view))), view_id)),
             canonicalize(Query(ref_root, view_id)),
         )
     r = Redescription.evaluate(queries[1][0], queries[2][0], ds)
@@ -273,6 +286,71 @@ def test_refinement_keeps_support_and_accuracy_property(case):
     assert outcome.applied  # nested and conjunctive by construction
     assert outcome.refined.supp_mask == r.supp_mask
     assert outcome.refined.j_qnm >= r.j_qnm
+
+
+@st.composite
+def unrelated_pairs(draw):
+    """(dataset, r, ref) drawn independently: the supports are rarely nested,
+    and a refiner query is sometimes a disjunction."""
+    ds = _small_dataset(draw)
+
+    def query(view, view_id):
+        leaves = [_small_leaf(draw, view) for _ in range(draw(st.integers(1, 3)))]
+        if len(leaves) == 1:
+            return Query(leaves[0], view_id)
+        ctor = draw(st.sampled_from([And, And, Or]))
+        return canonicalize(Query(ctor(tuple(leaves)), view_id))
+
+    r, ref = (
+        Redescription.evaluate(query(ds.view1, 1), query(ds.view2, 2), ds) for _ in range(2)
+    )
+    return ds, r, ref
+
+
+def full_build_refine_pair(r, ref, dataset):
+    """`refine_pair` as it was before the gain was decided from supports:
+    every applied refinement is minimized and evaluated from its queries, and
+    `improved` compares the result's accuracy."""
+    if not (is_conjunctive(ref.q1) and is_conjunctive(ref.q2)):
+        return RefinementOutcome(refined=r, improved=False, applied=False)
+    if r.supp_mask & ~ref.supp_mask:
+        return RefinementOutcome(refined=r, improved=False, applied=False)
+    if r.key == ref.key:
+        return RefinementOutcome(refined=r, improved=False, applied=True)
+    t1, t2 = refine_module._tightened_queries(ref, r.supp_mask, dataset)
+    q1 = minimize_query(Query(And((r.q1.root, t1.root)), r.q1.view_id), dataset.view1)
+    q2 = minimize_query(Query(And((r.q2.root, t2.root)), r.q2.view_id), dataset.view2)
+    refined = Redescription.evaluate(q1, q2, dataset)
+    return RefinementOutcome(refined=refined, improved=refined.j_qnm > r.j_qnm, applied=True)
+
+
+def _cold_copy(ds):
+    """The same cells in new views, whose literal memos start empty."""
+    return Dataset(
+        View(ds.view1.attributes, ds.view1.columns),
+        View(ds.view2.attributes, ds.view2.columns),
+        ds.element_names,
+    )
+
+
+def _assert_matches_full_build(ds, r, ref):
+    for a, b in ((r, ref), (ref, r), (r, r)):
+        got = refine_pair(a, b, ds)
+        want = full_build_refine_pair(a, b, _cold_copy(ds))
+        assert (got.improved, got.applied) == (want.improved, want.applied)
+        assert got.refined == (want.refined if want.improved else a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nested_pairs())
+def test_matches_full_build_on_nested_pairs_property(case):
+    _assert_matches_full_build(*case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(unrelated_pairs())
+def test_matches_full_build_on_unrelated_pairs_property(case):
+    _assert_matches_full_build(*case)
 
 
 def _rule(q_text, view, view_id, dataset):
