@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,8 +28,7 @@ BOOLEAN = "boolean"
 CATEGORICAL = "categorical"
 KINDS = (NUMERIC, BOOLEAN, CATEGORICAL)
 
-# names must stay parseable in the query grammar ("inf" is a number there)
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_./]*\Z")
+# reserved in any letter case; the query grammar reads only lowercase inf as a number
 _RESERVED_NAMES = frozenset({"inf", "infinity", "nan"})
 
 MISSING_TOKENS = frozenset({"?", ""})
@@ -63,6 +61,18 @@ class DataError(ValueError):
     """Malformed data file content."""
 
 
+def _token_kind(text: str) -> str | None:
+    """The kind of query token ('name', 'num', ...) that `text` reads as in
+    full, or None when the query tokenizer splits or rejects it."""
+    from .query import QuerySyntaxError, _tokenize  # query imports this module
+
+    try:
+        tokens = _tokenize(text)
+    except QuerySyntaxError:
+        return None
+    return tokens[0][0] if len(tokens) == 2 and tokens[0][1] == text else None
+
+
 @dataclass(frozen=True)
 class Attribute:
     """One column of a view: dense id, unique name, and value kind."""
@@ -75,11 +85,17 @@ class Attribute:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise SchemaError(f"unknown attribute kind {self.kind!r} for {self.name!r}")
-        if not _NAME_RE.match(self.name) or self.name.lower() in _RESERVED_NAMES:
+        if _token_kind(self.name) != "name" or self.name.lower() in _RESERVED_NAMES:
             raise SchemaError(
                 f"attribute name {self.name!r} is not usable in queries; use "
                 "letters, digits, '_', '.', '/' and start with a letter or '_'"
             )
+        for label in self.categories:
+            if _token_kind(label) not in ("name", "num"):
+                raise SchemaError(
+                    f"category label {label!r} of column {self.name!r} is not usable in "
+                    "queries; a label must read as one query name or number"
+                )
         if self.kind == CATEGORICAL and not self.categories:
             raise SchemaError(f"categorical attribute {self.name!r} has no categories")
         if self.kind != CATEGORICAL and self.categories:
@@ -192,12 +208,13 @@ def read_schema(path: str | Path) -> dict[str, str]:
     """Parse a sidecar schema file.
 
     Grammar: one `column_name = kind` pair per line, where kind is one of
-    numeric, boolean, categorical. Blank lines and `#` comments are ignored.
+    numeric, boolean, categorical. `#` starts a comment that runs to the end
+    of the line; blank lines are ignored.
     """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise SchemaError(f"{path}:{lineno}: expected 'name = kind', got {line!r}")
@@ -239,8 +256,9 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
 
     Every column must be declared in `schema`; the missing markers '?' and ''
     parse as MISSING, and numeric cells must be finite. Categorical categories
-    are inferred from the data and ordered lexicographically. Errors name the
-    file and its 1-based line.
+    are inferred from the data and ordered lexicographically; names and labels
+    must read back through the query grammar. Errors name the file and, for a
+    cell, its 1-based line.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -274,6 +292,7 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     for j, name in enumerate(header):
         kind = schema[name]
         tokens = [r[j] for r in rows]
+        labels: list[str] = []
         if kind == CATEGORICAL:
             labels = sorted({t for t in tokens if t not in MISSING_TOKENS})
             if not labels:
@@ -282,14 +301,15 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
             col = np.array(
                 [-1 if t in MISSING_TOKENS else code[t] for t in tokens], dtype=np.int32
             )
-            attributes.append(Attribute(j, name, CATEGORICAL, tuple(labels)))
         else:
             parse = _parse_numeric if kind == NUMERIC else _parse_boolean
-            vals = np.empty(len(tokens), dtype=np.float64)
+            col = np.empty(len(tokens), dtype=np.float64)
             for i, (t, lineno) in enumerate(zip(tokens, linenos)):
-                vals[i] = np.nan if t in MISSING_TOKENS else parse(t, path, lineno, name)
-            col = vals
-            attributes.append(Attribute(j, name, kind))
+                col[i] = np.nan if t in MISSING_TOKENS else parse(t, path, lineno, name)
+        try:
+            attributes.append(Attribute(j, name, kind, tuple(labels)))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
         columns.append(col)
     return View(attributes, columns)
 

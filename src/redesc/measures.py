@@ -24,7 +24,7 @@ from .dataset import Dataset
 from .query import (
     Query,
     TriSupport,
-    canonicalize,
+    _print_node,
     mask_to_bools,
     pack_masks,
     print_query,
@@ -182,8 +182,7 @@ class Redescription:
     def create(
         cls, q1: Query, q2: Query, tri1: TriSupport, tri2: TriSupport, dataset: Dataset
     ) -> "Redescription":
-        q1 = canonicalize(q1)
-        q2 = canonicalize(q2)
+        """Statistics of canonical queries q1, q2 (see `query`) with supports tri1, tri2."""
         counts = StatusCounts.from_supports(tri1, tri2)
         variants = jaccard_variants(counts)
         attrs = frozenset((1, a) for a in query_attrs(q1)) | frozenset(
@@ -202,11 +201,12 @@ class Redescription:
             support_size=counts.n_ii,
             attrs=attrs,
             attr_count=query_attr_count(q1) + query_attr_count(q2),
-            key=(print_query(q1, dataset.view1), print_query(q2, dataset.view2)),
+            key=(_print_node(q1.root, dataset.view1), _print_node(q2.root, dataset.view2)),
         )
 
     @classmethod
     def evaluate(cls, q1: Query, q2: Query, dataset: Dataset) -> "Redescription":
+        """`create` with the supports of the canonical queries q1 and q2."""
         return cls.create(
             q1, q2, tri_support(q1, dataset.view1), tri_support(q2, dataset.view2), dataset
         )
@@ -285,11 +285,14 @@ class RedescriptionSet:
         if self.dedup_supports and red.supp_mask != old.supp_mask:
             self._reindex()
 
-    def recheck(self, constraints: "Constraints") -> None:
-        """Post-pass assertion that every member satisfies the constraints."""
+    def recheck(self, constraints: "Constraints", dataset: Dataset) -> None:
+        """Post-pass assertion that every member satisfies the constraints and
+        that its key is the canonical text of its queries."""
         for m in self.members:
             if not constraints.admits(m):
                 raise AssertionError(f"constraint violation in mined set: {m.key}")
+            if m.key != (print_query(m.q1, dataset.view1), print_query(m.q2, dataset.view2)):
+                raise AssertionError(f"non-canonical queries in mined set: {m.key}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from . import reduce, refine
 from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
 from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts, row_sizes
 from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
-from .query import Or, Query, TriSupport, iter_literals, pack_masks, print_query, tri_support
+from .query import Or, Query, TriSupport, _print_node, canonicalize, iter_literals, pack_masks, tri_support
 from .tree import PctParams, Tree, build_tree, extract_rules
 
 OPERATOR_MODES = ("conjunctive", "conjneg", "all")
@@ -108,7 +108,7 @@ def _harvest(tree: Tree, dataset: Dataset, view_id: int, rules: RuleSet, mode: s
         if not _mode_accepts(q, mode):
             continue
         tri = tri_support(q, view)
-        rule = Rule(query=q, tri=tri, text=print_query(q, view))
+        rule = Rule(query=q, tri=tri, text=_print_node(q.root, view))
         if rules.add(view_id, rule):
             added += 1
     return added
@@ -200,9 +200,9 @@ def create_redescriptions(
 
 def _or_extend(red: Redescription, side: int, rule: Rule, dataset: Dataset) -> Redescription:
     if side == 1:
-        q1 = Query(Or((red.q1.root, rule.query.root)), 1)
+        q1 = canonicalize(Query(Or((red.q1.root, rule.query.root)), 1))
         return Redescription.create(q1, red.q2, red.tri1.union(rule.tri), red.tri2, dataset)
-    q2 = Query(Or((red.q2.root, rule.query.root)), 2)
+    q2 = canonicalize(Query(Or((red.q2.root, rule.query.root)), 2))
     return Redescription.create(red.q1, q2, red.tri1, red.tri2.union(rule.tri), dataset)
 
 
@@ -314,5 +314,5 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
                 trimmed.add(member)
             rset = trimmed
 
-    rset.recheck(constraints)
+    rset.recheck(constraints, dataset)
     return rset

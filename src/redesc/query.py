@@ -16,6 +16,12 @@ each literal's masks on the view it was evaluated against, so `tri_support`
 and `minimize_query` evaluate a literal once per view however many mined,
 refined or parsed queries repeat it; `eval_query` reads the cells directly
 and stays uncached.
+
+A redescription's queries are canonical (see `canonicalize`) from the moment
+they are built: `parse_query` and `minimize_query` (tree rules, refinements)
+return canonical queries, and disjunctions and tightened refiners are
+canonicalized where they are made. No consumer re-checks; only `print_query`
+canonicalizes whatever it is handed.
 """
 
 from __future__ import annotations
@@ -627,7 +633,7 @@ def minimize_query(q: Query, view: View) -> Query:
 
     Greedily drops any literal whose removal leaves the tri-valued support
     unchanged, then intersects same-attribute interval literals under a
-    common AND. The result evaluates identically to the input on `view`.
+    common AND. The canonical result evaluates identically to the input on `view`.
     """
     current = canonicalize(q)
     _check_attrs(current.root, view)

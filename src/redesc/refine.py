@@ -43,6 +43,7 @@ from .query import (
     TriSupport,
     canonicalize,
     is_conjunctive,
+    iter_literals,
     mask_to_bools,
     minimize_query,
     pack_masks,
@@ -59,12 +60,8 @@ class RefinementOutcome:
 def _tighten_query(q: Query, target_rows: np.ndarray, view) -> Query:
     """Shrink each non-negated interval literal to its intersection with the
     observed hull of the target rows; other literals pass through."""
-    if isinstance(q.root, Leaf):
-        leaves = [q.root.literal]
-    else:
-        leaves = [child.literal for child in q.root.children]
     tightened = []
-    for lit in leaves:
+    for lit in iter_literals(q.root):
         if lit.kind == NUMERIC and not lit.negated:
             values = view.columns[lit.attr][target_rows]
             values = values[~np.isnan(values)]
@@ -80,12 +77,12 @@ def _tighten_query(q: Query, target_rows: np.ndarray, view) -> Query:
 def _tightened_queries(
     ref: Redescription, target_mask: int, dataset: Dataset
 ) -> tuple[Query, Query]:
-    """Both refiner queries tightened to the hull of the target rows, in the
-    canonical form `Redescription.create` would give them."""
+    """Both refiner queries tightened to the hull of the target rows. They
+    need not be canonical: `tri_support` and `minimize_query` take any query."""
     rows = np.flatnonzero(mask_to_bools(target_mask, ref.n_elements))
     return (
-        canonicalize(_tighten_query(ref.q1, rows, dataset.view1)),
-        canonicalize(_tighten_query(ref.q2, rows, dataset.view2)),
+        _tighten_query(ref.q1, rows, dataset.view1),
+        _tighten_query(ref.q2, rows, dataset.view2),
     )
 
 
@@ -100,7 +97,8 @@ def tighten_bounds(ref: Redescription, target_support: frozenset[int] | set[int]
     target_mask = TriSupport.from_sets(target_support, (), ref.n_elements).in_mask
     if target_mask & ~ref.supp_mask:
         raise ValueError("target support is not contained in the refiner's support")
-    return Redescription.evaluate(*_tightened_queries(ref, target_mask, dataset), dataset)
+    q1, q2 = map(canonicalize, _tightened_queries(ref, target_mask, dataset))
+    return Redescription.evaluate(q1, q2, dataset)
 
 
 def strict_witness(r: Redescription, tightened_ref: Redescription) -> bool:

@@ -209,6 +209,48 @@ def test_header_only_view_exits_two_and_names_file(tmp_path, capsys, command):
     assert f"{paths['view2']}: no data rows" in capsys.readouterr().err
 
 
+def _risk_files(tmp_path, high, low, n_rows=200):
+    """Two views whose categorical column `risk` (labels `high`, `low`) the
+    numeric view-1 column `x` separates."""
+    rng = np.random.default_rng(3)
+    risky = rng.random(n_rows) < 0.5
+    x = np.where(risky, rng.normal(5, 1, n_rows), rng.normal(0, 1, n_rows))
+    paths = {key: tmp_path / f"{key}.txt" for key in ("view1", "schema1", "view2", "schema2")}
+    paths["view1"].write_text(
+        "x,z\n" + "".join(f"{a:.3f},{b:.3f}\n" for a, b in zip(x, rng.normal(size=n_rows))),
+        encoding="utf-8",
+    )
+    paths["view2"].write_text(
+        "risk,y\n" + "".join(
+            f"{high if r else low},{b:.3f}\n" for r, b in zip(risky, rng.normal(size=n_rows))
+        ),
+        encoding="utf-8",
+    )
+    paths["schema1"].write_text("x = numeric\nz = numeric\n", encoding="utf-8")
+    paths["schema2"].write_text("risk = categorical\ny = numeric\n", encoding="utf-8")
+    return paths
+
+
+def test_label_the_grammar_cannot_read_exits_two_naming_column_and_label(tmp_path, capsys):
+    paths = _risk_files(tmp_path, "high-risk", "low-risk")
+    code = main(["mine", *_dataset_args(paths), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{paths['view2']}: category label 'high-risk' of column 'risk'" in err
+    assert not (tmp_path / "out" / "mined.tsv").exists()
+
+
+def test_mined_labels_read_back_in_reduce(tmp_path, capsys):
+    paths = _risk_files(tmp_path, "high_risk", "low_risk")
+    out = tmp_path / "out"
+    assert main(["mine", *_dataset_args(paths), "--out", str(out)]) == 0
+    records = (out / "mined.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    assert any("risk=" in line for line in records)
+    capsys.readouterr()
+    assert main(["reduce", str(out / "mined.tsv"), *_dataset_args(paths), "--out", str(out)]) == 0
+    assert "rejected" not in capsys.readouterr().err
+
+
 def _wide_dataset(tmp_path, n_rows=60, n_attrs=25):
     rng = np.random.default_rng(44)
     spec1 = [

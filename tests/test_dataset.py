@@ -1,12 +1,17 @@
 """Loading, validation, shuffled twins, and format round-trips."""
 
+import csv
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redesc.dataset import (
+    CATEGORICAL,
     MISSING,
+    NUMERIC,
     DataError,
     Dataset,
     SchemaError,
@@ -18,6 +23,7 @@ from redesc.dataset import (
     write_schema,
     write_view,
 )
+from redesc.query import Leaf, Literal, Or, Query, canonicalize, parse_query, print_query
 
 from conftest import make_view, random_view
 
@@ -105,6 +111,56 @@ class TestLoadView:
         with pytest.raises(SchemaError, match="not usable"):
             load_view(csv, {"inf": "numeric"})
 
+    @pytest.mark.parametrize("name", ["inf.x", "infinity/2", "-inf", "1e5", "NaN", "INF"])
+    def test_name_the_query_tokenizer_splits_or_reads_as_number_rejected(self, tmp_path, name):
+        path = _write(tmp_path, "v.csv", f"{name}\n1\n")
+        with pytest.raises(SchemaError, match=re.escape(f"v.csv: attribute name {name!r} is not usable")):
+            load_view(path, {name: "numeric"})
+
+    @pytest.mark.parametrize("label", ["high-risk", "a b", "x=y", "(a)", "1e", "é"])
+    def test_label_the_query_tokenizer_cannot_read_back_rejected(self, tmp_path, label):
+        path = _write(tmp_path, "v.csv", f"risk\nlow\n{label}\n")
+        with pytest.raises(
+            SchemaError, match=re.escape(f"v.csv: category label {label!r} of column 'risk'")
+        ):
+            load_view(path, {"risk": "categorical"})
+
+    def test_numeric_looking_labels_load(self, tmp_path):
+        path = _write(tmp_path, "v.csv", "k\n1\n2.5\n-3\ninf\nlow_risk\na.b/c\n")
+        view = load_view(path, {"k": "categorical"})
+        assert view.attributes[0].categories == ("-3", "1", "2.5", "a.b/c", "inf", "low_risk")
+
+
+# names and labels: name-like, number-like, or over characters the query
+# grammar gives a meaning to
+_GRAMMAR_TEXT = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_./]{0,4}", fullmatch=True),
+    st.from_regex(r"[+-]?(\d{1,3}(\.\d{0,2})?([eE][+-]?\d)?|\.\d|inf|infinity)", fullmatch=True),
+    st.text(alphabet="aZ_09./+-=&|!()[]<#ie nf", min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=_GRAMMAR_TEXT, label=_GRAMMAR_TEXT)
+@example(name="inf.x", label="high-risk")
+@example(name="a.b/c", label="-inf")
+@example(name="e1", label="2.5")
+def test_loaded_names_and_labels_read_back_through_the_grammar_property(
+    tmp_path_factory, name, label
+):
+    """Whatever loads prints as query text that parses back to the same query."""
+    path = tmp_path_factory.mktemp("grammar") / "v.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([[name, "k"], ["1.5", label], ["2.5", "other"]])
+    try:
+        view = load_view(path, {name.strip(): NUMERIC, "k": CATEGORICAL})
+    except SchemaError:
+        return
+    literals = [Literal(0, NUMERIC, 1.5, 2.5), Literal(0, NUMERIC, -np.inf, 2.0, negated=True)]
+    literals += [Literal(1, CATEGORICAL, category=c) for c in view.attributes[1].categories]
+    for q in [Query(Leaf(lit), 1) for lit in literals] + [Query(Or(tuple(map(Leaf, literals))), 1)]:
+        assert parse_query(print_query(q, view), view, 1) == canonicalize(q)
+
 
 class TestSchemaFile:
     def test_round_trip(self, tmp_path):
@@ -112,6 +168,12 @@ class TestSchemaFile:
         path = tmp_path / "v.schema"
         write_schema(view, path)
         assert read_schema(path) == {"x": "numeric", "f": "boolean"}
+
+    def test_inline_comment_ignored(self, tmp_path):
+        path = _write(
+            tmp_path, "v.schema", "# header\nx = numeric  # temperature\nk = categorical#\n\n"
+        )
+        assert read_schema(path) == {"x": "numeric", "k": "categorical"}
 
     def test_bad_kind_rejected(self, tmp_path):
         path = _write(tmp_path, "v.schema", "x = strings\n")

@@ -19,6 +19,7 @@ from redesc.measures import (
     Constraints,
     PackedMembers,
     Redescription,
+    RedescriptionSet,
     StatusCounts,
     aaj,
     aej,
@@ -31,7 +32,16 @@ from redesc.measures import (
     score_pval,
     score_size,
 )
-from redesc.query import TriSupport, bools_to_mask, mask_to_bools, pack_masks, parse_query
+from redesc.query import (
+    And,
+    Not,
+    Query,
+    TriSupport,
+    bools_to_mask,
+    mask_to_bools,
+    pack_masks,
+    parse_query,
+)
 from redesc.reduce import OccurrenceProfile, WeightVector, compute_occurrence, find_specific
 
 from conftest import fabricate_pool, make_dataset
@@ -488,3 +498,20 @@ class TestConstraints:
                 and 5 <= r.support_size <= 80
             )
             assert c.admits(r) == expected
+
+
+
+@pytest.mark.parametrize("shape", ["unordered", "double-negation", "negated-leaf"])
+def test_recheck_raises_on_member_built_from_non_canonical_query(shape):
+    """`recheck` asserts what every query builder guarantees: canonical queries."""
+    flags = [True] * 12 + [False] * 8
+    ds = make_dataset([("a", "boolean", flags), ("b", "boolean", flags)], [("c", "boolean", flags)])
+    a, b, not_a = (parse_query(text, ds.view1, 1).root for text in ("a", "b", "!a"))
+    root = {"unordered": And((b, a)), "double-negation": Not(Not(a)), "negated-leaf": Not(not_a)}[shape]
+    red = Redescription.evaluate(Query(root, 1), parse_query("c", ds.view2, 2), ds)
+    constraints = Constraints(min_jaccard=0.5, max_pvalue=1.0, min_support=5)
+    assert constraints.admits(red)  # only the query form is wrong
+    rset = RedescriptionSet()
+    rset.add(red)
+    with pytest.raises(AssertionError, match="non-canonical"):
+        rset.recheck(constraints, ds)

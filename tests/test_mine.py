@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redesc.dataset import BOOLEAN, NUMERIC
+from redesc.dataset import BOOLEAN, CATEGORICAL, NUMERIC
+from redesc.interchange import read_records, write_records
 from redesc.measures import Constraints, Redescription
 from redesc.mine import (
+    OPERATOR_MODES,
     MiningParams,
     Rule,
     RuleSet,
@@ -27,6 +29,7 @@ from redesc.query import (
     Literal,
     Query,
     TriSupport,
+    canonicalize,
     iter_literals,
     mask_to_bools,
     parse_query,
@@ -503,3 +506,59 @@ class TestMine:
             _planted_params(max_iter=2, max_set_size=10, operator_mode="conjneg"),
         )
         assert len(result.members) <= 10
+
+
+@st.composite
+def small_mining_cases(draw):
+    """A drawn dataset of at most 60 rows (missing cells optional, labels that
+    look like numbers included) whose views share one latent split, with
+    mining settings under which the set trim runs."""
+    n = draw(st.integers(20, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    missing = draw(st.sampled_from([0.0, 0.1]))
+    latent = rng.random(n) < 0.5
+
+    def noisy(flip):
+        return latent ^ (rng.random(n) < flip)
+
+    spec1 = [
+        ("x0", NUMERIC, list(np.round(noisy(0.1) * 3 + rng.normal(0, 1, n), 2))),
+        ("x1", NUMERIC, list(np.round(rng.uniform(0, 5, n), 2))),
+        ("k", CATEGORICAL, [("1", "2.5")[int(v)] if rng.random() < 0.8 else "lo_k" for v in noisy(0.2)]),
+    ]
+    spec2 = [
+        ("b0", BOOLEAN, list(noisy(0.1))),
+        ("b1", BOOLEAN, list(rng.random(n) < 0.5)),
+        ("c", CATEGORICAL, [("-3", "inf")[int(v)] for v in noisy(0.15)]),
+    ]
+    spec1, spec2 = (
+        [(name, kind, [None if rng.random() < missing else v for v in vals]) for name, kind, vals in spec]
+        for spec in (spec1, spec2)
+    )
+    params = MiningParams(
+        max_iter=2,
+        pct=PctParams(max_depth=3, min_leaf_size=3),
+        seed=draw(st.integers(0, 1000)),
+        use_refinement=draw(st.booleans()),
+        operator_mode=draw(st.sampled_from(OPERATOR_MODES)),
+        max_set_size=draw(st.sampled_from([3, 6, 12])),
+    )
+    return make_dataset(spec1, spec2), params
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=small_mining_cases())
+def test_mined_members_are_canonical_and_read_back_property(tmp_path_factory, case):
+    """Every builder leaves canonical queries: the key is their canonical text,
+    and the written set reads back with the same keys in the same order."""
+    ds, params = case
+    result = mine(ds, Constraints(min_jaccard=0.3, max_pvalue=0.5, min_support=3), params)
+    assert len(result) <= params.max_set_size
+    for m in result:
+        assert m.q1 == canonicalize(m.q1) and m.q2 == canonicalize(m.q2)
+        assert m.key == (print_query(m.q1, ds.view1), print_query(m.q2, ds.view2))
+    path = tmp_path_factory.mktemp("mined") / "mined.tsv"
+    write_records(path, result)
+    members, rejected = read_records(path, ds)
+    assert not rejected
+    assert [m.key for m in members] == [m.key for m in result]

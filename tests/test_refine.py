@@ -22,6 +22,7 @@ from redesc.query import (
     is_conjunctive,
     iter_literals,
     minimize_query,
+    parse_query,
     print_query,
     tri_support,
 )
@@ -137,6 +138,18 @@ class TestTightenBounds:
                 if before.kind == NUMERIC and not before.negated:
                     assert after.lo >= before.lo
                     assert after.hi <= before.hi
+
+    def test_result_is_canonical(self):
+        # a parsed refiner keeps overlapping intervals, which the hull makes equal
+        ds = make_dataset(
+            [("x", NUMERIC, [1.0, 2.0, 3.0, 4.0, 8.0])],
+            [("g", BOOLEAN, [True, True, True, True, False])],
+        )
+        q1 = parse_query("[0.0 <= x <= 5.0] & [1.0 <= x <= 9.0]", ds.view1, 1)
+        ref = Redescription.evaluate(q1, parse_query("g", ds.view2, 2), ds)
+        tightened = tighten_bounds(ref, {1, 2}, ds)
+        assert tightened.q1 == canonicalize(tightened.q1)
+        assert tightened.key == ("[2.0 <= x <= 3.0]", "g")
 
     def test_disjunctive_refiner_refused(self):
         ds = make_dataset(
