@@ -20,8 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import FIELDS, MODE_ALIASES, ConfigError, RunConfig
 from .dataset import DataError, Dataset, SchemaError, load_dataset
@@ -194,7 +192,7 @@ def cmd_eval(args) -> int:
                 ]
             )
 
-    covered = int(np.bitwise_count(np.bitwise_or.reduce(packed.words)).sum())
+    covered = int((packed.element_counts() > 0).sum())
     n_attrs_total = dataset.view1.n_cols + dataset.view2.n_cols
     summary = {
         "redescriptions": len(members),

@@ -31,6 +31,7 @@ from .query import (
     query_attr_count,
     query_attrs,
     tri_support,
+    unpack_rows,
 )
 
 PVALUE_SCORE_FLOOR = 1e-17
@@ -268,22 +269,22 @@ class RedescriptionSet:
             self._by_supp[red.supp_mask] = len(self.members) - 1
         return True
 
-    def replace(self, index: int, red: Redescription) -> None:
+    def replace(self, index: int, red: Redescription) -> bool:
+        """Put red at `index`; True when red is another member's pair instead,
+        so the member at `index` is deleted and the later ones move up one."""
         other = self._by_pair.get(red.key)
         if other is not None and other != index:
-            # the replacement collides with another member; keep the better one
-            keep, drop = (index, other) if red.j_qnm > self.members[other].j_qnm else (other, index)
-            if keep == index:
-                self.members[index] = red
-            del self.members[drop]
+            # an equal key means equal queries, so the held member is as good
+            del self.members[index]
             self._reindex()
-            return
+            return True
         old = self.members[index]
         self.members[index] = red
         del self._by_pair[old.key]
         self._by_pair[red.key] = index
         if self.dedup_supports and red.supp_mask != old.supp_mask:
             self._reindex()
+        return False
 
     def recheck(self, constraints: "Constraints", dataset: Dataset) -> None:
         """Post-pass assertion that every member satisfies the constraints and
@@ -369,8 +370,7 @@ class PackedMembers:
         """(first row, unpacked support bits) per block of rows."""
         step = max(1, _BLOCK_CELLS // self.n_elements)
         for lo in range(0, len(self), step):
-            block = self.words[lo : lo + step].view(np.uint8)
-            yield lo, np.unpackbits(block, axis=1, count=self.n_elements, bitorder="little")
+            yield lo, unpack_rows(self.words[lo : lo + step], self.n_elements)
 
     def support_sums(self, weights: np.ndarray) -> np.ndarray:
         """Per member, the sum of `weights` over the elements it supports."""

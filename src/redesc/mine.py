@@ -20,7 +20,7 @@ from . import reduce, refine
 from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
 from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts, row_sizes
 from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
-from .query import Or, Query, TriSupport, _print_node, canonicalize, iter_literals, pack_masks, tri_support
+from .query import Or, Query, TriSupport, _print_node, canonicalize, iter_literals, pack_masks, tri_support, unpack_rows
 from .tree import PctParams, Tree, build_tree, extract_rules
 
 OPERATOR_MODES = ("conjunctive", "conjneg", "all")
@@ -170,8 +170,7 @@ def construct_targets(rules: Sequence[Rule], n_elements: int, window: int = 64) 
     if not rules:
         raise ValueError("rule list is empty")
     words = pack_masks([rule.tri.in_mask for rule in rules[-window:]], n_elements)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_elements, bitorder="little")
-    return bits.T.astype(np.bool_, order="C")
+    return np.ascontiguousarray(unpack_rows(words, n_elements).T)
 
 
 def create_redescriptions(

@@ -11,11 +11,11 @@ interpreter, and `tri_support` folds each literal's `TriSupport` masks with
 `intersect` (AND), `union` (OR) and `negate` (NOT). They are kept independent
 so each can check the other.
 
-`_literal_support` is the one place a literal meets a column. It memoizes
-each literal's masks on the view it was evaluated against, so `tri_support`
-and `minimize_query` evaluate a literal once per view however many mined,
-refined or parsed queries repeat it; `eval_query` reads the cells directly
-and stays uncached.
+`_literal_support` is the one place a literal meets a column. Memoized per
+view, it serves `tri_support`, `minimize_query` and tree routing, and
+`eval_query` reads cells directly, uncached. Every conversion between int
+bitmasks (bit i = row i), packed `uint64` word rows (`pack_masks`) and
+boolean row bits (`unpack_rows`, `bools_to_mask`) lives here too.
 
 A redescription's queries are canonical (see `canonicalize`) from the moment
 they are built: `parse_query` and `minimize_query` (tree rules, refinements)
@@ -125,9 +125,13 @@ def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), nbytes // 8)
 
 
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """Boolean rows of packed words (see `pack_masks`): column i is bit i."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
 def mask_to_bools(mask: int, n: int) -> np.ndarray:
-    raw = pack_masks([mask], n).view(np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+    return unpack_rows(pack_masks([mask], n), n)[0]
 
 
 @dataclass(frozen=True)

@@ -163,12 +163,11 @@ def construct_and_refine(
             idx = 0
             while idx < len(rset.members):
                 outcome = refine_pair(rset.members[idx], candidate, dataset)
-                if outcome.improved:
-                    rset.replace(idx, outcome.refined)
-                if idx < len(rset.members):
-                    back = refine_pair(candidate, rset.members[idx], dataset)
-                    if back.improved:
-                        candidate = back.refined
+                if outcome.improved and rset.replace(idx, outcome.refined):
+                    continue  # the next member moved up to idx
+                back = refine_pair(candidate, rset.members[idx], dataset)
+                if back.improved:
+                    candidate = back.refined
                 idx += 1
             if constraints.admits(candidate):
                 rset.add(candidate)

@@ -7,9 +7,9 @@ its nonzeros with every numeric attribute of a node at once; the bootstrap
 tree gets standardized real-valued targets, scored densely one attribute at a
 time. On 0/1 targets both paths choose the same split. Every non-root node
 doubles as a conjunctive rule: the AND of the edge conditions on its root
-path. Missing values route to the right (test-false) branch during
-induction, which keeps extracted rules consistent with the three-valued
-query semantics: such instances re-evaluate to unknown, never to in.
+path. A node's rows route by its split's left edge literal, as `query`
+evaluates it: definitely true goes left, all else (missing cells too) right,
+so each cover holds its rule's in-set and lies within its in-or-unknown set.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import BOOLEAN, CATEGORICAL, NUMERIC, View
-from .query import And, Leaf, Literal, Node as QueryNode, Query, minimize_query
+from .query import And, Leaf, Literal, Node as QueryNode, Query, _literal_support
+from .query import mask_to_bools, minimize_query
 
 _INF = float("inf")
 # numeric cells per block of `_sparse_tests` work arrays (each stays near 2 MB)
@@ -83,18 +84,6 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return sum(1 for _ in self.iter_nodes())
-
-
-def _split_sides(view: View, attr: int, split: Split, cover: np.ndarray) -> np.ndarray:
-    """Boolean mask over `cover` rows: True where the test holds (left side).
-    Missing values land on the right side."""
-    col = view.columns[attr][cover]
-    if split.kind == NUMERIC:
-        return (col <= split.threshold) & ~np.isnan(col)
-    if split.kind == BOOLEAN:
-        return col == 1.0
-    code = view.attributes[attr].category_code(split.category)
-    return col == code
 
 
 class _Tests(NamedTuple):
@@ -270,7 +259,8 @@ def build_tree(view: View, targets: np.ndarray, params: PctParams, view_id: int 
         split = best_split(node.cover, view, targets, params.min_leaf_size)
         if split is None:
             continue
-        left_mask = _split_sides(view, split.attr, split, node.cover)
+        left = _literal_support(_edge_literal(view, split, True), view).in_mask
+        left_mask = mask_to_bools(left, view.n_rows)[node.cover]
         node.split = split
         node.left = TreeNode(cover=node.cover[left_mask], depth=node.depth + 1)
         node.right = TreeNode(cover=node.cover[~left_mask], depth=node.depth + 1)

@@ -28,10 +28,12 @@ from redesc.query import (
     is_conjunctive,
     iter_literals,
     minimize_query,
+    pack_masks,
     parse_query,
     print_query,
     query_attr_count,
     tri_support,
+    unpack_rows,
 )
 
 from conftest import _random_node, make_view, random_query, random_view
@@ -241,6 +243,15 @@ class TestTriSupport:
             t_or = tri_support(Query(Or((qa.root, qb.root)), 1), view)
             assert ta.intersect(tb) == t_and
             assert ta.union(tb) == t_or
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 300)), data=st.data())
+def test_unpack_rows_puts_bit_i_in_column_i_property(n, data):
+    masks = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=6))
+    bits = unpack_rows(pack_masks(masks, n), n)
+    assert bits.dtype == np.bool_ and bits.shape == (len(masks), n)
+    assert bits.tolist() == [[bool(mask >> i & 1) for i in range(n)] for mask in masks]
 
 
 class TestGrammar:

@@ -482,3 +482,36 @@ class TestConstructAndRefine:
         supports_before = [m.supp_mask for m in rset.members]
         construct_and_refine(rules1[3:], rules2[3:], rset, constraints, ds)
         assert [m.supp_mask for m in rset.members][: len(supports_before)] == supports_before
+
+    def test_member_after_a_duplicate_refinement_is_still_refined(self):
+        # without support dedup the set holds [A, M, B], where refining A by the
+        # candidate yields B's queries: A is dropped, M moves up to A's index
+        # and must still be refined by the candidate
+        ds = self._fixture()
+        rules1 = [_rule("[0.0 <= x <= 20.0]", ds.view1, 1, ds)]
+        rules2 = [_rule("[0.0 <= y <= 3.0]", ds.view2, 2, ds)]
+        candidate = Redescription.create(
+            rules1[0].query, rules2[0].query, rules1[0].tri, rules2[0].tri, ds
+        )
+        a = Redescription.evaluate(
+            Query(Leaf(Literal(0, NUMERIC, 0.0, 4.5)), 1),
+            Query(Leaf(Literal(0, NUMERIC, 0.0, 2.2)), 2),
+            ds,
+        )
+        m = Redescription.evaluate(
+            Query(Leaf(Literal(0, NUMERIC, 0.0, 3.5)), 1),
+            Query(Leaf(Literal(0, NUMERIC, 0.0, 1.7)), 2),
+            ds,
+        )
+        b = refine_pair(a, candidate, ds).refined
+        assert refine_pair(m, candidate, ds).improved and b.key != a.key
+        rset = RedescriptionSet(dedup_supports=False)
+        for member in (a, m, b):
+            assert rset.add(member)
+        constraints = Constraints(
+            min_jaccard=0.9, min_ref_jaccard=0.3, max_pvalue=1.0, min_support=1
+        )
+        construct_and_refine(rules1, rules2, rset, constraints, ds)
+        assert [r.key for r in rset.members][1:] == [b.key]
+        assert rset.members[0].supp_mask == m.supp_mask
+        assert rset.members[0].j_qnm > m.j_qnm

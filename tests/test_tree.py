@@ -272,3 +272,32 @@ class TestExtractRules:
                 tri = tri_support(q, view)
                 assert tri.in_set == frozenset(int(i) for i in cover)
                 assert tri.unk_set == frozenset()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(4, 60),
+    missing_rate=st.sampled_from([0.1, 0.3, 0.6]),
+    boolean=st.booleans(),
+)
+def test_covers_bracket_rule_supports_with_missing_cells_property(
+    seed, n_rows, missing_rate, boolean
+):
+    """Each node cover holds its rule's in-set and lies within its
+    in-or-unknown set, and rows missing the split attribute go right, for
+    boolean (cross-view) and real-valued (bootstrap-style) targets alike."""
+    rng = np.random.default_rng(seed)
+    view = random_view(rng, n_rows, n_num=2, n_bool=1, n_cat=1, missing_rate=missing_rate)
+    if boolean:
+        targets = rng.random((n_rows, 4)) < 0.5
+    else:
+        targets = rng.standard_normal((n_rows, 4))
+    tree = build_tree(view, targets, PctParams(max_depth=4, min_leaf_size=1))
+    for node in tree.iter_nodes():
+        if node.split is not None:
+            missing = node.cover[view.missing_mask(node.split.attr)[node.cover]]
+            assert set(missing.tolist()) <= set(node.right.cover.tolist())
+    for q, cover in extract_rules(tree):
+        tri = tri_support(q, tree.view)
+        assert tri.in_set <= frozenset(cover.tolist()) <= tri.in_set | tri.unk_set
