@@ -53,7 +53,7 @@ class ConfigError(ValueError):
 def parse_config_file(path: str | Path) -> dict:
     """Raw key-value pairs; `weights` accumulates into a list of rows."""
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

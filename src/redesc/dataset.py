@@ -212,7 +212,7 @@ def read_schema(path: str | Path) -> dict[str, str]:
     of the line; blank lines are ignored.
     """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -251,6 +251,35 @@ def _parse_boolean(token: str, path, lineno: int, name: str) -> float:
     raise DataError(f"{path}:{lineno}: non-boolean token {token!r} in boolean column {name!r}")
 
 
+def _numeric_column(tokens: Sequence[str]) -> np.ndarray | None:
+    """The column's values (missing cells NaN), or None when a cell does not
+    parse or is not finite."""
+    try:
+        col = np.array([math.nan if t in MISSING_TOKENS else float(t) for t in tokens])
+    except ValueError:
+        return None
+    unset = np.flatnonzero(~np.isfinite(col))
+    if any(tokens[i] not in MISSING_TOKENS for i in unset.tolist()):
+        return None
+    return col
+
+
+def _boolean_column(tokens: Sequence[str]) -> np.ndarray | None:
+    """The column as 1.0/0.0 (missing cells NaN), mapped through its distinct
+    tokens, or None when a cell is not a boolean token."""
+    value = {}
+    for t in set(tokens):
+        if t in MISSING_TOKENS:
+            value[t] = math.nan
+        elif t.lower() in _TRUE_TOKENS:
+            value[t] = 1.0
+        elif t.lower() in _FALSE_TOKENS:
+            value[t] = 0.0
+        else:
+            return None
+    return np.array([value[t] for t in tokens], dtype=np.float64)
+
+
 def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     """Load a CSV file (header row, comma separated) into a View.
 
@@ -258,10 +287,10 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     parse as MISSING, and numeric cells must be finite. Categorical categories
     are inferred from the data and ordered lexicographically; names and labels
     must read back through the query grammar. Errors name the file and, for a
-    cell, its 1-based line.
+    cell, its 1-based line. A UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -282,16 +311,16 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
                 raise DataError(
                     f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            rows.append([tok.strip() for tok in row])
+            rows.append(row)
             linenos.append(reader.line_num)
     if not rows:
         raise DataError(f"{path}: no data rows")
 
     attributes: list[Attribute] = []
     columns: list[np.ndarray] = []
-    for j, name in enumerate(header):
+    for j, (name, cells) in enumerate(zip(header, zip(*rows))):
         kind = schema[name]
-        tokens = [r[j] for r in rows]
+        tokens = [t.strip() for t in cells]
         labels: list[str] = []
         if kind == CATEGORICAL:
             labels = sorted({t for t in tokens if t not in MISSING_TOKENS})
@@ -302,10 +331,13 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
                 [-1 if t in MISSING_TOKENS else code[t] for t in tokens], dtype=np.int32
             )
         else:
-            parse = _parse_numeric if kind == NUMERIC else _parse_boolean
-            col = np.empty(len(tokens), dtype=np.float64)
-            for i, (t, lineno) in enumerate(zip(tokens, linenos)):
-                col[i] = np.nan if t in MISSING_TOKENS else parse(t, path, lineno, name)
+            numeric = kind == NUMERIC
+            col = (_numeric_column if numeric else _boolean_column)(tokens)
+            if col is None:  # a bad cell: parse cell by cell to name it
+                parse = _parse_numeric if numeric else _parse_boolean
+                col = np.empty(len(tokens), dtype=np.float64)
+                for i, (t, lineno) in enumerate(zip(tokens, linenos)):
+                    col[i] = np.nan if t in MISSING_TOKENS else parse(t, path, lineno, name)
         try:
             attributes.append(Attribute(j, name, kind, tuple(labels)))
         except SchemaError as exc:

@@ -59,7 +59,7 @@ def read_records(
     members: list[Redescription] = []
     rejected: list[RejectedRecord] = []
     for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
     ):
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):

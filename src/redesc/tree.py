@@ -4,12 +4,16 @@ Trees split on single-attribute tests chosen to maximize the summed
 per-target variance reduction of a target matrix of one of two kinds. The
 cross-view trees get a boolean matrix of rule supports, scored exactly from
 its nonzeros with every numeric attribute of a node at once; the bootstrap
-tree gets standardized real-valued targets, scored densely one attribute at a
-time. On 0/1 targets both paths choose the same split. Every non-root node
-doubles as a conjunctive rule: the AND of the edge conditions on its root
-path. A node's rows route by its split's left edge literal, as `query`
-evaluates it: definitely true goes left, all else (missing cells too) right,
-so each cover holds its rule's in-set and lies within its in-or-unknown set.
+tree gets standardized real-valued targets, whose prefix sums run densely one
+attribute at a time. On 0/1 targets both paths choose the same split. Each
+tree sorts every numeric attribute once, at the root (as SLIQ does), and
+splits the sorted row lists down with the rows, so no node sorts; both paths
+score into the same two blocks, one for numeric and one for categorical and
+boolean attributes. Every non-root node doubles as a conjunctive rule: the
+AND of the edge conditions on its root path. A node's rows route by its
+split's left edge literal, as `query` evaluates it: definitely true goes
+left, all else (missing cells too) right, so each cover holds its rule's
+in-set and lies within its in-or-unknown set.
 """
 
 from __future__ import annotations
@@ -90,9 +94,11 @@ class _Tests(NamedTuple):
     """Candidate tests of some attributes, one row of `score` per attribute.
 
     `score` is the summed sl²/nl + sr²/nr over targets (−inf where a position
-    holds no test) and `nl` the left-side sizes, broadcast against it. A
-    numeric test cuts between `values[row, nl - 1]` and `values[row, nl]`;
-    a categorical column is the category code, a boolean row holds one test.
+    holds no test) and `nl` the left-side sizes, broadcast against it. Both
+    scoring paths return one block of each layout. Numeric: column `nl - 1`
+    cuts between `values[row, nl - 1]` and `values[row, nl]`, the attribute's
+    cover values in sorted order. Categorical: the column is the category
+    code; a boolean row holds one test.
     """
 
     attrs: Sequence[int]
@@ -101,43 +107,108 @@ class _Tests(NamedTuple):
     values: np.ndarray | None = None
 
 
-def _dense_tests(cover: np.ndarray, view: View, targets: np.ndarray):
-    """(base score, one `_Tests` per attribute) for any real target matrix,
-    or None on constant targets."""
-    sub = targets[cover]
+def _numeric_attrs(view: View) -> list[int]:
+    return [i for i, attr in enumerate(view.attributes) if attr.kind == NUMERIC]
+
+
+def _category_attrs(view: View) -> list[int]:
+    """Boolean and categorical attributes: each tests membership of a code."""
+    return [i for i, attr in enumerate(view.attributes) if attr.kind != NUMERIC]
+
+
+def presort(view: View, cover: np.ndarray) -> np.ndarray:
+    """The rows of `cover` in each numeric attribute's stable order, missing
+    values last: one row of row ids per numeric attribute.
+
+    `build_tree` sorts once at the root and keeps each child's rows in this
+    order; on an ascending cover that equals sorting at the node, ties
+    included.
+    """
+    num = _numeric_attrs(view)
+    x = np.stack([view.columns[i][cover] for i in num]) if num else np.empty((0, len(cover)))
+    return cover[np.argsort(x, axis=1, kind="stable")]
+
+
+def _numeric_order(cover: np.ndarray, view: View, num: list[int], order: np.ndarray):
+    """(sorted positions within the cover, sorted values, cut mask) of the
+    numeric attributes `num`; the mask marks each left-side size `nl` at
+    `nl - 1` where the values at `nl - 1` and `nl` are distinct and observed."""
+    pos = np.empty(view.n_rows, dtype=np.intp)
+    pos[cover] = np.arange(len(cover))
+    xs = np.stack([view.columns[i][rows] for i, rows in zip(num, order)])
+    cuts = (xs[:, 1:] != xs[:, :-1]) & ~np.isnan(xs[:, 1:])
+    return pos[order], xs, cuts
+
+
+def _category_slots(cover: np.ndarray, view: View, cat: list[int]):
+    """(slot of each cell's test, -1 for none; left-side size per attribute
+    and test index) of attributes `cat`. A test index is the category code,
+    0 for a true boolean; the slot is attribute row × width + test index."""
+    width = max(len(view.attributes[i].categories) or 1 for i in cat)
+    x = np.stack([view.columns[i][cover] for i in cat])
+    boolean = np.array([view.attributes[i].kind == BOOLEAN for i in cat])[:, None]
+    codes = np.where(boolean, (x == 1.0) - 1, x).astype(np.intp)
+    slot = np.where(codes >= 0, codes + (np.arange(len(cat)) * width)[:, None], -1)
+    nl = np.bincount(slot[slot >= 0], minlength=len(cat) * width).reshape(len(cat), width)
+    return slot, nl
+
+
+def _category_block(cat, nl: np.ndarray, sl: np.ndarray, tot: np.ndarray, n: int) -> _Tests:
+    """Score the categorical tests from their left-side target sums `sl`."""
+    sq_left, sq_right = (sl**2).sum(axis=2), ((tot - sl) ** 2).sum(axis=2)
+    score = sq_left / np.maximum(nl, 1) + sq_right / np.maximum(n - nl, 1)
+    return _Tests(cat, nl, score)
+
+
+def _dense_tests(cover: np.ndarray, view: View, targets: np.ndarray, order: np.ndarray):
+    """(base score, test blocks) for any real target matrix, or None on
+    constant targets.
+
+    Each numeric attribute's prefix sums run over its sorted finite rows,
+    gathered into one buffer per node and summed in place two target columns
+    per step: as complex numbers, whose addition adds the real and imaginary
+    parts separately, so every column sees the additions of a plain cumsum.
+    """
+    n, n_targets = len(cover), targets.shape[1]
+    num, cat = _numeric_attrs(view), _category_attrs(view)
+    node = np.zeros((n, n_targets + n_targets % 2))  # zero pad to an even width
+    node[:, :n_targets] = targets[cover]
+    sub = node[:, :n_targets]
     if np.all(sub.max(axis=0) == sub.min(axis=0)):
         return None
-    n = len(cover)
     tot = sub.sum(axis=0)
     blocks = []
-    for attr_id, attr in enumerate(view.attributes):
-        col = view.columns[attr_id][cover]
-        if attr.kind == NUMERIC:
-            finite = ~np.isnan(col)
-            vals = col[finite]
-            order = np.argsort(vals, kind="stable")
-            xs = vals[order]
-            nl = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    if num:
+        ranked, xs, cuts = _numeric_order(cover, view, num, order)
+        score = np.full(cuts.shape, -_INF)
+        buf, picked = np.empty_like(node), np.empty_like(node)
+        pairs = buf.view(np.complex128)
+        scratch = np.empty((n, n_targets))
+        for row, cut in enumerate(cuts):
+            nl = np.flatnonzero(cut) + 1
             if nl.size == 0:
                 continue
-            sl = np.cumsum(sub[np.flatnonzero(finite)[order]], axis=0)[nl - 1]
-            score = (sl**2).sum(axis=1) / nl + ((tot - sl) ** 2).sum(axis=1) / (n - nl)
-            blocks.append(_Tests([attr_id], nl[None], score[None], xs[None]))
-        else:
-            # a boolean attribute is one test: the single label 1.0 (true)
-            codes = [1.0] if attr.kind == BOOLEAN else range(len(attr.categories))
-            nl, score = [], []
-            for code in codes:
-                left = col == code
-                sl = sub[left].sum(axis=0)
-                nl.append(int(left.sum()))
-                sq_left, sq_right = float((sl**2).sum()), float(((tot - sl) ** 2).sum())
-                score.append(sq_left / max(nl[-1], 1) + sq_right / max(n - nl[-1], 1))
-            blocks.append(_Tests([attr_id], np.array([nl]), np.array([score])))
+            m = nl[-1]  # rows up to the last cut
+            # mode="clip": the default mode buffers `out`
+            np.take(node, ranked[row, :m], axis=0, out=buf[:m], mode="clip")
+            np.cumsum(pairs[:m], axis=0, out=pairs[:m])
+            sl = np.take(buf, nl - 1, axis=0, out=picked[: nl.size], mode="clip")[:, :n_targets]
+            sr = np.subtract(tot, sl, out=scratch[: nl.size])
+            sq_right = np.square(sr, out=sr).sum(axis=1)
+            sq_left = np.square(sl, out=sl).sum(axis=1)
+            score[row, nl - 1] = sq_left / nl + sq_right / (n - nl)
+        blocks.append(_Tests(num, np.arange(1, n)[None], score, xs))
+    if cat:
+        slot, nl = _category_slots(cover, view, cat)
+        sl = np.zeros(nl.shape + (n_targets,))
+        by_slot = sl.reshape(-1, n_targets)
+        for s in np.flatnonzero(nl).tolist():
+            by_slot[s] = sub[slot[s // nl.shape[1]] == s].sum(axis=0)
+        blocks.append(_category_block(cat, nl, sl, tot, n))
     return float((tot**2).sum()) / n, blocks
 
 
-def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray):
+def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray, order: np.ndarray):
     """`_dense_tests` for a boolean target matrix, from its nonzeros alone.
 
     Every sum is an integer below 2**53, so each score is the double the
@@ -152,14 +223,12 @@ def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray):
     if np.all((tot == 0) | (tot == n)):
         return None
     total_sq = float((tot**2).sum())
+    num, cat = _numeric_attrs(view), _category_attrs(view)
     blocks = []
-    num = [i for i, attr in enumerate(view.attributes) if attr.kind == NUMERIC]
     if num:
-        x = np.stack([view.columns[i][cover] for i in num])
-        order = np.argsort(x, axis=1, kind="stable")  # missing values last
-        xs = np.take_along_axis(x, order, axis=1)
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(n), axis=1)
+        ranked, xs, cuts = _numeric_order(cover, view, num, order)
+        rank = np.empty_like(ranked)
+        np.put_along_axis(rank, ranked, np.arange(n), axis=1)
         k = np.arange(len(ts)) - (np.cumsum(tot) - tot)[ts]
         sq_left = np.empty((len(num), n - 1))  # Σ sl² after each left-side size
         cross = np.empty_like(sq_left)  # Σ tot·sl
@@ -173,30 +242,26 @@ def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray):
                 out[lo : lo + len(key)] = counts.reshape(len(key), n).cumsum(axis=1)[:, :-1]
         nl = np.arange(1, n)
         score = sq_left / nl + (total_sq - 2.0 * cross + sq_left) / (n - nl)
-        score[(xs[:, 1:] == xs[:, :-1]) | np.isnan(xs[:, 1:])] = -_INF
+        score[~cuts] = -_INF
         blocks.append(_Tests(num, nl[None], score, xs))
-    cat = [i for i, attr in enumerate(view.attributes) if attr.kind != NUMERIC]
     if cat:
-        # test index per cell: the category code, 0 for a true boolean, -1 for none
-        width = max(len(view.attributes[i].categories) or 1 for i in cat)
-        x = np.stack([view.columns[i][cover] for i in cat])
-        boolean = np.array([view.attributes[i].kind == BOOLEAN for i in cat])[:, None]
-        codes = np.where(boolean, (x == 1.0) - 1, x).astype(np.intp)
-        slot = np.where(codes >= 0, codes + (np.arange(len(cat)) * width)[:, None], -1)
-        nl = np.bincount(slot[slot >= 0], minlength=len(cat) * width).reshape(len(cat), width)
+        slot, nl = _category_slots(cover, view, cat)
+        # one bin per (slot, target); cells with no test drop out
         hit = slot[:, rows]
         keep = hit >= 0
         sl = np.bincount(
-            (hit * n_targets + ts)[keep], minlength=len(cat) * width * n_targets
-        ).reshape(len(cat), width, n_targets)
-        sq_left, sq_right = (sl**2).sum(axis=2), ((tot - sl) ** 2).sum(axis=2)
-        score = sq_left / np.maximum(nl, 1) + sq_right / np.maximum(n - nl, 1)
-        blocks.append(_Tests(cat, nl, score))
+            (hit * n_targets + ts)[keep], minlength=nl.size * n_targets
+        ).reshape(nl.shape + (n_targets,))
+        blocks.append(_category_block(cat, nl, sl, tot, n))
     return total_sq / n, blocks
 
 
 def best_split(
-    cover: np.ndarray, view: View, targets: np.ndarray, min_leaf_size: int = 1
+    cover: np.ndarray,
+    view: View,
+    targets: np.ndarray,
+    min_leaf_size: int = 1,
+    order: np.ndarray | None = None,
 ) -> Split | None:
     """Scan every candidate single-attribute test and return the one with the
     largest positive variance reduction, or None.
@@ -206,11 +271,15 @@ def best_split(
     each label. Ties resolve to the lowest attribute id, then the lowest
     threshold / earliest category. A boolean target matrix is scored from its
     nonzeros, any other densely; both give the same split, gain included.
+    `order` is `presort(view, cover)`, computed here when not given.
     """
     n = len(cover)
     if n < 2 * min_leaf_size:
         return None
-    scored = (_sparse_tests if targets.dtype == np.bool_ else _dense_tests)(cover, view, targets)
+    if order is None:
+        order = presort(view, cover)
+    score_tests = _sparse_tests if targets.dtype == np.bool_ else _dense_tests
+    scored = score_tests(cover, view, targets, order)
     if scored is None:
         return None  # constant targets: zero variance everywhere
     base, blocks = scored
@@ -231,9 +300,8 @@ def best_split(
     gain, tests, row, pick = tops[best]
     attr = view.attributes[best]
     if attr.kind == NUMERIC:
-        cut = int(np.broadcast_to(tests.nl, tests.score.shape)[row, pick])
         xs = tests.values[row]
-        return Split(best, NUMERIC, gain, threshold=float((xs[cut - 1] + xs[cut]) / 2.0))
+        return Split(best, NUMERIC, gain, threshold=float((xs[pick] + xs[pick + 1]) / 2.0))
     category = attr.categories[pick] if attr.kind == CATEGORICAL else None
     return Split(best, attr.kind, gain, category=category)
 
@@ -249,23 +317,26 @@ def build_tree(view: View, targets: np.ndarray, params: PctParams, view_id: int 
     if targets.shape[0] != view.n_rows:
         raise ValueError("target matrix row count differs from view")
     root = TreeNode(cover=np.arange(view.n_rows, dtype=np.int64), depth=0)
-    stack = [root]
+    stack = [(root, presort(view, root.cover))]  # each node with its cover's sort order
     while stack:
-        node = stack.pop()
+        node, order = stack.pop()
         if node.depth + 1 > params.max_depth - 1:
             continue
         if len(node.cover) < 2 * params.min_leaf_size:
             continue
-        split = best_split(node.cover, view, targets, params.min_leaf_size)
+        split = best_split(node.cover, view, targets, params.min_leaf_size, order)
         if split is None:
             continue
         left = _literal_support(_edge_literal(view, split, True), view).in_mask
-        left_mask = mask_to_bools(left, view.n_rows)[node.cover]
+        in_left = mask_to_bools(left, view.n_rows)
+        left_mask = in_left[node.cover]
         node.split = split
         node.left = TreeNode(cover=node.cover[left_mask], depth=node.depth + 1)
         node.right = TreeNode(cover=node.cover[~left_mask], depth=node.depth + 1)
-        stack.append(node.right)
-        stack.append(node.left)
+        # filtering keeps each sorted row list in order, so no child sorts again
+        goes_left = in_left[order]
+        for child, side in ((node.right, ~goes_left), (node.left, goes_left)):
+            stack.append((child, order[side].reshape(len(order), len(child.cover))))
     return Tree(root=root, view=view, view_id=view_id, params=params)
 
 

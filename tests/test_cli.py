@@ -436,7 +436,7 @@ class TestEvalCommand:
         src.write_text("[0.0 <= a0 <= 5.0]\tz0\n", encoding="utf-8")
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "eval_redescriptions.csv").open()))
+        rows = list(csv.DictReader((out / "eval_redescriptions.csv").read_text().splitlines()))
         assert len(rows) == 1
         assert float(rows[0]["aej"]) == 0.0 and float(rows[0]["aaj"]) == 0.0
 
@@ -461,7 +461,7 @@ class TestEvalCommand:
         )
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "eval_redescriptions.csv").open()))
+        rows = list(csv.DictReader((out / "eval_redescriptions.csv").read_text().splitlines()))
         assert float(rows[0]["aaj"]) == 0.75
 
     def test_full_coverage_reported(self, tmp_path):
@@ -472,7 +472,7 @@ class TestEvalCommand:
         src.write_text("[-inf <= a0 <= inf]\tz0 | !z0\n", encoding="utf-8")
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        summary = list(csv.DictReader((out / "eval_summary.csv").open()))[0]
+        summary = list(csv.DictReader((out / "eval_summary.csv").read_text().splitlines()))[0]
         assert float(summary["element_coverage"]) == 1.0
 
     def test_summary_redundancy_is_mean_of_rows(self, tmp_path):
@@ -481,8 +481,8 @@ class TestEvalCommand:
         _synthetic_interchange(src, 30)
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "eval_redescriptions.csv").open()))
-        summary = list(csv.DictReader((out / "eval_summary.csv").open()))[0]
+        rows = list(csv.DictReader((out / "eval_redescriptions.csv").read_text().splitlines()))
+        summary = list(csv.DictReader((out / "eval_summary.csv").read_text().splitlines()))[0]
         assert len(rows) == 30
         for column in ("aej", "aaj"):
             mean = sum(float(r[column]) for r in rows) / len(rows)
@@ -529,6 +529,14 @@ class TestInterchangeRoundTrip:
             ds,
         )
         assert loaded[0] == honest
+
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        ds, _ = _wide_dataset(tmp_path)
+        src = tmp_path / "bom.tsv"
+        src.write_text("\ufeff[0.0 <= a0 <= 5.0]\tz0\n", encoding="utf-8")
+        loaded, rejected = read_records(src, ds)
+        assert not rejected and len(loaded) == 1
+        assert loaded[0].key == ("[0.0 <= a0 <= 5.0]", "z0")
 
     def test_written_bytes_are_deterministic(self, tmp_path):
         ds, _ = _wide_dataset(tmp_path)

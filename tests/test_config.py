@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from redesc.config import FIELDS, RunConfig
+from redesc.config import FIELDS, RunConfig, parse_config_file
 from redesc.measures import Constraints
 from redesc.mine import MiningParams
 from redesc.reduce import EQUAL_WEIGHTS
@@ -44,3 +44,8 @@ def test_override_beats_file_and_none_is_ignored(tmp_path):
     assert cfg.mining.use_refinement is False
     assert cfg.mining.operator_mode == "conjunctive"
 
+
+def test_utf8_byte_order_mark_skipped(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("\ufeffmin_jaccard = 0.4\nseed = 3\n", encoding="utf-8")
+    assert parse_config_file(path) == {"min_jaccard": "0.4", "seed": "3"}

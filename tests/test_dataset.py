@@ -9,12 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redesc.dataset import (
+    BOOLEAN,
     CATEGORICAL,
     MISSING,
+    MISSING_TOKENS,
     NUMERIC,
+    Attribute,
     DataError,
     Dataset,
     SchemaError,
+    View,
+    _parse_boolean,
+    _parse_numeric,
     concat_rows,
     load_dataset,
     load_view,
@@ -125,6 +131,13 @@ class TestLoadView:
         ):
             load_view(path, {"risk": "categorical"})
 
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" and Notepad start the file with one
+        path = _write(tmp_path, "v.csv", "\ufeffx,f\n1.5,yes\n")
+        view = load_view(path, {"x": "numeric", "f": "boolean"})
+        assert [a.name for a in view.attributes] == ["x", "f"]
+        assert view.value_at(0, 0) == 1.5 and view.value_at(0, 1) is True
+
     def test_numeric_looking_labels_load(self, tmp_path):
         path = _write(tmp_path, "v.csv", "k\n1\n2.5\n-3\ninf\nlow_risk\na.b/c\n")
         view = load_view(path, {"k": "categorical"})
@@ -162,6 +175,94 @@ def test_loaded_names_and_labels_read_back_through_the_grammar_property(
         assert parse_query(print_query(q, view), view, 1) == canonicalize(q)
 
 
+def per_cell_load_view(path, schema):
+    """The loader `load_view` replaced, kept as the reference: every cell is
+    stripped and parsed on its own."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows, linenos = [], []
+        for row in reader:
+            if row:
+                rows.append([t.strip() for t in row])
+                linenos.append(reader.line_num)
+    attributes, columns = [], []
+    for j, name in enumerate(header):
+        kind, tokens = schema[name], [r[j] for r in rows]
+        labels = []
+        if kind == CATEGORICAL:
+            labels = sorted({t for t in tokens if t not in MISSING_TOKENS})
+            code = {lab: i for i, lab in enumerate(labels)}
+            col = np.array([code.get(t, -1) for t in tokens], dtype=np.int32)
+        else:
+            parse = _parse_numeric if kind == NUMERIC else _parse_boolean
+            col = np.array(
+                [np.nan if t in MISSING_TOKENS else parse(t, path, n, name)
+                 for t, n in zip(tokens, linenos)],
+                dtype=np.float64,
+            )
+        attributes.append(Attribute(j, name, kind, tuple(labels)))
+        columns.append(col)
+    return View(attributes, columns)
+
+
+_CELLS = {
+    NUMERIC: st.one_of(
+        st.sampled_from(["?", "", " ? ", "0", "-0", "1e3", " 2.5 ", "+7", ".5", "1_000"]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**20, 10**20).map(str),
+    ),
+    BOOLEAN: st.sampled_from(
+        ["?", "", "1", "0", "true", "TRUE", "tRuE", "t", "T", "yes", "YeS", "false",
+         "False", "f", "F", "no", "NO", " yes "]
+    ),
+    CATEGORICAL: st.sampled_from(["?", "", "1", "2.5", "-3", "10", "inf", "low", "a.b", " x "]),
+}
+# cells that no kind-specific parser accepts
+_BAD = {NUMERIC: ["bogus", "nan", "-inf", "1e999"], BOOLEAN: ["maybe", "2", "y"]}
+
+
+@st.composite
+def _csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, BOOLEAN, CATEGORICAL]), min_size=1, max_size=4))
+    n_rows = draw(st.integers(1, 12))
+    columns = [draw(st.lists(_CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    for kind, cells in zip(kinds, columns):
+        if kind == CATEGORICAL and all(c.strip() in MISSING_TOKENS for c in cells):
+            cells[0] = "low"  # a categorical column needs one observed label
+        if kind in _BAD and draw(st.integers(0, 9)) == 0:
+            cells[draw(st.integers(0, n_rows - 1))] = draw(st.sampled_from(_BAD[kind]))
+    blank_after = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    return kinds, list(zip(*columns)), blank_after
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=_csv_tables(), bom=st.booleans())
+def test_column_loader_equals_per_cell_reference_property(tmp_path_factory, table, bom):
+    """Loading a column at a time gives the per-cell loader's view, column
+    dtypes included, or the same error naming the same file line."""
+    kinds, rows, blank_after = table
+    header = [f"c{j}" for j in range(len(kinds))]
+    lines = [",".join(header)]
+    for row, blank in zip(rows, blank_after):
+        lines.append(",".join(row))
+        if blank:
+            lines.append("")
+    path = tmp_path_factory.mktemp("columns") / "v.csv"
+    path.write_text(("\ufeff" if bom else "") + "\n".join(lines) + "\n", encoding="utf-8")
+    schema = dict(zip(header, kinds))
+    try:
+        want = per_cell_load_view(path, schema)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_view(path, schema)
+        assert str(got.value) == str(exc)
+        return
+    got = load_view(path, schema)
+    assert got.equals(want)
+    assert [c.dtype for c in got.columns] == [c.dtype for c in want.columns]
+
+
 class TestSchemaFile:
     def test_round_trip(self, tmp_path):
         view = make_view([("x", "numeric", [1.0]), ("f", "boolean", [True])])
@@ -173,6 +274,10 @@ class TestSchemaFile:
         path = _write(
             tmp_path, "v.schema", "# header\nx = numeric  # temperature\nk = categorical#\n\n"
         )
+        assert read_schema(path) == {"x": "numeric", "k": "categorical"}
+
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        path = _write(tmp_path, "v.schema", "\ufeffx = numeric\nk = categorical\n")
         assert read_schema(path) == {"x": "numeric", "k": "categorical"}
 
     def test_bad_kind_rejected(self, tmp_path):

@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redesc.dataset import BOOLEAN, CATEGORICAL, NUMERIC, Attribute, View
-from redesc.query import Leaf, tri_support
-from redesc.tree import PctParams, Split, Tree, TreeNode, best_split, build_tree, extract_rules
+from redesc.query import Leaf, _literal_support, mask_to_bools, tri_support
+from redesc.tree import (
+    PctParams,
+    Split,
+    Tree,
+    TreeNode,
+    _edge_literal,
+    best_split,
+    build_tree,
+    extract_rules,
+    presort,
+)
 
 from conftest import make_view, random_view
 
@@ -49,6 +59,158 @@ def oracle_best_split(cover, view, targets, min_leaf_size):
             if h > 1e-12 and (best is None or h > best[0] + 1e-12):
                 best = (h, attr_id, kind, payload)
     return best
+
+
+def reference_best_split(cover, view, targets, min_leaf_size):
+    """The per-node dense scoring that presorting replaced, kept as the
+    bit-for-bit reference: every node argsorts each numeric attribute, each
+    attribute is its own block, and each categorical sum is scored alone."""
+    n = len(cover)
+    if n < 2 * min_leaf_size:
+        return None
+    sub = targets[cover].astype(np.float64)
+    if np.all(sub.max(axis=0) == sub.min(axis=0)):
+        return None
+    tot = sub.sum(axis=0)
+    base = float((tot**2).sum()) / n
+    best = None  # (gain, attr id, split)
+    for attr_id, attr in enumerate(view.attributes):
+        col = view.columns[attr_id][cover]
+        if attr.kind == NUMERIC:
+            finite = ~np.isnan(col)
+            vals = col[finite]
+            order = np.argsort(vals, kind="stable")
+            xs = vals[order]
+            nl = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+            if nl.size == 0:
+                continue
+            sl = np.cumsum(sub[np.flatnonzero(finite)[order]], axis=0)[nl - 1]
+            score = (sl**2).sum(axis=1) / nl + ((tot - sl) ** 2).sum(axis=1) / (n - nl)
+            labels = [float((xs[c - 1] + xs[c]) / 2.0) for c in nl.tolist()]
+        else:
+            codes = [1.0] if attr.kind == BOOLEAN else range(len(attr.categories))
+            nl, score = [], []
+            for code in codes:
+                left = col == code
+                sl = sub[left].sum(axis=0)
+                nl.append(int(left.sum()))
+                sq_left, sq_right = float((sl**2).sum()), float(((tot - sl) ** 2).sum())
+                score.append(sq_left / max(nl[-1], 1) + sq_right / max(n - nl[-1], 1))
+            nl, score = np.array(nl), np.array(score)
+            labels = list(attr.categories) if attr.kind == CATEGORICAL else [None]
+        gain = (score - base) / n
+        gain[(nl < min_leaf_size) | (nl > n - min_leaf_size)] = -np.inf
+        pick = int(gain.argmax())
+        if gain[pick] > (0.0 if best is None else best[0]):
+            if attr.kind == NUMERIC:
+                split = Split(attr_id, NUMERIC, float(gain[pick]), threshold=labels[pick])
+            else:
+                split = Split(attr_id, attr.kind, float(gain[pick]), category=labels[pick])
+            best = (float(gain[pick]), attr_id, split)
+    return None if best is None else best[2]
+
+
+def reference_build_tree(view, targets, params):
+    """`build_tree` with the reference scoring at every node: (cover, split)
+    pairs in the order `Tree.iter_nodes` yields them."""
+    out = []
+    queue = [(np.arange(view.n_rows), 0)]
+    while queue:
+        cover, depth = queue.pop(0)
+        split = None
+        if depth + 1 <= params.max_depth - 1:
+            split = reference_best_split(cover, view, targets, params.min_leaf_size)
+        out.append((cover, split))
+        if split is not None:
+            left = _literal_support(_edge_literal(view, split, True), view).in_mask
+            left_mask = mask_to_bools(left, view.n_rows)[cover]
+            queue += [(cover[left_mask], depth + 1), (cover[~left_mask], depth + 1)]
+    return out
+
+
+def _drawn_view(rng, n_rows, kinds, levels, missing_rate):
+    """Columns of the given kinds; numeric values on `levels` grid points, so
+    small level counts make ties."""
+    attributes, columns = [], []
+    for j, kind in enumerate(kinds):
+        codes = rng.integers(0, levels, n_rows)
+        missing = rng.random(n_rows) < missing_rate
+        if kind == CATEGORICAL:
+            attributes.append(Attribute(j, f"a{j}", kind, ("p", "q", "r", "s")))
+            columns.append(np.where(missing, -1, codes % 4).astype(np.int32))
+        else:
+            attributes.append(Attribute(j, f"a{j}", kind))
+            values = codes * 0.25 - 3.0 if kind == NUMERIC else codes % 2.0
+            columns.append(np.where(missing, np.nan, values))
+    return View(attributes, columns)
+
+
+_KINDS = st.lists(st.sampled_from([NUMERIC, BOOLEAN, CATEGORICAL]), min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(2, 70),
+    kinds=_KINDS,
+    levels=st.sampled_from([2, 5, 1000]),
+    n_targets=st.sampled_from([1, 2, 3, 84, 129]),
+    missing_rate=st.sampled_from([0.0, 0.1, 0.4]),
+    min_leaf_size=st.integers(1, 5),
+    sorted_cover=st.booleans(),
+)
+def test_scoring_equals_per_node_reference_property(
+    seed, n_rows, kinds, levels, n_targets, missing_rate, min_leaf_size, sorted_cover
+):
+    """Presorted, block-scored splits on real-valued targets equal the
+    per-node reference bit for bit, on ascending and unsorted covers alike."""
+    rng = np.random.default_rng(seed)
+    view = _drawn_view(rng, n_rows, kinds, levels, missing_rate)
+    targets = rng.standard_normal((n_rows, n_targets))
+    targets[:, rng.random(n_targets) < 0.2] = 1.5  # constant columns
+    cover = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]
+    if sorted_cover:
+        cover = np.sort(cover)
+    got = best_split(cover, view, targets, min_leaf_size)
+    want = reference_best_split(cover, view, targets, min_leaf_size)
+    assert got == want
+    if got is not None:
+        assert got.gain.hex() == want.gain.hex()
+    assert best_split(cover, view, targets, min_leaf_size, presort(view, cover)) == got
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(2, 90),
+    kinds=_KINDS,
+    levels=st.sampled_from([2, 5, 1000]),
+    n_targets=st.sampled_from([1, 3, 84]),
+    missing_rate=st.sampled_from([0.0, 0.2]),
+    boolean=st.booleans(),
+    min_leaf_size=st.integers(1, 5),
+)
+def test_presorted_tree_equals_per_node_reference_property(
+    seed, n_rows, kinds, levels, n_targets, missing_rate, boolean, min_leaf_size
+):
+    """Sorting once per tree and partitioning the sorted rows down it grows
+    the tree a per-node sort grows: every node's cover and split, gain bits
+    included, for boolean and real-valued targets."""
+    rng = np.random.default_rng(seed)
+    view = _drawn_view(rng, n_rows, kinds, levels, missing_rate)
+    if boolean:
+        targets = rng.random((n_rows, n_targets)) < 0.4
+    else:
+        targets = rng.standard_normal((n_rows, n_targets))
+    params = PctParams(max_depth=5, min_leaf_size=min_leaf_size)
+    got = [(node.cover, node.split) for node in build_tree(view, targets, params).iter_nodes()]
+    want = reference_build_tree(view, targets, params)
+    assert len(got) == len(want)
+    for (cover, split), (ref_cover, ref_split) in zip(got, want):
+        assert cover.tolist() == ref_cover.tolist()
+        assert split == ref_split
+        if split is not None:
+            assert split.gain.hex() == ref_split.gain.hex()
 
 
 class TestBestSplit:
