@@ -9,7 +9,6 @@ values throughout.
 __version__ = "0.1.0"
 
 from .dataset import (
-    MISSING,
     Attribute,
     DataError,
     Dataset,
@@ -19,8 +18,6 @@ from .dataset import (
     load_view,
     make_artificial,
     read_schema,
-    write_schema,
-    write_view,
 )
 from .measures import (
     Constraints,
@@ -35,15 +32,11 @@ from .measures import (
 )
 from .mine import MiningParams, Rule, RuleSet, mine
 from .query import (
-    FALSE,
-    TRUE,
-    UNKNOWN,
     Literal,
     Query,
     QuerySyntaxError,
     TriSupport,
     canonicalize,
-    eval_query,
     minimize_query,
     parse_query,
     print_query,

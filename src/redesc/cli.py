@@ -117,7 +117,6 @@ def cmd_reduce(args) -> int:
                     "weights": reduced.weights.as_tuple(),
                     "requested": size,
                     "selected": len(reduced.members),
-                    "status": reduced.status,
                     "output": str(path),
                 }
             )

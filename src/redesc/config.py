@@ -38,6 +38,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .dataset import read_text
 from .measures import Constraints
 from .mine import MiningParams
 from .reduce import EQUAL_WEIGHTS, WeightVector
@@ -53,7 +54,7 @@ class ConfigError(ValueError):
 def parse_config_file(path: str | Path) -> dict:
     """Raw key-value pairs; `weights` accumulates into a list of rows."""
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -120,7 +121,13 @@ def _as_sizes(value, key: str) -> list[int]:
 
 
 def _as_weights(rows, key: str) -> list[WeightVector]:
-    return [WeightVector.from_row([x.strip() for x in row.split(",")]) for row in rows]
+    weights = []
+    for row in rows:
+        try:
+            weights.append(WeightVector.from_row([x.strip() for x in row.split(",")]))
+        except ValueError as exc:
+            raise ConfigError(f"{exc}, in {key} = {row}") from None
+    return weights
 
 
 # key -> (section, dataclass field, parser). Section "run" is RunConfig itself;

@@ -1,12 +1,12 @@
 """Two-view tabular data with missing values.
 
-A dataset is a pair of views over a shared instance set: each view holds its
-own attributes and an instances-by-attributes cell matrix. Cells are numeric,
-boolean, or categorical, and any cell may be missing. Views are immutable
-after construction and safe to share across workers. Each view memoizes the
-support of every literal evaluated against it (see `query._literal_support`),
-so a derived view (a shuffled twin, a row stack) starts with its own empty
-memo.
+A dataset is two views paired row by row over a shared instance set: each
+view holds its own attributes and an instances-by-attributes cell matrix.
+Cells are numeric, boolean, or categorical, and any cell may be missing.
+Views are read from CSV (the library writes none) and are immutable, so they
+are safe to share across workers. Each view memoizes the support of every
+literal evaluated against it (see `query._literal_support`), so a derived
+view (a shuffled twin, a row stack) starts with its own empty memo.
 
 Storage is columnar: numeric and boolean columns are float64 arrays (missing
 cells are NaN; booleans are 0.0/1.0), categorical columns are int32 code
@@ -34,23 +34,6 @@ _RESERVED_NAMES = frozenset({"inf", "infinity", "nan"})
 MISSING_TOKENS = frozenset({"?", ""})
 _TRUE_TOKENS = frozenset({"1", "true", "t", "yes"})
 _FALSE_TOKENS = frozenset({"0", "false", "f", "no"})
-
-
-class _Missing:
-    """Singleton marker for a missing cell value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MISSING"
-
-
-MISSING = _Missing()
 
 
 class SchemaError(ValueError):
@@ -150,47 +133,18 @@ class View:
             return self.columns[col] < 0
         return np.isnan(self.columns[col])
 
-    def value_at(self, row: int, col: int):
-        """Cell value as a Python object, or MISSING."""
-        attr = self.attributes[col]
-        raw = self.columns[col][row]
-        if attr.kind == CATEGORICAL:
-            return MISSING if raw < 0 else attr.categories[int(raw)]
-        if np.isnan(raw):
-            return MISSING
-        if attr.kind == BOOLEAN:
-            return bool(raw == 1.0)
-        return float(raw)
-
-    def equals(self, other: "View") -> bool:
-        if self.attributes != other.attributes or self.n_rows != other.n_rows:
-            return False
-        for a, b in zip(self.columns, other.columns):
-            if a.dtype.kind == "f":
-                if not np.array_equal(a, b, equal_nan=True):
-                    return False
-            elif not np.array_equal(a, b):
-                return False
-        return True
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Two views over one shared, ordered instance set."""
 
     view1: View
     view2: View
-    element_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.view1.n_rows != self.view2.n_rows:
             raise DataError(
                 f"views disagree on row count: {self.view1.n_rows} vs {self.view2.n_rows}"
             )
-        if len(self.element_names) != self.view1.n_rows:
-            raise DataError("element name count differs from view row count")
-        if len(set(self.element_names)) != len(self.element_names):
-            raise DataError("element names are not unique")
 
     @property
     def n_elements(self) -> int:
@@ -204,6 +158,16 @@ class Dataset:
         raise ValueError(f"view_id must be 1 or 2, got {view_id}")
 
 
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text, BOM skipped; a byte that is not UTF-8 is a DataError."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_schema(path: str | Path) -> dict[str, str]:
     """Parse a sidecar schema file.
 
@@ -212,7 +176,7 @@ def read_schema(path: str | Path) -> dict[str, str]:
     of the line; blank lines are ignored.
     """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -287,32 +251,36 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     parse as MISSING, and numeric cells must be finite. Categorical categories
     are inferred from the data and ordered lexicographically; names and labels
     must read back through the query grammar. Errors name the file and, for a
-    cell, its 1-based line. A UTF-8 byte-order mark is skipped.
+    cell or a byte that is not UTF-8, its line. A UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header")
-        for name in header:
-            if name not in schema:
-                raise SchemaError(f"{path}: column {name!r} not declared in schema")
-        rows: list[list[str]] = []
-        linenos: list[int] = []  # file line of each data row; blank lines are skipped
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
-            linenos.append(reader.line_num)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise SchemaError(f"{path}: duplicate column names in header")
+            for name in header:
+                if name not in schema:
+                    raise SchemaError(f"{path}: column {name!r} not declared in schema")
+            rows: list[list[str]] = []
+            linenos: list[int] = []  # file line of each data row; blank lines are skipped
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(row)
+                linenos.append(reader.line_num)
+    except UnicodeDecodeError:
+        read_text(path)  # not UTF-8: raises the DataError that names the line
+        raise
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -346,42 +314,16 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     return View(attributes, columns)
 
 
-def write_view(view: View, path: str | Path) -> None:
-    """Write a View back to the native CSV format (missing cells as '?')."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([a.name for a in view.attributes])
-        for i in range(view.n_rows):
-            row = []
-            for j, attr in enumerate(view.attributes):
-                v = view.value_at(i, j)
-                if v is MISSING:
-                    row.append("?")
-                elif attr.kind == BOOLEAN:
-                    row.append("1" if v else "0")
-                elif attr.kind == NUMERIC:
-                    row.append(repr(v))
-                else:
-                    row.append(v)
-            writer.writerow(row)
-
-
-def write_schema(view: View, path: str | Path) -> None:
-    lines = [f"{a.name} = {a.kind}" for a in view.attributes]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def load_dataset(
     view1_path: str | Path,
     schema1_path: str | Path,
     view2_path: str | Path,
     schema2_path: str | Path,
 ) -> Dataset:
-    """Load both views and pair them; element names are generated as e0..eN-1."""
+    """Load both views and pair them row by row."""
     v1 = load_view(view1_path, read_schema(schema1_path))
     v2 = load_view(view2_path, read_schema(schema2_path))
-    names = tuple(f"e{i}" for i in range(v1.n_rows))
-    return Dataset(v1, v2, names)
+    return Dataset(v1, v2)
 
 
 def make_artificial(view: View, seed) -> View:

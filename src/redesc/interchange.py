@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .dataset import Dataset
+from .dataset import Dataset, read_text
 from .measures import Redescription
 from .query import parse_query, tri_support
 
@@ -58,10 +58,7 @@ def read_records(
     """
     members: list[Redescription] = []
     rejected: list[RejectedRecord] = []
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
-    ):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -25,7 +25,6 @@ from .query import (
     Query,
     TriSupport,
     _print_node,
-    mask_to_bools,
     pack_masks,
     print_query,
     query_attr_count,
@@ -215,10 +214,6 @@ class Redescription:
     @property
     def supp_mask(self) -> int:
         return self.tri1.in_mask & self.tri2.in_mask
-
-    @property
-    def supp(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(mask_to_bools(self.supp_mask, self.n_elements)).tolist())
 
     @property
     def variability(self) -> float:

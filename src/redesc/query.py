@@ -6,16 +6,13 @@ semantics with the truth ordering FALSE < UNKNOWN < TRUE: a literal over a
 missing cell is UNKNOWN, AND takes the minimum, OR the maximum, and NOT swaps
 TRUE/FALSE while fixing UNKNOWN.
 
-Two evaluation paths exist on purpose: `eval_query` is a plain row-by-row
-interpreter, and `tri_support` folds each literal's `TriSupport` masks with
-`intersect` (AND), `union` (OR) and `negate` (NOT). They are kept independent
-so each can check the other.
-
+`tri_support` is the one evaluator: it folds each literal's `TriSupport`
+masks with `intersect` (AND), `union` (OR) and `negate` (NOT).
 `_literal_support` is the one place a literal meets a column. Memoized per
-view, it serves `tri_support`, `minimize_query` and tree routing, and
-`eval_query` reads cells directly, uncached. Every conversion between int
-bitmasks (bit i = row i), packed `uint64` word rows (`pack_masks`) and
-boolean row bits (`unpack_rows`, `bools_to_mask`) lives here too.
+view, it serves `tri_support`, `minimize_query` and tree routing. Every
+conversion between int bitmasks (bit i = row i), packed `uint64` word rows
+(`pack_masks`) and boolean row bits (`unpack_rows`, `bools_to_mask`) lives
+here too.
 
 A redescription's queries are canonical (see `canonicalize`) from the moment
 they are built: `parse_query` and `minimize_query` (tree rules, refinements)
@@ -26,7 +23,6 @@ canonicalizes whatever it is handed.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -35,10 +31,6 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .dataset import BOOLEAN, CATEGORICAL, NUMERIC, View
-
-FALSE = 0
-UNKNOWN = 1
-TRUE = 2
 
 _INF = float("inf")
 
@@ -153,24 +145,6 @@ class TriSupport:
         if self.in_mask >> self.n or self.unk_mask >> self.n:
             raise ValueError("mask bits beyond instance count")
 
-    @classmethod
-    def from_sets(cls, in_set, unk_set, n: int) -> "TriSupport":
-        in_mask = 0
-        for e in in_set:
-            in_mask |= 1 << e
-        unk_mask = 0
-        for e in unk_set:
-            unk_mask |= 1 << e
-        return cls(in_mask, unk_mask, n)
-
-    @property
-    def in_set(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(mask_to_bools(self.in_mask, self.n)).tolist())
-
-    @property
-    def unk_set(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(mask_to_bools(self.unk_mask, self.n)).tolist())
-
     def intersect(self, other: "TriSupport") -> "TriSupport":
         """Kleene AND combined at the set level (min per instance)."""
         in_mask = self.in_mask & other.in_mask
@@ -190,7 +164,7 @@ class TriSupport:
 
 
 # ---------------------------------------------------------------------------
-# Row-by-row interpreter
+# Vectorized support computation
 # ---------------------------------------------------------------------------
 
 
@@ -203,56 +177,6 @@ def _check_attrs(node: Node, view: View) -> None:
                 f"literal kind {lit.kind} does not match attribute "
                 f"{view.attributes[lit.attr].name!r} ({view.attributes[lit.attr].kind})"
             )
-
-
-def _eval_literal_row(lit: Literal, view: View, row: int) -> int:
-    col = view.columns[lit.attr]
-    if lit.kind == CATEGORICAL:
-        code = col[row]
-        if code < 0:
-            return UNKNOWN
-        holds = view.attributes[lit.attr].categories[int(code)] == lit.category
-    else:
-        x = col[row]
-        if math.isnan(x):
-            return UNKNOWN
-        if lit.kind == BOOLEAN:
-            holds = x == 1.0
-        else:
-            holds = lit.lo <= x <= lit.hi
-    value = TRUE if holds else FALSE
-    return 2 - value if lit.negated else value
-
-
-def _eval_node_row(node: Node, view: View, row: int) -> int:
-    if isinstance(node, Leaf):
-        return _eval_literal_row(node.literal, view, row)
-    if isinstance(node, And):
-        value = TRUE
-        for child in node.children:
-            value = min(value, _eval_node_row(child, view, row))
-            if value == FALSE:
-                return FALSE
-        return value
-    if isinstance(node, Or):
-        value = FALSE
-        for child in node.children:
-            value = max(value, _eval_node_row(child, view, row))
-            if value == TRUE:
-                return TRUE
-        return value
-    return 2 - _eval_node_row(node.child, view, row)
-
-
-def eval_query(q: Query, view: View, row: int) -> int:
-    """Evaluate one instance row; returns FALSE, UNKNOWN, or TRUE."""
-    _check_attrs(q.root, view)
-    return _eval_node_row(q.root, view, row)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized support computation
-# ---------------------------------------------------------------------------
 
 
 def _literal_support(lit: Literal, view: View) -> TriSupport:

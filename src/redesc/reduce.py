@@ -11,12 +11,11 @@ support. Positive weights make each pick a non-dominated candidate.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .measures import (
-    Constraints,
     PackedMembers,
     Redescription,
     mask_jaccard,  # unused here; kept bound because bench/tracer.py counts calls through it
@@ -65,8 +64,6 @@ class ReducedSet:
     members: list[Redescription]
     weights: WeightVector
     n: int
-    constraints: Constraints | None = None
-    status: str = "ok"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -208,40 +205,22 @@ def find_best(
     return _first_min(w, cand, state.taken, blend, state.elem_max, state.attr_max)
 
 
-def reduce_set(
-    pool,
-    weight_rows: Sequence[WeightVector | Sequence[float]],
-    n: int,
-    constraints: Constraints | None = None,
-) -> list[ReducedSet]:
-    """One reduced set per weight row.
-
-    An optional constraint bundle re-filters the pool first, so one mined
-    corpus supports exploring accuracy/support thresholds without re-mining.
-    Selection stops at n members or pool exhaustion. The filtered pool is
-    packed and profiled once and shared by every weight row; each pick then
-    costs one vector update against the newest member.
+def reduce_set(pool, weight_rows: Sequence[WeightVector], n: int) -> list[ReducedSet]:
+    """One reduced set per weight row, selected from the whole pool: no
+    constraint applies. Selection stops at n members or pool exhaustion, so
+    an empty pool gives empty sets. The pool is packed and profiled once and
+    shared by every weight row; each pick then costs one vector update
+    against the newest member.
     """
     if n < 1:
         raise ValueError("reduced set size must be at least 1")
-    rows = [r if isinstance(r, WeightVector) else WeightVector.from_row(r) for r in weight_rows]
-    members = list(pool)
-    candidates = [r for r in members if constraints.admits(r)] if constraints else members
+    candidates = list(pool)
     if not candidates:
-        return [
-            ReducedSet(
-                members=[],
-                weights=w,
-                n=n,
-                constraints=constraints,
-                status="warning: all candidates filtered out",
-            )
-            for w in rows
-        ]
+        return [ReducedSet(members=[], weights=w, n=n) for w in weight_rows]
     cand = PackedMembers(candidates)
     profile = compute_occurrence(cand)
     outputs: list[ReducedSet] = []
-    for w in rows:
+    for w in weight_rows:
         state = _Selection(cand)
         selected = [find_specific(candidates, profile, w, cand=cand)]
         while len(selected) < n:
@@ -249,5 +228,5 @@ def reduce_set(
             if nxt is None:
                 break
             selected.append(nxt)
-        outputs.append(ReducedSet(members=selected, weights=w, n=n, constraints=constraints))
+        outputs.append(ReducedSet(members=selected, weights=w, n=n))
     return outputs

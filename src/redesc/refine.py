@@ -40,7 +40,6 @@ from .query import (
     Leaf,
     Literal,
     Query,
-    TriSupport,
     canonicalize,
     is_conjunctive,
     iter_literals,
@@ -86,28 +85,18 @@ def _tightened_queries(
     )
 
 
-def tighten_bounds(ref: Redescription, target_support: frozenset[int] | set[int], dataset: Dataset) -> Redescription:
-    """Refiner with numeric bounds shrunk to the hull of `target_support`.
+def tighten_bounds(ref: Redescription, target_mask: int, dataset: Dataset) -> Redescription:
+    """Refiner with numeric bounds shrunk to the hull of the rows in `target_mask`.
 
-    Requires conjunctive queries and target_support ⊆ supp(ref); guarantees
-    target_support ⊆ supp(result) ⊆ supp(ref).
+    Requires conjunctive queries and target ⊆ supp(ref); guarantees
+    target ⊆ supp(result) ⊆ supp(ref).
     """
     if not (is_conjunctive(ref.q1) and is_conjunctive(ref.q2)):
         raise ValueError("refiner queries must be conjunctive")
-    target_mask = TriSupport.from_sets(target_support, (), ref.n_elements).in_mask
     if target_mask & ~ref.supp_mask:
         raise ValueError("target support is not contained in the refiner's support")
     q1, q2 = map(canonicalize, _tightened_queries(ref, target_mask, dataset))
     return Redescription.evaluate(q1, q2, dataset)
-
-
-def strict_witness(r: Redescription, tightened_ref: Redescription) -> bool:
-    """True when some instance supported by one of r's queries is not
-    supported by the refiner's corresponding query; conjoining then strictly
-    shrinks the union, so accuracy strictly rises (for nonempty support)."""
-    gap1 = r.tri1.in_mask & ~tightened_ref.tri1.in_mask
-    gap2 = r.tri2.in_mask & ~tightened_ref.tri2.in_mask
-    return bool(gap1 | gap2)
 
 
 def refine_pair(r: Redescription, ref: Redescription, dataset: Dataset) -> RefinementOutcome:

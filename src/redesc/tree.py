@@ -73,7 +73,6 @@ class Tree:
     root: TreeNode
     view: View
     view_id: int
-    params: PctParams
 
     def iter_nodes(self) -> Iterator[TreeNode]:
         queue = deque([self.root])
@@ -337,7 +336,7 @@ def build_tree(view: View, targets: np.ndarray, params: PctParams, view_id: int 
         goes_left = in_left[order]
         for child, side in ((node.right, ~goes_left), (node.left, goes_left)):
             stack.append((child, order[side].reshape(len(order), len(child.cover))))
-    return Tree(root=root, view=view, view_id=view_id, params=params)
+    return Tree(root=root, view=view, view_id=view_id)
 
 
 def _next_observed(view: View, attr: int, threshold: float) -> float:

@@ -59,7 +59,7 @@ def make_view(spec: list[tuple[str, str, list]]) -> View:
 def make_dataset(spec1, spec2) -> Dataset:
     v1 = make_view(spec1)
     v2 = make_view(spec2)
-    return Dataset(v1, v2, tuple(f"e{i}" for i in range(v1.n_rows)))
+    return Dataset(v1, v2)
 
 
 def random_view(rng: np.random.Generator, n_rows: int, n_num=2, n_bool=1, n_cat=0,

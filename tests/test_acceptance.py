@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from redesc.cli import main
-from redesc.dataset import write_schema, write_view
 from redesc.interchange import read_records
 from redesc.measures import (
     Constraints,
@@ -26,7 +25,7 @@ from redesc.measures import (
 from redesc.mine import MiningParams, mine
 from redesc.query import parse_query
 from redesc.reduce import WeightVector, reduce_set
-from redesc.refine import refine_pair, strict_witness, tighten_bounds
+from redesc.refine import refine_pair, tighten_bounds
 from redesc.tree import PctParams
 
 from conftest import (
@@ -36,6 +35,7 @@ from conftest import (
     planted_dataset,
     refinement_benefit_dataset,
 )
+from reference import strict_witness, write_schema, write_view
 from test_measures import completion_extremes, random_counts
 from test_reduce import oracle_reduce
 from test_refine import nested_pair, random_two_view_dataset
@@ -88,7 +88,7 @@ def test_criterion_02_refinement_guarantees():
         ok &= outcome.refined.supp_mask == r.supp_mask
         ok &= outcome.refined.j_qnm >= r.j_qnm - 1e-15
         if r.key != ref.key:
-            tightened = tighten_bounds(ref, r.supp, ds)
+            tightened = tighten_bounds(ref, r.supp_mask, ds)
             if strict_witness(r, tightened):
                 ok &= outcome.refined.j_qnm > r.j_qnm
                 strict_seen += 1

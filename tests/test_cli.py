@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from redesc.cli import main
-from redesc.dataset import write_schema, write_view
 from redesc.interchange import read_records, write_records
 from redesc.measures import Redescription
 from redesc.query import parse_query
 
 from conftest import make_dataset, planted_dataset
+from reference import write_schema, write_view
 
 
 @pytest.fixture
@@ -169,8 +169,11 @@ class TestMineCommand:
             ("min_ref_jaccard = -0.5", "min_ref_jaccard must lie in [0, 1], got -0.5"),
             ("disjunction_threshold = nan", "disjunction_threshold must lie in [0, 1], got nan"),
             ("max_disjuncts = -3", "max_disjuncts must be non-negative, got -3"),
+            ("weights = 1,1", "expected 5 or 6 weights, got 2, in weights = 1,1"),
+            ("weights = a,b,c,d,e", "could not convert string to float: 'a', in weights = a,b,c,d,e"),
         ],
-        ids=["min_ref_jaccard-nan", "min_ref_jaccard-negative", "disjunction_threshold", "max_disjuncts"],
+        ids=["min_ref_jaccard-nan", "min_ref_jaccard-negative", "disjunction_threshold", "max_disjuncts",
+             "weights-count", "weights-word"],
     )
     def test_out_of_range_value_exits_two_and_names_key(
         self, planted_files, tmp_path, capsys, line, message
@@ -208,6 +211,24 @@ def test_header_only_view_exits_two_and_names_file(tmp_path, capsys, command):
     assert code == 2
     assert f"{paths['view2']}: no data rows" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("target", ["view1", "schema2", "config", "interchange"])
+def test_bytes_that_are_not_utf8_exit_two_and_name_file_line(tmp_path, capsys, target):
+    _, paths = _wide_dataset(tmp_path)
+    paths["interchange"] = tmp_path / "pool.tsv"
+    _synthetic_interchange(paths["interchange"], 5)
+    paths["config"] = tmp_path / "run.cfg"
+    paths["config"].write_text("seed = 1\nsizes = 5\n", encoding="utf-8")
+    # the last line, past the first 8 KiB of the view, which is read in chunks
+    lines = paths[target].read_bytes().split(b"\n")
+    lines[-2] += b"\xff"
+    paths[target].write_bytes(b"\n".join(lines))
+    code = main(["eval", str(paths["interchange"]), *_dataset_args(paths),
+                 "--config", str(paths["config"]), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {paths[target]}:{len(lines) - 1}: not UTF-8 text" in err
 
 def _risk_files(tmp_path, high, low, n_rows=200):
     """Two views whose categorical column `risk` (labels `high`, `low`) the

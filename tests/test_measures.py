@@ -45,6 +45,7 @@ from redesc.query import (
 from redesc.reduce import OccurrenceProfile, WeightVector, compute_occurrence, find_specific
 
 from conftest import fabricate_pool, make_dataset
+from reference import from_sets, supp
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,8 @@ class TestPValue:
             assert all(a >= b - 1e-15 for a, b in zip(tail, tail[1:]))
 
     def test_p_value_uses_definite_supports(self):
-        tri1 = TriSupport.from_sets({0, 1, 2}, {3}, 6)
-        tri2 = TriSupport.from_sets({0, 1}, {4}, 6)
+        tri1 = from_sets({0, 1, 2}, {3}, 6)
+        tri2 = from_sets({0, 1}, {4}, 6)
         c = StatusCounts.from_supports(tri1, tri2)
         assert p_value(c, 6) == binomial_tail(2, 3, 2, 6)
 
@@ -459,7 +460,7 @@ class TestScores:
             values = (
                 score_pval(r.p_value),
                 score_size(r.attr_count),
-                sum(profile.element_counts[e] for e in r.supp) / profile.element_total,
+                sum(profile.element_counts[e] for e in supp(r)) / profile.element_total,
                 sum(profile.attribute_counts[a] for a in r.attrs) / profile.attribute_total,
                 max(mask_jaccard(r.supp_mask, m.supp_mask) for m in reduced),
                 max(set_jaccard(r.attrs, m.attrs) for m in reduced),

@@ -47,6 +47,7 @@ from conftest import (
     refinement_benefit_dataset,
     rule_supports,
 )
+from reference import from_sets
 
 # the package re-exports the `mine` function under the submodule's name
 mine_module = importlib.import_module("redesc.mine")
@@ -109,7 +110,7 @@ class TestConstructTargets:
         )
         q = parse_query("[0.0 <= x <= 1.0]", ds.view1, 1)
         return [
-            Rule(query=q, tri=TriSupport.from_sets(m, set(), n), text=f"r{i}")
+            Rule(query=q, tri=from_sets(m, set(), n), text=f"r{i}")
             for i, m in enumerate(masks)
         ]
 

@@ -20,6 +20,7 @@ from redesc.tree import (
 )
 
 from conftest import make_view, random_view
+from reference import in_set, unk_set
 
 
 def _variance_sum(rows: np.ndarray) -> float:
@@ -415,7 +416,7 @@ class TestExtractRules:
         root.right = TreeNode(cover=np.array([3]), depth=1)
         left.left = TreeNode(cover=np.array([0]), depth=2)
         left.right = TreeNode(cover=np.array([1, 2]), depth=2)
-        tree = Tree(root=root, view=view, view_id=1, params=PctParams())
+        tree = Tree(root=root, view=view, view_id=1)
         rules = dict()
         for q, cover in extract_rules(tree):
             rules[tuple(cover)] = q
@@ -432,8 +433,8 @@ class TestExtractRules:
             tree = build_tree(view, targets, PctParams(max_depth=4, min_leaf_size=2))
             for q, cover in extract_rules(tree):
                 tri = tri_support(q, view)
-                assert tri.in_set == frozenset(int(i) for i in cover)
-                assert tri.unk_set == frozenset()
+                assert in_set(tri) == frozenset(int(i) for i in cover)
+                assert unk_set(tri) == frozenset()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -462,4 +463,4 @@ def test_covers_bracket_rule_supports_with_missing_cells_property(
             assert set(missing.tolist()) <= set(node.right.cover.tolist())
     for q, cover in extract_rules(tree):
         tri = tri_support(q, tree.view)
-        assert tri.in_set <= frozenset(cover.tolist()) <= tri.in_set | tri.unk_set
+        assert in_set(tri) <= frozenset(cover.tolist()) <= in_set(tri) | unk_set(tri)
