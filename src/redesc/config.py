@@ -28,7 +28,7 @@ Recognized keys:
   refine                           true | false
   disjunction_threshold            accuracy gate for disjunction building
   max_disjuncts                    disjuncts added per query at most
-  sizes                            reduced-set sizes, comma separated
+  sizes                            distinct reduced-set sizes, comma separated
   weights                          one importance-weight row (repeatable)
 """
 
@@ -117,6 +117,8 @@ def _as_sizes(value, key: str) -> list[int]:
     sizes = [_as_int(x.strip(), key) for x in str(value).split(",")]
     if any(s < 1 for s in sizes):
         raise ConfigError(f"{key} must all be at least 1")
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError(f"{key} must be distinct, got {value!r}")
     return sizes
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc
@@ -168,6 +168,7 @@ class Redescription:
     q2: Query
     tri1: TriSupport
     tri2: TriSupport
+    supp_mask: int  # supp(R) as a bitmask: the rows both queries definitely describe
     counts: StatusCounts
     j_qnm: float
     j_opt: float
@@ -193,6 +194,7 @@ class Redescription:
             q2=q2,
             tri1=tri1,
             tri2=tri2,
+            supp_mask=tri1.in_mask & tri2.in_mask,
             counts=counts,
             j_qnm=variants.qnm,
             j_opt=variants.opt,
@@ -210,10 +212,6 @@ class Redescription:
         return cls.create(
             q1, q2, tri_support(q1, dataset.view1), tri_support(q2, dataset.view2), dataset
         )
-
-    @property
-    def supp_mask(self) -> int:
-        return self.tri1.in_mask & self.tri2.in_mask
 
     @property
     def variability(self) -> float:
@@ -393,12 +391,9 @@ class PackedMembers:
         return shared / np.maximum(self.attr_sizes + len(m.attrs) - shared, 1)
 
 
-def _mean_over_others(r: Redescription, members, similarity) -> float:
-    """Mean of `similarity(packed, r)` over every member of the list or
-    `PackedMembers` but r itself (or, if absent, the first member equal to r)."""
-    if not len(members):
-        return 0.0
-    packed = members if isinstance(members, PackedMembers) else PackedMembers(list(members))
+def _mean_over_others(r: Redescription, packed: PackedMembers, similarity) -> float:
+    """Mean of `similarity(packed, r)` over every packed member but r itself
+    (or, if absent, the first member equal to r)."""
     keep = packed.ids != id(r)
     if keep.all():
         equal = next((i for i, m in enumerate(packed.members) if m == r), None)
@@ -409,14 +404,14 @@ def _mean_over_others(r: Redescription, members, similarity) -> float:
     return sum(similarity(packed, r)[keep].tolist()) / count if count else 0.0
 
 
-def aej(r: Redescription, members: Sequence[Redescription] | PackedMembers) -> float:
+def aej(r: Redescription, packed: PackedMembers) -> float:
     """Average Jaccard of r's support against every other member's support."""
-    return _mean_over_others(r, members, PackedMembers.element_similarity)
+    return _mean_over_others(r, packed, PackedMembers.element_similarity)
 
 
-def aaj(r: Redescription, members: Sequence[Redescription] | PackedMembers) -> float:
+def aaj(r: Redescription, packed: PackedMembers) -> float:
     """Average Jaccard of r's attribute set against every other member's."""
-    return _mean_over_others(r, members, PackedMembers.attribute_similarity)
+    return _mean_over_others(r, packed, PackedMembers.attribute_similarity)
 
 
 # ---------------------------------------------------------------------------

@@ -290,17 +290,16 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
         rules1, rules2 = rules.rules1, rules.rules2
         blocks = ((rules1[:done1], rules2[done2:]), (rules1[done1:], rules2))
         done1, done2 = len(rules1), len(rules2)
-        if params.use_refinement:
-            before_keys = {m.key for m in rset.members}
-            for block1, block2 in blocks:
+        before_keys = {m.key for m in rset.members}
+        for block1, block2 in blocks:
+            if params.use_refinement:
                 refine.construct_and_refine(block1, block2, rset, constraints, dataset)
-            fresh = [m for m in rset.members if m.key not in before_keys]
-        else:
-            fresh = []
-            for block1, block2 in blocks:
+            else:
                 for candidate in create_redescriptions(block1, block2, constraints, dataset):
-                    if rset.add(candidate):
-                        fresh.append(candidate)
+                    rset.add(candidate)
+        # the round's new members: a candidate that `add` took may since have
+        # been displaced by a more accurate one of the same support
+        fresh = [m for m in rset.members if m.key not in before_keys]
 
         if params.operator_mode == "all" and fresh:
             for extended in combine_disjunctive(fresh, rules, constraints, dataset, params):

@@ -88,13 +88,11 @@ class OccurrenceProfile:
         return float(sum(self.attribute_counts.values()))
 
 
-def compute_occurrence(pool) -> OccurrenceProfile:
-    """Count, per element and per attribute, how many redescriptions in the
-    pool cover or use it. `pool` may be already packed."""
-    if not isinstance(pool, PackedMembers):
-        pool = PackedMembers(list(pool))
-    per_attr = pool.incidence.sum(axis=0).tolist()
-    return OccurrenceProfile(pool.element_counts(), dict(zip(pool.attr_col, per_attr)))
+def compute_occurrence(cand: PackedMembers) -> OccurrenceProfile:
+    """Count, per element and per attribute, how many packed redescriptions
+    cover or use it."""
+    per_attr = cand.incidence.sum(axis=0).tolist()
+    return OccurrenceProfile(cand.element_counts(), dict(zip(cand.attr_col, per_attr)))
 
 
 class _Selection:
@@ -149,18 +147,12 @@ def _first_min(
 
 
 def find_specific(
-    pool, profile: OccurrenceProfile, w: WeightVector, *, cand: PackedMembers | None = None
+    cand: PackedMembers, profile: OccurrenceProfile, w: WeightVector
 ) -> Redescription:
-    """First pick: accurate, significant, small, and built from elements and
-    attributes that few other redescriptions touch. Ties keep input order.
-
-    `cand` is the pool already packed by `reduce_set`.
+    """First pick among the packed candidates: accurate, significant, small,
+    and built from elements and attributes that few other redescriptions
+    touch. Ties keep input order.
     """
-    members = list(pool)
-    if not members:
-        raise ValueError("empty candidate pool")
-    if cand is None:
-        cand = PackedMembers(members)
     el_total = profile.element_total
     at_total = profile.attribute_total
     # the counts are integers, so these sums are exact in any order
@@ -172,32 +164,23 @@ def find_specific(
         per_attr = [profile.attribute_counts.get(a, 0) for a in cand.attr_col]
         ocur_at = (cand.incidence * np.array(per_attr, dtype=np.int64)).sum(axis=1) / at_total
     best = _first_min(w, cand, np.zeros(len(cand), dtype=bool), cand.pval_score, ocur_el, ocur_at)
-    return members[0] if best is None else best
+    return cand.members[0] if best is None else best
 
 
 def find_best(
-    pool,
-    reduced: Sequence[Redescription],
-    w: WeightVector,
-    n: int,
-    *,
-    state: _Selection | None = None,
+    state: _Selection, reduced: Sequence[Redescription], w: WeightVector, n: int
 ) -> Redescription | None:
-    """Next pick given the set built so far; None when the pool is exhausted.
+    """Next pick given the set built so far; None when the candidates are
+    exhausted.
 
     The significance weight splits between the p-value score and relative
     support with ratio k/n, where k is the current reduced-set size: early
     picks favour small significant redescriptions, late picks larger support.
     Members of `reduced` are excluded by identity and enter the similarity
-    terms whether or not they are in the pool. `state` is `reduce_set`'s
+    terms whether or not they are candidates. `state` is `reduce_set`'s
     running selection over the packed pool; it folds in only the members of
     `reduced` added since the previous call.
     """
-    if state is None:
-        members = list(pool)
-        if not members:
-            return None
-        state = _Selection(PackedMembers(members))
     state.catch_up(reduced)
     cand = state.cand
     k = len(reduced)
@@ -222,9 +205,9 @@ def reduce_set(pool, weight_rows: Sequence[WeightVector], n: int) -> list[Reduce
     outputs: list[ReducedSet] = []
     for w in weight_rows:
         state = _Selection(cand)
-        selected = [find_specific(candidates, profile, w, cand=cand)]
+        selected = [find_specific(cand, profile, w)]
         while len(selected) < n:
-            nxt = find_best(candidates, selected, w, n, state=state)
+            nxt = find_best(state, selected, w, n)
             if nxt is None:
                 break
             selected.append(nxt)

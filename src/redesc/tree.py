@@ -256,11 +256,7 @@ def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray, order: np.
 
 
 def best_split(
-    cover: np.ndarray,
-    view: View,
-    targets: np.ndarray,
-    min_leaf_size: int = 1,
-    order: np.ndarray | None = None,
+    cover: np.ndarray, view: View, targets: np.ndarray, min_leaf_size: int, order: np.ndarray
 ) -> Split | None:
     """Scan every candidate single-attribute test and return the one with the
     largest positive variance reduction, or None.
@@ -270,13 +266,12 @@ def best_split(
     each label. Ties resolve to the lowest attribute id, then the lowest
     threshold / earliest category. A boolean target matrix is scored from its
     nonzeros, any other densely; both give the same split, gain included.
-    `order` is `presort(view, cover)`, computed here when not given.
+    `order` is `presort(view, cover)`, or the rows of a child's cover in that
+    order as `build_tree` splits them down.
     """
     n = len(cover)
     if n < 2 * min_leaf_size:
         return None
-    if order is None:
-        order = presort(view, cover)
     score_tests = _sparse_tests if targets.dtype == np.bool_ else _dense_tests
     scored = score_tests(cover, view, targets, order)
     if scored is None:

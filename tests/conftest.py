@@ -334,3 +334,42 @@ def mask_rules(masks, view_id: int, n: int) -> list:
         Rule(Query(Leaf(Literal(0, BOOLEAN)), view_id), TriSupport(m, 0, n), f"r{view_id}.{i}")
         for i, m in enumerate(masks)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Small drawn datasets for whole mining runs
+# ---------------------------------------------------------------------------
+
+
+def latent_dataset(n: int, seed: int, missing: float) -> Dataset:
+    """n rows (missing cells at the given rate, labels that look like numbers
+    included) whose two views share one latent split."""
+    rng = np.random.default_rng(seed)
+    latent = rng.random(n) < 0.5
+
+    def noisy(flip):
+        return latent ^ (rng.random(n) < flip)
+
+    spec1 = [
+        ("x0", NUMERIC, list(np.round(noisy(0.1) * 3 + rng.normal(0, 1, n), 2))),
+        ("x1", NUMERIC, list(np.round(rng.uniform(0, 5, n), 2))),
+        ("k", CATEGORICAL, [("1", "2.5")[int(v)] if rng.random() < 0.8 else "lo_k" for v in noisy(0.2)]),
+    ]
+    spec2 = [
+        ("b0", BOOLEAN, list(noisy(0.1))),
+        ("b1", BOOLEAN, list(rng.random(n) < 0.5)),
+        ("c", CATEGORICAL, [("-3", "inf")[int(v)] for v in noisy(0.15)]),
+    ]
+    spec1, spec2 = (
+        [(name, kind, [None if rng.random() < missing else v for v in vals]) for name, kind, vals in spec]
+        for spec in (spec1, spec2)
+    )
+    return make_dataset(spec1, spec2)
+
+
+@st.composite
+def small_latent_datasets(draw):
+    """A `latent_dataset` of 20 to 60 rows, with or without missing cells."""
+    n = draw(st.integers(20, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return latent_dataset(n, seed, draw(st.sampled_from([0.0, 0.1])))

@@ -35,7 +35,7 @@ from conftest import (
     planted_dataset,
     refinement_benefit_dataset,
 )
-from reference import strict_witness, write_schema, write_view
+from reference import packed, strict_witness, write_schema, write_view
 from test_measures import completion_extremes, random_counts
 from test_reduce import oracle_reduce
 from test_refine import nested_pair, random_two_view_dataset
@@ -65,8 +65,8 @@ def test_criterion_01_attribute_redundancy_fixed_points(climate_species_dataset)
         parse_query(q_hare, ds.view1, 1), parse_query("MountainHare", ds.view2, 2), ds
     )
     ok = (
-        aaj(r_base, [r_base, r_wide]) == 0.75
-        and aaj(r_wide, [r_wide, r_hare]) == 0.0
+        aaj(r_base, packed([r_base, r_wide])) == 0.75
+        and aaj(r_wide, packed([r_wide, r_hare])) == 0.0
         and time.perf_counter() - started < 1.0
     )
     _report(1, "hand-encoded pairs give attribute redundancy 0.75 and 0 exactly", ok)

@@ -171,9 +171,10 @@ class TestMineCommand:
             ("max_disjuncts = -3", "max_disjuncts must be non-negative, got -3"),
             ("weights = 1,1", "expected 5 or 6 weights, got 2, in weights = 1,1"),
             ("weights = a,b,c,d,e", "could not convert string to float: 'a', in weights = a,b,c,d,e"),
+            ("sizes = 5,5", "sizes must be distinct, got '5,5'"),
         ],
         ids=["min_ref_jaccard-nan", "min_ref_jaccard-negative", "disjunction_threshold", "max_disjuncts",
-             "weights-count", "weights-word"],
+             "weights-count", "weights-word", "sizes-repeated"],
     )
     def test_out_of_range_value_exits_two_and_names_key(
         self, planted_files, tmp_path, capsys, line, message

@@ -1,7 +1,6 @@
 """Accuracy variants, significance, redundancy measures, and scores."""
 
 import dataclasses
-import math
 import os
 import subprocess
 import sys
@@ -17,7 +16,6 @@ from scipy.stats import binom
 import redesc
 from redesc.measures import (
     Constraints,
-    PackedMembers,
     Redescription,
     RedescriptionSet,
     StatusCounts,
@@ -45,7 +43,7 @@ from redesc.query import (
 from redesc.reduce import OccurrenceProfile, WeightVector, compute_occurrence, find_specific
 
 from conftest import fabricate_pool, make_dataset
-from reference import from_sets, supp
+from reference import from_sets, loop_aaj, loop_aej, packed, set_jaccard, supp
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +93,6 @@ def random_counts(rng: np.random.Generator, total: int, max_unknown_cells: int |
         n_oi=n_oi, n_oo=n_oo, n_ou=n_ou,
         n_ui=n_ui, n_uo=n_uo, n_uu=n_uu,
     )
-
-
-def set_jaccard(a, b) -> float:
-    """|a ∩ b| / |a ∪ b| over two sets; 0.0 when both are empty."""
-    a, b = set(a), set(b)
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
 
 
 def _mask(elements) -> int:
@@ -336,11 +327,11 @@ class TestSetMeasures:
 
     def test_attribute_redundancy_three_quarters(self, climate_species_dataset):
         r_base, r_wide, _ = self._worked_set(climate_species_dataset)
-        assert aaj(r_base, [r_base, r_wide]) == 0.75
+        assert aaj(r_base, packed([r_base, r_wide])) == 0.75
 
     def test_attribute_redundancy_zero(self, climate_species_dataset):
         _, r_wide, r_hare = self._worked_set(climate_species_dataset)
-        assert aaj(r_wide, [r_wide, r_hare]) == 0.0
+        assert aaj(r_wide, packed([r_wide, r_hare])) == 0.0
 
     def test_query_size_of_two_box_pair_is_five(self, climate_species_dataset):
         _, r_wide, _ = self._worked_set(climate_species_dataset)
@@ -354,13 +345,13 @@ class TestSetMeasures:
             Redescription.create(p.q1, p.q2, tri, tri, _dataset_of(pool))
             for p in pool
         ]
-        assert aej(same[0], same) == 1.0
+        assert aej(same[0], packed(same)) == 1.0
 
     def test_singletons_score_zero(self):
         rng = np.random.default_rng(8)
         pool, _ = fabricate_pool(rng, 1, n_elements=20)
-        assert aej(pool[0], pool) == 0.0
-        assert aaj(pool[0], pool) == 0.0
+        assert aej(pool[0], packed(pool)) == 0.0
+        assert aaj(pool[0], packed(pool)) == 0.0
 
     def test_equal_but_distinct_member_drops_exactly_one_copy(self):
         rng = np.random.default_rng(12)
@@ -369,8 +360,8 @@ class TestSetMeasures:
         assert twin == a and twin is not a and probe is not a
         members = [a, twin, b]
         # probe is none of the members: it stands in for a, so only a drops
-        assert aej(probe, members) == (1.0 + mask_jaccard(a.supp_mask, b.supp_mask)) / 2
-        assert aaj(probe, members) == (1.0 + set_jaccard(a.attrs, b.attrs)) / 2
+        assert aej(probe, packed(members)) == (1.0 + mask_jaccard(a.supp_mask, b.supp_mask)) / 2
+        assert aaj(probe, packed(members)) == (1.0 + set_jaccard(a.attrs, b.attrs)) / 2
 
 
 def _dataset_of(pool):
@@ -380,35 +371,10 @@ def _dataset_of(pool):
     return make_dataset(spec1, spec2)
 
 
-def _loop_others(r, members):
-    """Every member but r: r itself, or, when r is passed by value, the first
-    member equal to it (the pairwise loop the packed path replaces)."""
-    others = [m for m in members if m is not r]
-    if len(others) == len(members):
-        for i, m in enumerate(members):
-            if m == r:
-                return list(members[:i]) + list(members[i + 1 :])
-    return others
-
-
-def loop_aej(r, members):
-    others = _loop_others(r, members)
-    if not others:
-        return 0.0
-    return sum(mask_jaccard(r.supp_mask, m.supp_mask) for m in others) / len(others)
-
-
-def loop_aaj(r, members):
-    others = _loop_others(r, members)
-    if not others:
-        return 0.0
-    return sum(set_jaccard(r.attrs, m.attrs) for m in others) / len(others)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    size=st.integers(0, 12),
+    size=st.integers(1, 12),
     n_elements=st.integers(1, 150),
     missing=st.booleans(),
     data=st.data(),
@@ -419,16 +385,14 @@ def test_set_redundancy_matches_pairwise_loop_property(seed, size, n_elements, m
     outsider = pool.pop()  # never in the list
     members = list(pool)
     # an object listed twice, or an equal copy listed next to its original
-    for _ in range(data.draw(st.integers(0, 3)) if pool else 0):
+    for _ in range(data.draw(st.integers(0, 3))):
         src = data.draw(st.sampled_from(pool))
         twin = data.draw(st.sampled_from([src, dataclasses.replace(src)]))
         members.insert(data.draw(st.integers(0, len(members))), twin)
-    packed = PackedMembers(members) if members else members
     probes = members + [outsider] + [dataclasses.replace(m) for m in pool]
     for r in probes:
         want = repr((loop_aej(r, members), loop_aaj(r, members)))
-        assert repr((aej(r, members), aaj(r, members))) == want
-        assert repr((aej(r, packed), aaj(r, packed))) == want
+        assert repr((aej(r, packed(members)), aaj(r, packed(members)))) == want
 
 
 class TestScores:
@@ -452,7 +416,7 @@ class TestScores:
     def test_all_scores_in_unit_interval(self):
         rng = np.random.default_rng(9)
         pool, _ = fabricate_pool(rng, 40, n_elements=60, missing=True)
-        profile = compute_occurrence(pool)
+        profile = compute_occurrence(packed(pool))
         assert profile.element_total == sum(r.support_size for r in pool)
         assert profile.attribute_total == sum(len(r.attrs) for r in pool)
         reduced = pool[:5]
@@ -475,8 +439,8 @@ class TestScores:
         empty = OccurrenceProfile(np.zeros(10), {})
         # both occurrence terms are 0 for every candidate, so the first one wins
         w = WeightVector(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
-        assert find_specific(pool, empty, w) is pool[0]
-        assert find_specific(pool[::-1], empty, w) is pool[1]
+        assert find_specific(packed(pool), empty, w) is pool[0]
+        assert find_specific(packed(pool[::-1]), empty, w) is pool[1]
 
 
 class TestConstraints:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redesc.dataset import BOOLEAN, CATEGORICAL, NUMERIC
+from redesc.dataset import BOOLEAN, NUMERIC
 from redesc.interchange import read_records, write_records
-from redesc.measures import Constraints, Redescription
+from redesc.measures import Constraints, Redescription, RedescriptionSet
 from redesc.mine import (
     OPERATOR_MODES,
     MiningParams,
@@ -46,8 +46,9 @@ from conftest import (
     planted_dataset,
     refinement_benefit_dataset,
     rule_supports,
+    small_latent_datasets,
 )
-from reference import from_sets
+from reference import from_sets, scalar_disjunction_screen, scalar_pair_screen
 
 # the package re-exports the `mine` function under the submodule's name
 mine_module = importlib.import_module("redesc.mine")
@@ -181,20 +182,6 @@ class TestCreateRedescriptions:
         assert kept == []
 
 
-def scalar_pair_screen(rules1, rules2, constraints):
-    """Pairs the scalar screen admits, in product order: the loop that
-    `create_redescriptions` ran before its rules were packed."""
-    c = constraints
-    for (i, r1), (j, r2) in product(enumerate(rules1), enumerate(rules2)):
-        overlap = (r1.tri.in_mask & r2.tri.in_mask).bit_count()
-        if not (c.min_support <= overlap and (c.max_support is None or overlap <= c.max_support)):
-            continue
-        union = (r1.tri.in_mask | r2.tri.in_mask).bit_count()
-        if union == 0 or overlap / union < c.min_jaccard:
-            continue
-        yield i, j
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=rule_supports(), min_jaccard=JACCARD_FLOORS)
 @example(case=(64, [0, 1], [0, 3], 0, None), min_jaccard=0.0)  # empty unions stay out
@@ -296,29 +283,6 @@ class _AdmitNothing(Constraints):
         return False
 
 
-def scalar_disjunction_screen(red, rules, constraints, max_disjuncts):
-    """(side, rule index) of every improving rule, best first, as the scalar
-    loop that `combine_disjunctive` ran before its rules were packed."""
-    c = constraints
-    improving = []
-    for side in (1, 2):
-        if max_disjuncts < 1:
-            continue
-        own = red.tri1 if side == 1 else red.tri2
-        other = red.tri2 if side == 1 else red.tri1
-        for i, rule in enumerate(rules.rules(side)):
-            in_new = own.in_mask | rule.tri.in_mask
-            overlap = (in_new & other.in_mask).bit_count()
-            if not (c.min_support <= overlap and (c.max_support is None or overlap <= c.max_support)):
-                continue
-            union = (in_new | other.in_mask).bit_count()
-            j_new = overlap / union if union else 0.0
-            if j_new > red.j_qnm:
-                improving.append((j_new, side, i))
-    improving.sort(key=lambda t: t[0], reverse=True)
-    return [(side, i) for _, side, i in improving]
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     case=rule_supports(),
@@ -358,7 +322,7 @@ def test_disjunction_screen_matches_scalar_loop_property(case, threshold, max_di
         pick
         for red in base
         if red.j_qnm >= threshold
-        for pick in scalar_disjunction_screen(red, rules, constraints, max_disjuncts)
+        for pick in scalar_disjunction_screen(red, rules, constraints, (1, 2) if max_disjuncts else ())
     ]
     assert tried == expected
 
@@ -408,6 +372,37 @@ class TestMine:
         assert set(counts) == {
             (r1.text, r2.text) for r1, r2 in product(rules.rules1, rules.rules2)
         }
+
+    @pytest.mark.parametrize("use_refinement", [True, False], ids=["refine", "no-refine"])
+    def test_disjunctions_extend_only_current_members(self, monkeypatch, use_refinement):
+        """Every base handed to `combine_disjunctive` is a member of the set
+        at that point: a candidate that replaced a same-support member and
+        was displaced later in the round is not extended."""
+        ds, _ = planted_dataset(seed=0)
+        sets, bases = [], []
+        combine = mine_module.combine_disjunctive
+
+        class Recording(RedescriptionSet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sets.append(self)
+
+        def spy(base, *args):
+            members = {id(m) for m in sets[-1].members}  # the set the round added to
+            bases.append([id(b) in members for b in base])
+            return combine(base, *args)
+
+        monkeypatch.setattr(mine_module, "RedescriptionSet", Recording)
+        monkeypatch.setattr(mine_module, "combine_disjunctive", spy)
+        params = _planted_params(
+            max_iter=2,
+            pct=PctParams(max_depth=4, min_leaf_size=3),
+            use_refinement=use_refinement,
+            operator_mode="all",
+        )
+        mine(ds, Constraints(min_jaccard=0.5, max_pvalue=0.05, min_support=5), params)
+        assert any(bases)
+        assert all(all(current) for current in bases)
 
     def test_planted_redescription_recovered(self):
         ds, S = planted_dataset(seed=11)
@@ -511,31 +506,8 @@ class TestMine:
 
 @st.composite
 def small_mining_cases(draw):
-    """A drawn dataset of at most 60 rows (missing cells optional, labels that
-    look like numbers included) whose views share one latent split, with
-    mining settings under which the set trim runs."""
-    n = draw(st.integers(20, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    missing = draw(st.sampled_from([0.0, 0.1]))
-    latent = rng.random(n) < 0.5
-
-    def noisy(flip):
-        return latent ^ (rng.random(n) < flip)
-
-    spec1 = [
-        ("x0", NUMERIC, list(np.round(noisy(0.1) * 3 + rng.normal(0, 1, n), 2))),
-        ("x1", NUMERIC, list(np.round(rng.uniform(0, 5, n), 2))),
-        ("k", CATEGORICAL, [("1", "2.5")[int(v)] if rng.random() < 0.8 else "lo_k" for v in noisy(0.2)]),
-    ]
-    spec2 = [
-        ("b0", BOOLEAN, list(noisy(0.1))),
-        ("b1", BOOLEAN, list(rng.random(n) < 0.5)),
-        ("c", CATEGORICAL, [("-3", "inf")[int(v)] for v in noisy(0.15)]),
-    ]
-    spec1, spec2 = (
-        [(name, kind, [None if rng.random() < missing else v for v in vals]) for name, kind, vals in spec]
-        for spec in (spec1, spec2)
-    )
+    """A drawn small dataset with mining settings under which the set trim runs."""
+    ds = draw(small_latent_datasets())
     params = MiningParams(
         max_iter=2,
         pct=PctParams(max_depth=3, min_leaf_size=3),
@@ -544,7 +516,7 @@ def small_mining_cases(draw):
         operator_mode=draw(st.sampled_from(OPERATOR_MODES)),
         max_set_size=draw(st.sampled_from([3, 6, 12])),
     )
-    return make_dataset(spec1, spec2), params
+    return ds, params
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

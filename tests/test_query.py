@@ -18,8 +18,6 @@ from redesc.query import (
     Or,
     Query,
     QuerySyntaxError,
-    _merge_intervals,
-    _remove_leaf,
     canonicalize,
     is_conjunctive,
     iter_literals,
@@ -27,13 +25,22 @@ from redesc.query import (
     pack_masks,
     parse_query,
     print_query,
-    query_attr_count,
     tri_support,
     unpack_rows,
 )
 
 from conftest import _random_node, make_view, random_query, random_view
-from reference import FALSE, TRUE, UNKNOWN, eval_query, in_set, unk_set, value_at
+from reference import (
+    FALSE,
+    TRUE,
+    UNKNOWN,
+    eval_query,
+    in_set,
+    reference_minimize,
+    row_values,
+    unk_set,
+    value_at,
+)
 
 
 def _leaf(attr, lo=float("-inf"), hi=float("inf"), negated=False):
@@ -54,10 +61,6 @@ def _raw_query_view(seed, n_rows, depth, missing):
     except SchemaError:  # every categorical cell missing: no label to test
         assume(False)
     return view, Query(_random_node(rng, view, depth), 1)
-
-
-def _row_values(q, view):
-    return [eval_query(q, view, r) for r in range(view.n_rows)]
 
 
 def _tri_values(tri):
@@ -189,7 +192,7 @@ class TestTriSupport:
     )
     def test_matches_row_interpreter_property(self, seed, n_rows, depth, missing):
         view, q = _raw_query_view(seed, n_rows, depth, missing)
-        assert _tri_values(tri_support(q, view)) == _row_values(q, view)
+        assert _tri_values(tri_support(q, view)) == row_values(q, view)
 
     def test_attribute_out_of_range_rejected(self):
         view = make_view([("x", NUMERIC, [1.0])])
@@ -375,8 +378,8 @@ class TestMinimize:
     def test_matches_reevaluating_loop_property(self, seed, n_rows, depth, missing):
         view, q = _raw_query_view(seed, n_rows, depth, missing)
         m = minimize_query(q, view)
-        assert m == _reevaluating_minimize(q, view)
-        assert _row_values(m, view) == _row_values(q, view)
+        assert m == reference_minimize(q, view)
+        assert row_values(m, view) == row_values(q, view)
 
     def test_never_grows_literal_count(self):
         rng = np.random.default_rng(13)
@@ -432,8 +435,8 @@ class TestLiteralMemo:
         cold = _cold_copy(view)
         assert warm == tri_support(q, cold)
         assert minimized == minimize_query(q, view) == minimize_query(q, cold)
-        assert _tri_values(warm) == _row_values(q, view)
-        assert _tri_values(tri_support(minimized, view)) == _row_values(q, view)
+        assert _tri_values(warm) == row_values(q, view)
+        assert _tri_values(tri_support(minimized, view)) == row_values(q, view)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -460,33 +463,9 @@ class TestLiteralMemo:
         assert on_view.n == n_rows and on_doubled.n == 2 * n_rows
         assert on_view == tri_support(q, _cold_copy(view))
         assert on_doubled == tri_support(q, _cold_copy(doubled))
-        assert _tri_values(on_view) == _row_values(q, view)
+        assert _tri_values(on_view) == row_values(q, view)
         # the doubled view's first half is the view itself
         assert _tri_values(on_doubled)[:n_rows] == _tri_values(on_view)
-
-
-def _reevaluating_minimize(q, view):
-    """Oracle: the greedy leaf-removal loop that rebuilds each candidate with
-    `_remove_leaf` and compares its support, taken row by row with
-    `eval_query`, to the input's."""
-    current = canonicalize(q)
-    base = _row_values(current, view)
-    changed = True
-    while changed:
-        changed = False
-        n_leaves = query_attr_count(current)
-        if n_leaves <= 1:
-            break
-        for target in range(n_leaves):
-            candidate_root, _ = _remove_leaf(current.root, target)
-            if candidate_root is None:
-                continue
-            candidate = Query(candidate_root, q.view_id)
-            if _row_values(candidate, view) == base:
-                current = candidate
-                changed = True
-                break
-    return canonicalize(Query(_merge_intervals(current.root), q.view_id))
 
 
 def _leaves(node):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redesc.measures import PackedMembers, Redescription
+from redesc.measures import Redescription
 from redesc.query import mask_to_bools
 from redesc.reduce import (
     WeightVector,
@@ -20,91 +20,7 @@ from redesc.reduce import (
 )
 
 from conftest import ACCURACY_LADDER, STABILITY_LADDER, fabricate_pool
-from reference import supp
-
-
-# ---------------------------------------------------------------------------
-# Brute-force rescoring oracle, independent of the production paths: plain
-# sets, dict counting, and textbook formula transcriptions.
-# ---------------------------------------------------------------------------
-
-
-def _set_jaccard(a, b):
-    a, b = set(a), set(b)
-    u = a | b
-    return len(a & b) / len(u) if u else 0.0
-
-
-def _pv_score(pv):
-    return math.log10(pv) / 17.0 + 1.0 if pv >= 1e-17 else 0.0
-
-
-def _size_score(count):
-    return count / 20.0 if count < 20 else 1.0
-
-
-def oracle_specific(pool, w):
-    n = pool[0].n_elements
-    e_ocur = [0] * n
-    a_ocur = {}
-    for r in pool:
-        for e in supp(r):
-            e_ocur[e] += 1
-        for a in r.attrs:
-            a_ocur[a] = a_ocur.get(a, 0) + 1
-    e_tot = sum(e_ocur)
-    a_tot = sum(a_ocur.values())
-    best_i, best_score = 0, float("inf")
-    for i, r in enumerate(pool):
-        score = (
-            w.j * (1.0 - r.j_qnm)
-            + w.pval * _pv_score(r.p_value)
-            + w.elem_jaccard * (sum(e_ocur[e] for e in supp(r)) / e_tot if e_tot else 0.0)
-            + w.attr_jaccard * (sum(a_ocur.get(a, 0) for a in r.attrs) / a_tot if a_tot else 0.0)
-            + w.query_size * _size_score(r.attr_count)
-            + w.variability * (r.j_opt - r.j_pess)
-        )
-        if score < best_score:
-            best_i, best_score = i, score
-    return pool[best_i]
-
-
-def oracle_best(pool, reduced, w, n, supports=None):
-    total = pool[0].n_elements
-    k = len(reduced)
-    taken = {id(r) for r in reduced}
-    supports = supports or {id(r): set(supp(r)) for r in pool}
-    best_r, best_score = None, float("inf")
-    for r in pool:
-        if id(r) in taken:
-            continue
-        elem_sim = max(
-            (_set_jaccard(supports[id(r)], supports[id(m)]) for m in reduced), default=0.0
-        )
-        attr_sim = max((_set_jaccard(r.attrs, m.attrs) for m in reduced), default=0.0)
-        blend = (k / n) * _pv_score(r.p_value) + (1 - k / n) * (r.support_size / total)
-        score = (
-            w.j * (1.0 - r.j_qnm)
-            + w.pval * blend
-            + w.elem_jaccard * elem_sim
-            + w.attr_jaccard * attr_sim
-            + w.query_size * _size_score(r.attr_count)
-            + w.variability * (r.j_opt - r.j_pess)
-        )
-        if score < best_score:
-            best_r, best_score = r, score
-    return best_r
-
-
-def oracle_reduce(pool, w, n):
-    supports = {id(r): set(supp(r)) for r in pool}
-    selected = [oracle_specific(pool, w)]
-    while len(selected) < n:
-        nxt = oracle_best(pool, selected, w, n, supports)
-        if nxt is None:
-            break
-        selected.append(nxt)
-    return selected
+from reference import pv_score, oracle_reduce, oracle_specific, packed, selection, set_jaccard, supp
 
 
 class TestComputeOccurrence:
@@ -119,19 +35,19 @@ class TestComputeOccurrence:
         for i, r in enumerate(pool):
             tri = TriSupport(0b1111 << (4 * i), 0, 50)
             ds_pool.append(Redescription.create(r.q1, r.q2, tri, tri, _dataset()))
-        profile = compute_occurrence(ds_pool)
+        profile = compute_occurrence(packed(ds_pool))
         assert set(np.unique(profile.element_counts)) <= {0.0, 1.0}
 
     def test_singleton_profile_is_support_indicator(self):
         rng = np.random.default_rng(2)
         pool, _ = fabricate_pool(rng, 1, n_elements=30)
-        profile = compute_occurrence(pool)
+        profile = compute_occurrence(packed(pool))
         assert {int(e) for e in np.nonzero(profile.element_counts)[0]} == set(supp(pool[0]))
 
     def test_matches_double_loop_recount(self):
         rng = np.random.default_rng(3)
         pool, _ = fabricate_pool(rng, 50, n_elements=80)
-        profile = compute_occurrence(pool)
+        profile = compute_occurrence(packed(pool))
         for e in range(80):
             assert profile.element_counts[e] == sum(1 for r in pool if e in supp(r))
         attrs = {a for r in pool for a in r.attrs}
@@ -156,11 +72,10 @@ def test_compute_occurrence_matches_per_member_loop_property(seed, size, n_eleme
         element_counts += mask_to_bools(m.supp_mask, n_elements)
         for a in m.attrs:
             attribute_counts[a] = attribute_counts.get(a, 0) + 1
-    for source in (pool, PackedMembers(pool)):
-        profile = compute_occurrence(source)
-        assert profile.element_counts.dtype == element_counts.dtype
-        assert np.array_equal(profile.element_counts, element_counts)
-        assert list(profile.attribute_counts.items()) == list(attribute_counts.items())
+    profile = compute_occurrence(packed(pool))
+    assert profile.element_counts.dtype == element_counts.dtype
+    assert np.array_equal(profile.element_counts, element_counts)
+    assert list(profile.attribute_counts.items()) == list(attribute_counts.items())
 
 
 def _dataset():
@@ -175,23 +90,23 @@ class TestFindSpecific:
     def test_pure_accuracy_weight_takes_max_accuracy(self):
         rng = np.random.default_rng(4)
         pool, _ = fabricate_pool(rng, 60, n_elements=100)
-        profile = compute_occurrence(pool)
-        pick = find_specific(pool, profile, WeightVector(1, 0, 0, 0, 0, 0))
+        profile = compute_occurrence(packed(pool))
+        pick = find_specific(packed(pool), profile, WeightVector(1, 0, 0, 0, 0, 0))
         assert pick.j_qnm == max(r.j_qnm for r in pool)
 
     def test_pure_size_weight_takes_fewest_literals(self):
         rng = np.random.default_rng(5)
         pool, _ = fabricate_pool(rng, 60, n_elements=100)
-        profile = compute_occurrence(pool)
-        pick = find_specific(pool, profile, WeightVector(0, 0, 0, 0, 1, 0))
+        profile = compute_occurrence(packed(pool))
+        pick = find_specific(packed(pool), profile, WeightVector(0, 0, 0, 0, 1, 0))
         assert pick.attr_count == min(r.attr_count for r in pool)
 
     def test_balanced_row_matches_oracle(self):
         rng = np.random.default_rng(6)
         pool, _ = fabricate_pool(rng, 100, n_elements=120, missing=True)
-        profile = compute_occurrence(pool)
+        profile = compute_occurrence(packed(pool))
         w = WeightVector.from_row(ACCURACY_LADDER[0])
-        assert find_specific(pool, profile, w) is oracle_specific(pool, w)
+        assert find_specific(packed(pool), profile, w) is oracle_specific(pool, w)
 
 
 class TestFindBest:
@@ -200,9 +115,9 @@ class TestFindBest:
         pool, _ = fabricate_pool(rng, 40, n_elements=80)
         w = WeightVector(0, 0, 0, 1, 0, 0)
         reduced = [pool[0]]
-        pick = find_best(pool, reduced, w, n=10)
+        pick = find_best(selection(pool), reduced, w, n=10)
         overlaps = {
-            id(r): _set_jaccard(supp(r), supp(pool[0])) for r in pool[1:]
+            id(r): set_jaccard(supp(r), supp(pool[0])) for r in pool[1:]
         }
         assert overlaps[id(pick)] == min(overlaps.values())
 
@@ -212,11 +127,11 @@ class TestFindBest:
         w = WeightVector(0, 1, 0, 0, 0, 0)
         n = 10
         reduced = pool[: n - 1]
-        pick = find_best(pool, reduced, w, n=n)
+        pick = find_best(selection(pool), reduced, w, n=n)
         remaining = [r for r in pool if id(r) not in {id(m) for m in reduced}]
         k = n - 1
         scores = {
-            id(r): (k / n) * _pv_score(r.p_value) + (1 - k / n) * r.support_size / 60
+            id(r): (k / n) * pv_score(r.p_value) + (1 - k / n) * r.support_size / 60
             for r in remaining
         }
         assert scores[id(pick)] == min(scores.values())
@@ -227,8 +142,8 @@ class TestFindBest:
         w = WeightVector(1, 0, 0, 0, 0, 0)
         best = max(pool, key=lambda r: r.j_qnm)
         doubled = [best] + pool + [best]
-        assert find_best(doubled, [], w, n=5) is best
-        assert find_best(doubled, [best], w, n=5) is not best
+        assert find_best(selection(doubled), [], w, n=5) is best
+        assert find_best(selection(doubled), [best], w, n=5) is not best
         out = reduce_set(doubled, [WeightVector.from_row(ACCURACY_LADDER[0])], 40)[0]
         ids = [id(m) for m in out.members]
         assert len(ids) == len(set(ids)) == len(pool)
@@ -238,15 +153,15 @@ class TestFindBest:
         pool, _ = fabricate_pool(rng, 30, n_elements=70, missing=True)
         outsider = fabricate_pool(rng, 1, n_elements=70)[0][0]
         assert all(r is not outsider for r in pool)
-        elem = find_best(pool, [outsider], WeightVector(0, 0, 0, 1, 0, 0), n=10)
-        assert elem is min(pool, key=lambda r: _set_jaccard(supp(r), supp(outsider)))
-        attr = find_best(pool, [outsider], WeightVector(0, 0, 1, 0, 0, 0), n=10)
-        assert attr is min(pool, key=lambda r: _set_jaccard(r.attrs, outsider.attrs))
+        elem = find_best(selection(pool), [outsider], WeightVector(0, 0, 0, 1, 0, 0), n=10)
+        assert elem is min(pool, key=lambda r: set_jaccard(supp(r), supp(outsider)))
+        attr = find_best(selection(pool), [outsider], WeightVector(0, 0, 1, 0, 0, 0), n=10)
+        assert attr is min(pool, key=lambda r: set_jaccard(r.attrs, outsider.attrs))
         # an equal copy outside the pool excludes nothing: exclusion is by identity
         best = max(pool, key=lambda r: r.j_qnm)
         copy = dataclasses.replace(best)
         assert copy == best and copy is not best
-        assert find_best(pool, [copy], WeightVector(1, 0, 0, 0, 0, 0), n=10) is best
+        assert find_best(selection(pool), [copy], WeightVector(1, 0, 0, 0, 0, 0), n=10) is best
 
     def test_accuracy_heavy_row_matches_oracle_stepwise(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,5 @@
 """Support-preserving conjunctive refinement and its guarantees."""
 
-from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redesc.refine as refine_module
-from redesc.dataset import BOOLEAN, NUMERIC, Dataset, View
+from redesc.dataset import BOOLEAN, NUMERIC
 from redesc.measures import Constraints, Redescription, RedescriptionSet
 from redesc.mine import Rule
 from redesc.query import (
@@ -19,22 +18,15 @@ from redesc.query import (
     Or,
     Query,
     canonicalize,
-    is_conjunctive,
     iter_literals,
-    minimize_query,
     parse_query,
     print_query,
     tri_support,
 )
-from redesc.refine import (
-    RefinementOutcome,
-    construct_and_refine,
-    refine_pair,
-    tighten_bounds,
-)
+from redesc.refine import construct_and_refine, refine_pair, tighten_bounds
 
 from conftest import JACCARD_FLOORS, make_dataset, mask_rules, placeholder_dataset, rule_supports
-from reference import strict_witness
+from reference import full_build_refine_pair, scalar_refinement_screen, strict_witness
 
 
 def random_two_view_dataset(rng, n_rows, missing_rate=0.1):
@@ -320,35 +312,10 @@ def unrelated_pairs(draw):
     return ds, r, ref
 
 
-def full_build_refine_pair(r, ref, dataset):
-    """`refine_pair` as it was before the gain was decided from supports:
-    every applied refinement is minimized and evaluated from its queries, and
-    `improved` compares the result's accuracy."""
-    if not (is_conjunctive(ref.q1) and is_conjunctive(ref.q2)):
-        return RefinementOutcome(refined=r, improved=False, applied=False)
-    if r.supp_mask & ~ref.supp_mask:
-        return RefinementOutcome(refined=r, improved=False, applied=False)
-    if r.key == ref.key:
-        return RefinementOutcome(refined=r, improved=False, applied=True)
-    t1, t2 = refine_module._tightened_queries(ref, r.supp_mask, dataset)
-    q1 = minimize_query(Query(And((r.q1.root, t1.root)), r.q1.view_id), dataset.view1)
-    q2 = minimize_query(Query(And((r.q2.root, t2.root)), r.q2.view_id), dataset.view2)
-    refined = Redescription.evaluate(q1, q2, dataset)
-    return RefinementOutcome(refined=refined, improved=refined.j_qnm > r.j_qnm, applied=True)
-
-
-def _cold_copy(ds):
-    """The same cells in new views, whose literal memos start empty."""
-    return Dataset(
-        View(ds.view1.attributes, ds.view1.columns),
-        View(ds.view2.attributes, ds.view2.columns),
-    )
-
-
 def _assert_matches_full_build(ds, r, ref):
     for a, b in ((r, ref), (ref, r), (r, r)):
         got = refine_pair(a, b, ds)
-        want = full_build_refine_pair(a, b, _cold_copy(ds))
+        want = full_build_refine_pair(a, b, ds)
         assert (got.improved, got.applied) == (want.improved, want.applied)
         assert got.refined == (want.refined if want.improved else a)
 
@@ -370,16 +337,6 @@ def _rule(q_text, view, view_id, dataset):
 
     q = parse_query(q_text, view, view_id)
     return Rule(query=q, tri=tri_support(q, view), text=print_query(q, view))
-
-
-def scalar_refinement_screen(rules1, rules2, constraints):
-    """Pairs the scalar screen admits, in product order: the loop that
-    `construct_and_refine` ran before its rules were packed."""
-    for (i, r1), (j, r2) in product(enumerate(rules1), enumerate(rules2)):
-        union = (r1.tri.in_mask | r2.tri.in_mask).bit_count()
-        quick_j = (r1.tri.in_mask & r2.tri.in_mask).bit_count() / union if union else 0.0
-        if quick_j >= constraints.ref_jaccard:
-            yield i, j
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redesc.dataset import BOOLEAN, CATEGORICAL, NUMERIC, Attribute, View
-from redesc.query import Leaf, _literal_support, mask_to_bools, tri_support
+from redesc.query import Leaf, tri_support
 from redesc.tree import (
     PctParams,
     Split,
     Tree,
     TreeNode,
-    _edge_literal,
     best_split,
     build_tree,
     extract_rules,
@@ -20,7 +19,7 @@ from redesc.tree import (
 )
 
 from conftest import make_view, random_view
-from reference import in_set, unk_set
+from reference import in_set, reference_best_split, reference_build_tree, unk_set
 
 
 def _variance_sum(rows: np.ndarray) -> float:
@@ -60,73 +59,6 @@ def oracle_best_split(cover, view, targets, min_leaf_size):
             if h > 1e-12 and (best is None or h > best[0] + 1e-12):
                 best = (h, attr_id, kind, payload)
     return best
-
-
-def reference_best_split(cover, view, targets, min_leaf_size):
-    """The per-node dense scoring that presorting replaced, kept as the
-    bit-for-bit reference: every node argsorts each numeric attribute, each
-    attribute is its own block, and each categorical sum is scored alone."""
-    n = len(cover)
-    if n < 2 * min_leaf_size:
-        return None
-    sub = targets[cover].astype(np.float64)
-    if np.all(sub.max(axis=0) == sub.min(axis=0)):
-        return None
-    tot = sub.sum(axis=0)
-    base = float((tot**2).sum()) / n
-    best = None  # (gain, attr id, split)
-    for attr_id, attr in enumerate(view.attributes):
-        col = view.columns[attr_id][cover]
-        if attr.kind == NUMERIC:
-            finite = ~np.isnan(col)
-            vals = col[finite]
-            order = np.argsort(vals, kind="stable")
-            xs = vals[order]
-            nl = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-            if nl.size == 0:
-                continue
-            sl = np.cumsum(sub[np.flatnonzero(finite)[order]], axis=0)[nl - 1]
-            score = (sl**2).sum(axis=1) / nl + ((tot - sl) ** 2).sum(axis=1) / (n - nl)
-            labels = [float((xs[c - 1] + xs[c]) / 2.0) for c in nl.tolist()]
-        else:
-            codes = [1.0] if attr.kind == BOOLEAN else range(len(attr.categories))
-            nl, score = [], []
-            for code in codes:
-                left = col == code
-                sl = sub[left].sum(axis=0)
-                nl.append(int(left.sum()))
-                sq_left, sq_right = float((sl**2).sum()), float(((tot - sl) ** 2).sum())
-                score.append(sq_left / max(nl[-1], 1) + sq_right / max(n - nl[-1], 1))
-            nl, score = np.array(nl), np.array(score)
-            labels = list(attr.categories) if attr.kind == CATEGORICAL else [None]
-        gain = (score - base) / n
-        gain[(nl < min_leaf_size) | (nl > n - min_leaf_size)] = -np.inf
-        pick = int(gain.argmax())
-        if gain[pick] > (0.0 if best is None else best[0]):
-            if attr.kind == NUMERIC:
-                split = Split(attr_id, NUMERIC, float(gain[pick]), threshold=labels[pick])
-            else:
-                split = Split(attr_id, attr.kind, float(gain[pick]), category=labels[pick])
-            best = (float(gain[pick]), attr_id, split)
-    return None if best is None else best[2]
-
-
-def reference_build_tree(view, targets, params):
-    """`build_tree` with the reference scoring at every node: (cover, split)
-    pairs in the order `Tree.iter_nodes` yields them."""
-    out = []
-    queue = [(np.arange(view.n_rows), 0)]
-    while queue:
-        cover, depth = queue.pop(0)
-        split = None
-        if depth + 1 <= params.max_depth - 1:
-            split = reference_best_split(cover, view, targets, params.min_leaf_size)
-        out.append((cover, split))
-        if split is not None:
-            left = _literal_support(_edge_literal(view, split, True), view).in_mask
-            left_mask = mask_to_bools(left, view.n_rows)[cover]
-            queue += [(cover[left_mask], depth + 1), (cover[~left_mask], depth + 1)]
-    return out
 
 
 def _drawn_view(rng, n_rows, kinds, levels, missing_rate):
@@ -172,12 +104,11 @@ def test_scoring_equals_per_node_reference_property(
     cover = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]
     if sorted_cover:
         cover = np.sort(cover)
-    got = best_split(cover, view, targets, min_leaf_size)
+    got = best_split(cover, view, targets, min_leaf_size, presort(view, cover))
     want = reference_best_split(cover, view, targets, min_leaf_size)
     assert got == want
     if got is not None:
         assert got.gain.hex() == want.gain.hex()
-    assert best_split(cover, view, targets, min_leaf_size, presort(view, cover)) == got
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -207,7 +138,7 @@ def test_presorted_tree_equals_per_node_reference_property(
     got = [(node.cover, node.split) for node in build_tree(view, targets, params).iter_nodes()]
     want = reference_build_tree(view, targets, params)
     assert len(got) == len(want)
-    for (cover, split), (ref_cover, ref_split) in zip(got, want):
+    for (cover, split), (ref_cover, ref_split, _) in zip(got, want):
         assert cover.tolist() == ref_cover.tolist()
         assert split == ref_split
         if split is not None:
@@ -219,7 +150,7 @@ class TestBestSplit:
         view = make_view([("x", NUMERIC, [1.0, 2.0, 3.0, 8.0, 9.0, 10.0])])
         targets = np.array([1, 1, 1, 0, 0, 0], dtype=float)[:, None]
         cover = np.arange(6)
-        split = best_split(cover, view, targets, min_leaf_size=1)
+        split = best_split(cover, view, targets, 1, presort(view, cover))
         assert split is not None
         assert split.attr == 0 and split.threshold == 5.5
         assert split.gain == pytest.approx(_variance_sum(targets), abs=1e-12)
@@ -227,12 +158,12 @@ class TestBestSplit:
     def test_constant_targets_yield_nothing(self):
         view = make_view([("x", NUMERIC, [1.0, 2.0, 3.0, 4.0])])
         targets = np.ones((4, 2))
-        assert best_split(np.arange(4), view, targets, 1) is None
+        assert best_split(np.arange(4), view, targets, 1, presort(view, np.arange(4))) is None
 
     def test_min_leaf_size_blocks_extreme_cuts(self):
         view = make_view([("x", NUMERIC, [1.0, 2.0, 3.0, 4.0])])
         targets = np.array([1, 0, 0, 0], dtype=float)[:, None]
-        split = best_split(np.arange(4), view, targets, min_leaf_size=2)
+        split = best_split(np.arange(4), view, targets, 2, presort(view, np.arange(4)))
         assert split is None or split.threshold == 2.5
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
@@ -242,7 +173,7 @@ class TestBestSplit:
             view = random_view(rng, 30, n_num=4, n_bool=0)
             targets = (rng.random((30, 3)) < 0.5).astype(dtype)
             cover = np.sort(rng.choice(30, 24, replace=False))
-            got = best_split(cover, view, targets, min_leaf_size=2)
+            got = best_split(cover, view, targets, 2, presort(view, cover))
             want = oracle_best_split(cover, view, targets, 2)
             if want is None:
                 assert got is None
@@ -262,7 +193,7 @@ class TestBestSplit:
             ]
         )
         targets = np.array([1, 1, 0, 0], dtype=float)[:, None]
-        split = best_split(np.arange(4), view, targets, 1)
+        split = best_split(np.arange(4), view, targets, 1, presort(view, np.arange(4)))
         assert split is not None and split.gain == pytest.approx(0.25, abs=1e-12)
         assert split.attr == 0  # tie with k=a resolves to the lower attribute id
 
@@ -299,8 +230,9 @@ def test_sparse_scoring_equals_dense_property(
     targets[:, rng.random(n_targets) < 0.2] = False  # all-zero columns
     targets[:, rng.random(n_targets) < 0.2] = True  # all-one columns
     cover = np.flatnonzero(rng.random(n_rows) < rng.choice([0.2, 0.7, 1.0]))
-    sparse = best_split(cover, view, targets, min_leaf_size)
-    dense = best_split(cover, view, targets.astype(float), min_leaf_size)
+    order = presort(view, cover)
+    sparse = best_split(cover, view, targets, min_leaf_size, order)
+    dense = best_split(cover, view, targets.astype(float), min_leaf_size, order)
     assert sparse == dense
     if sparse is not None:
         assert sparse.gain == dense.gain
