@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
         return EXIT_ERROR
 
     packed = PackedMembers(members)
-    redundancy = [(aej(m, packed), aaj(m, packed)) for m in members]
+    redundancy = list(zip(aej(packed).tolist(), aaj(packed).tolist()))
     rows_path = out_dir / "eval_redescriptions.csv"
     with rows_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

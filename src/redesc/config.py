@@ -38,7 +38,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import read_text
+from .dataset import read_lines
 from .measures import Constraints
 from .mine import MiningParams
 from .reduce import EQUAL_WEIGHTS, WeightVector
@@ -54,7 +54,7 @@ class ConfigError(ValueError):
 def parse_config_file(path: str | Path) -> dict:
     """Raw key-value pairs; `weights` accumulates into a list of rows."""
     out: dict = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -114,8 +114,10 @@ class View:
                 raise DataError(f"categorical column {attr.name!r} must hold integer codes")
         self.n_rows = len(self.columns[0]) if self.columns else 0
         self._index = {a.name: a.id for a in self.attributes}
-        # query._literal_support's memo: Literal -> TriSupport over these rows
+        # query._literal_support's memo: Literal -> TriSupport over these rows,
+        # and its known-cell flags and missing-cell bitmask per attribute
         self._literal_supports: dict = {}
+        self._unknowns: dict = {}
 
     @property
     def n_cols(self) -> int:
@@ -168,6 +170,17 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of `read_text(path)`, broken at LF, CR LF and CR only.
+
+    `str.splitlines` also breaks at form feeds, U+2028 and other separators,
+    which splits a line in two and shifts every later line number."""
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line break ends the last line, not an empty one
+    return lines
+
+
 def read_schema(path: str | Path) -> dict[str, str]:
     """Parse a sidecar schema file.
 
@@ -176,7 +189,7 @@ def read_schema(path: str | Path) -> dict[str, str]:
     of the line; blank lines are ignored.
     """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

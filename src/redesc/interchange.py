@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .dataset import Dataset, read_text
+from .dataset import Dataset, read_lines
 from .measures import Redescription
-from .query import parse_query, tri_support
+from .query import Query, iter_literals, memoize_literals, parse_query, tri_support
 
 _HEADER = "#q1\tq2\tj_qnm\tj_opt\tj_pess\tp_value\tvariability\tsupport_size\tattr_count"
 
@@ -54,27 +54,32 @@ def read_records(
     """Parse records against the dataset's views, recomputing all statistics.
 
     Records whose queries fail to parse (unknown attributes, syntax errors)
-    are rejected with their file and line number; reading continues.
+    are rejected with their file and line number; reading continues. The
+    supports of every literal of the file are computed in one pass per view
+    before any record's statistics.
     """
-    members: list[Redescription] = []
+    pairs: list[tuple[Query, Query]] = []
     rejected: list[RejectedRecord] = []
-    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
         try:
             if len(fields) < 2:
                 raise ValueError("expected at least two tab-separated fields")
-            q1 = parse_query(fields[0], dataset.view1, 1)
-            q2 = parse_query(fields[1], dataset.view2, 2)
+            pairs.append(
+                (parse_query(fields[0], dataset.view1, 1), parse_query(fields[1], dataset.view2, 2))
+            )
         except ValueError as exc:
             rejected.append(RejectedRecord(str(path), line_no, str(exc)))
-            continue
-        members.append(
-            Redescription.create(
-                q1, q2, tri_support(q1, dataset.view1), tri_support(q2, dataset.view2), dataset
-            )
+    memoize_literals((lit for q1, _ in pairs for lit in iter_literals(q1.root)), dataset.view1)
+    memoize_literals((lit for _, q2 in pairs for lit in iter_literals(q2.root)), dataset.view2)
+    members = [
+        Redescription.create(
+            q1, q2, tri_support(q1, dataset.view1), tri_support(q2, dataset.view2), dataset
         )
+        for q1, q2 in pairs
+    ]
     return members, rejected
 
 

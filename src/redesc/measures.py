@@ -75,8 +75,10 @@ class StatusCounts:
     def from_supports(cls, tri1: TriSupport, tri2: TriSupport) -> "StatusCounts":
         if tri1.n != tri2.n:
             raise ValueError("supports cover different instance counts")
-        in1, un1, out1 = tri1.in_mask, tri1.unk_mask, tri1.negate().in_mask
-        in2, un2, out2 = tri2.in_mask, tri2.unk_mask, tri2.negate().in_mask
+        full = (1 << tri1.n) - 1
+        in1, un1 = tri1.in_mask, tri1.unk_mask
+        in2, un2 = tri2.in_mask, tri2.unk_mask
+        out1, out2 = full & ~(in1 | un1), full & ~(in2 | un2)
         return cls(
             n_ii=(in1 & in2).bit_count(),
             n_io=(in1 & out2).bit_count(),
@@ -309,8 +311,9 @@ def score_size(attr_count: int, k: int = DEFAULT_SIZE_NORMALIZER) -> float:
 # Packed member matrix
 # ---------------------------------------------------------------------------
 
-# bits unpacked per block in `PackedMembers._bit_blocks`; the block and its
-# float64 product stay under 40 KB, so packing adds no visible peak memory
+# bits unpacked per block in `PackedMembers._bit_blocks`, and member pairs
+# per block in `aej`/`aaj`; each block and its float64 products stay under
+# 40 KB, so packing adds no visible peak memory
 _BLOCK_CELLS = 1 << 12
 
 
@@ -391,27 +394,44 @@ class PackedMembers:
         return shared / np.maximum(self.attr_sizes + len(m.attrs) - shared, 1)
 
 
-def _mean_over_others(r: Redescription, packed: PackedMembers, similarity) -> float:
-    """Mean of `similarity(packed, r)` over every packed member but r itself
-    (or, if absent, the first member equal to r)."""
-    keep = packed.ids != id(r)
-    if keep.all():
-        equal = next((i for i, m in enumerate(packed.members) if m == r), None)
-        if equal is not None:
-            keep[equal] = False
-    count = int(keep.sum())
-    # summed left to right, as a loop over the other members would
-    return sum(similarity(packed, r)[keep].tolist()) / count if count else 0.0
+def _mean_jaccard_over_others(
+    packed: PackedMembers, bits: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Per member, the mean Jaccard of its set against every other member's.
+
+    Row i of `bits` holds member i's set as packed words, `sizes[i]` its size.
+    Each block of rows meets every member one word column at a time, so no
+    temporary outgrows `_BLOCK_CELLS` pairs. A member's own entries (by
+    identity: one object listed twice drops both) become +0.0, which leaves a
+    non-negative running sum's bits alone, so the last prefix sum of a row is
+    the left-to-right sum over the other members.
+    """
+    m = len(packed)
+    out = np.empty(m)
+    step = max(1, _BLOCK_CELLS // m)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        block = bits[rows]
+        inter = np.zeros((len(block), m), dtype=np.int64)
+        for w in range(bits.shape[1]):
+            inter += np.bitwise_count(block[:, w, None] & bits[:, w])
+        similarity = inter / np.maximum(sizes[rows, None] + sizes - inter, 1)
+        own = packed.ids[rows, None] == packed.ids
+        similarity[own] = 0.0
+        others = m - own.sum(axis=1)
+        out[rows] = np.cumsum(similarity, axis=1)[:, -1] / np.maximum(others, 1)
+    return out
 
 
-def aej(r: Redescription, packed: PackedMembers) -> float:
-    """Average Jaccard of r's support against every other member's support."""
-    return _mean_over_others(r, packed, PackedMembers.element_similarity)
+def aej(packed: PackedMembers) -> np.ndarray:
+    """Per member, the average Jaccard of its support against every other member's."""
+    return _mean_jaccard_over_others(packed, packed.words, packed.sizes)
 
 
-def aaj(r: Redescription, packed: PackedMembers) -> float:
-    """Average Jaccard of r's attribute set against every other member's."""
-    return _mean_over_others(r, packed, PackedMembers.attribute_similarity)
+def aaj(packed: PackedMembers) -> np.ndarray:
+    """Per member, the average Jaccard of its attribute set against every other member's."""
+    bits = np.packbits(packed.incidence, axis=1)
+    return _mean_jaccard_over_others(packed, bits, packed.attr_sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ TRUE/FALSE while fixing UNKNOWN.
 
 `tri_support` is the one evaluator: it folds each literal's `TriSupport`
 masks with `intersect` (AND), `union` (OR) and `negate` (NOT).
-`_literal_support` is the one place a literal meets a column. Memoized per
-view, it serves `tri_support`, `minimize_query` and tree routing. Every
+Each view memoizes its literal supports, which serve `tri_support`,
+`minimize_query` and tree routing. Literals missing from the memo, one
+(`_literal_support`) or a batch (`memoize_literals`: an interchange file's
+literals), are checked against the view's attribute table there, and only
+there, then computed by `_compute_literal_supports`, the one place literals
+meet a column: per attribute, one boolean block compares the column with
+every literal's bounds or code. A literal that fails the check raises
+`QueryStructureError` and is never memoized, so it raises on every use. Every
 conversion between int bitmasks (bit i = row i), packed `uint64` word rows
 (`pack_masks`) and boolean row bits (`unpack_rows`, `bools_to_mask`) lives
 here too.
@@ -26,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -168,15 +174,14 @@ class TriSupport:
 # ---------------------------------------------------------------------------
 
 
-def _check_attrs(node: Node, view: View) -> None:
-    for lit in iter_literals(node):
-        if lit.attr < 0 or lit.attr >= view.n_cols:
-            raise QueryStructureError(f"attribute id {lit.attr} out of range for view")
-        if view.attributes[lit.attr].kind != lit.kind:
-            raise QueryStructureError(
-                f"literal kind {lit.kind} does not match attribute "
-                f"{view.attributes[lit.attr].name!r} ({view.attributes[lit.attr].kind})"
-            )
+def _check_literal(lit: Literal, view: View) -> None:
+    if lit.attr < 0 or lit.attr >= view.n_cols:
+        raise QueryStructureError(f"attribute id {lit.attr} out of range for view")
+    if view.attributes[lit.attr].kind != lit.kind:
+        raise QueryStructureError(
+            f"literal kind {lit.kind} does not match attribute "
+            f"{view.attributes[lit.attr].name!r} ({view.attributes[lit.attr].kind})"
+        )
 
 
 def _literal_support(lit: Literal, view: View) -> TriSupport:
@@ -184,22 +189,65 @@ def _literal_support(lit: Literal, view: View) -> TriSupport:
     immutable and `Literal` is frozen, so the memo never goes stale."""
     cached = view._literal_supports.get(lit)
     if cached is None:
-        cached = view._literal_supports[lit] = _compute_literal_support(lit, view)
+        memoize_literals([lit], view)
+        cached = view._literal_supports[lit]
     return cached
 
 
-def _compute_literal_support(lit: Literal, view: View) -> TriSupport:
-    col = view.columns[lit.attr]
-    unknown = view.missing_mask(lit.attr)
-    if lit.kind == CATEGORICAL:
-        holds = col == view.attributes[lit.attr].category_code(lit.category)
-    elif lit.kind == BOOLEAN:
-        holds = col == 1.0
-    else:
-        holds = (col >= lit.lo) & (col <= lit.hi)
-    if lit.negated:
-        holds = ~holds
-    return TriSupport(bools_to_mask(holds & ~unknown), bools_to_mask(unknown), view.n_rows)
+def memoize_literals(lits: Iterable[Literal], view: View) -> None:
+    """Put the support of every literal of `lits` that `view`'s memo lacks
+    into it, each checked against the view's attribute table first."""
+    memo = view._literal_supports
+    fresh = [lit for lit in dict.fromkeys(lits) if lit not in memo]
+    for lit in fresh:
+        _check_literal(lit, view)
+    memo.update(zip(fresh, _compute_literal_supports(fresh, view)))
+
+
+# literal x row cells per boolean block of `_compute_literal_supports`
+# (each block stays near 64 KB)
+_BLOCK_CELLS = 1 << 16
+
+
+def _compute_literal_supports(lits: Sequence[Literal], view: View) -> list[TriSupport]:
+    """Supports of checked literals on `view`. Per attribute, the column meets
+    every literal's bounds or code at once, one row of a boolean block each."""
+    n = view.n_rows
+    by_attr: dict[int, list[int]] = {}
+    for i, lit in enumerate(lits):
+        by_attr.setdefault(lit.attr, []).append(i)
+    out: list = [None] * len(lits)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for attr, where in by_attr.items():
+        col = view.columns[attr][None, :]
+        known, unk_mask = _unknown(view, attr)
+        for lo in range(0, len(where), step):
+            block = where[lo : lo + step]
+            group = [lits[i] for i in block]
+            if group[0].kind == CATEGORICAL:
+                codes = [view.attributes[attr].category_code(lit.category) for lit in group]
+                holds = col == np.array(codes)[:, None]
+            elif group[0].kind == BOOLEAN:
+                holds = np.repeat(col == 1.0, len(group), axis=0)
+            else:
+                bounds = np.array([(lit.lo, lit.hi) for lit in group])
+                holds = (col >= bounds[:, :1]) & (col <= bounds[:, 1:])
+            holds ^= np.array([lit.negated for lit in group])[:, None]
+            holds &= known
+            rows = np.packbits(holds, axis=1, bitorder="little")
+            for i, row in zip(block, rows):
+                out[i] = TriSupport(int.from_bytes(row.tobytes(), "little"), unk_mask, n)
+    return out
+
+
+def _unknown(view: View, attr: int) -> tuple[np.ndarray, int]:
+    """`attr`'s known cells as row flags, and its missing cells as a bitmask,
+    computed once per view."""
+    cached = view._unknowns.get(attr)
+    if cached is None:
+        missing = view.missing_mask(attr)
+        cached = view._unknowns[attr] = (~missing, bools_to_mask(missing))
+    return cached
 
 
 def _fold(node: Node, supports: Iterator[TriSupport]) -> TriSupport:
@@ -214,7 +262,6 @@ def _fold(node: Node, supports: Iterator[TriSupport]) -> TriSupport:
 
 def tri_support(q: Query, view: View) -> TriSupport:
     """Partition all instances of `view` by the query outcome."""
-    _check_attrs(q.root, view)
     return _fold(q.root, (_literal_support(lit, view) for lit in iter_literals(q.root)))
 
 
@@ -224,13 +271,17 @@ def tri_support(q: Query, view: View) -> TriSupport:
 
 
 def iter_literals(node: Node) -> Iterator[Literal]:
+    """The literals of `node` in preorder."""
     if isinstance(node, Leaf):
         yield node.literal
     elif isinstance(node, Not):
         yield from iter_literals(node.child)
     else:
         for child in node.children:
-            yield from iter_literals(child)
+            if isinstance(child, Leaf):  # no generator per leaf of a conjunction
+                yield child.literal
+            else:
+                yield from iter_literals(child)
 
 
 def query_attrs(q: Query) -> frozenset[int]:
@@ -349,29 +400,35 @@ def print_query(q: Query, view: View) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
+# One match per token, with the whitespace before it. A character that
+# starts no token and is not whitespace is `bad`, and the tokenizer rejects
+# it; no alternative matches whitespace, so none starts inside a run of it.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-    | (?P<le><=)
-    | (?P<num>[+-]?(?:inf(?:inity)?\b|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?))
-    | (?P<name>[A-Za-z_][A-Za-z0-9_./]*)
-    | (?P<sym>[&|!()\[\]=])
+    (\s*)
+    (?:
+      (<=)
+    | ([+-]?(?:inf(?:inity)?\b|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?))
+    | ([A-Za-z_][A-Za-z0-9_./]*)
+    | ([&|!()\[\]=])
+    | (\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, read by one scan of the whole text."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+    for ws, le, num, name, sym, bad in _TOKEN_RE.findall(text):
+        pos += len(ws)
+        if bad:
+            raise QuerySyntaxError(f"unexpected character {bad!r}", pos)
+        token = sym or name or num or le
+        tokens.append(("sym" if sym else "name" if name else "num" if num else "le", token, pos))
+        pos += len(token)
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -564,7 +621,6 @@ def minimize_query(q: Query, view: View) -> Query:
     common AND. The canonical result evaluates identically to the input on `view`.
     """
     current = canonicalize(q)
-    _check_attrs(current.root, view)
     # literal supports in preorder; dropping leaf `target` drops its entry
     supports = [_literal_support(lit, view) for lit in iter_literals(current.root)]
     base = _fold(current.root, iter(supports))

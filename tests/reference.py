@@ -4,7 +4,8 @@ Plain, slow versions of what `redesc` does in bulk, which tests import the
 way they import `conftest` helpers:
 
 - a row-by-row three-valued query interpreter that shares no code with
-  `tri_support`, and supports as Python sets
+  `tri_support`, its own attribute check, and supports as Python sets
+- the query tokenizer as one regex match per token
 - the per-node tree, the scalar pair, refinement and disjunction screens,
   full-build refinement, the brute-force greedy reduction and the pairwise
   set redundancy: the loops each optimized layer replaced
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from itertools import product
 from pathlib import Path
 
@@ -38,8 +40,9 @@ from redesc.query import (
     Node,
     Or,
     Query,
+    QueryStructureError,
+    QuerySyntaxError,
     TriSupport,
-    _check_attrs,
     _merge_intervals,
     _remove_leaf,
     canonicalize,
@@ -101,15 +104,36 @@ def _eval_node_row(node: Node, view: View, row: int) -> int:
     return 2 - _eval_node_row(node.child, view, row)
 
 
+def check_attrs(node: Node, view: View) -> None:
+    """Raise the library's QueryStructureError for the first literal, in
+    preorder, whose attribute the view lacks or has as another kind."""
+    for lit in _literals(node):
+        if lit.attr < 0 or lit.attr >= view.n_cols:
+            raise QueryStructureError(f"attribute id {lit.attr} out of range for view")
+        attr = view.attributes[lit.attr]
+        if attr.kind != lit.kind:
+            raise QueryStructureError(
+                f"literal kind {lit.kind} does not match attribute {attr.name!r} ({attr.kind})"
+            )
+
+
+def _literals(node: Node):
+    if isinstance(node, Leaf):
+        return [node.literal]
+    if isinstance(node, (And, Or)):
+        return [lit for child in node.children for lit in _literals(child)]
+    return _literals(node.child)
+
+
 def eval_query(q: Query, view: View, row: int) -> int:
     """Evaluate one instance row; returns FALSE, UNKNOWN, or TRUE."""
-    _check_attrs(q.root, view)
+    check_attrs(q.root, view)
     return _eval_node_row(q.root, view, row)
 
 
 def row_values(q: Query, view: View) -> list[int]:
     """The query's value on every row of the view."""
-    _check_attrs(q.root, view)
+    check_attrs(q.root, view)
     return [_eval_node_row(q.root, view, row) for row in range(view.n_rows)]
 
 
@@ -128,6 +152,38 @@ def row_evaluate(q1: Query, q2: Query, dataset: Dataset) -> Redescription:
     return Redescription.create(
         q1, q2, row_support(q1, dataset.view1), row_support(q2, dataset.view2), dataset
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-token tokenizer
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+    | (?P<le><=)
+    | (?P<num>[+-]?(?:inf(?:inity)?\b|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?))
+    | (?P<name>[A-Za-z_][A-Za-z0-9_./]*)
+    | (?P<sym>[&|!()\[\]=])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The query tokens of `text`, one regex match per token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -456,30 +512,24 @@ def oracle_reduce(pool, w, n):
 # ---------------------------------------------------------------------------
 
 
-def _loop_others(r, members):
-    """Every member but r: r itself, or, when r is passed by value, the first
-    member equal to it (the pairwise loop the packed path replaces)."""
-    others = [m for m in members if m is not r]
-    if len(others) == len(members):
-        for i, m in enumerate(members):
-            if m == r:
-                return list(members[:i]) + list(members[i + 1 :])
-    return others
+def _mean_over_others(r, members, similarity) -> float:
+    """Mean of `similarity(m)` over every member m that is not r itself,
+    summed left to right; 0.0 when there is none."""
+    total, count = 0.0, 0
+    for m in members:
+        if m is not r:
+            total += similarity(m)
+            count += 1
+    return total / count if count else 0.0
 
 
 def loop_aej(r, members):
-    others = _loop_others(r, members)
-    if not others:
-        return 0.0
     own = supp(r)
-    return sum(set_jaccard(own, supp(m)) for m in others) / len(others)
+    return _mean_over_others(r, members, lambda m: set_jaccard(own, supp(m)))
 
 
 def loop_aaj(r, members):
-    others = _loop_others(r, members)
-    if not others:
-        return 0.0
-    return sum(set_jaccard(r.attrs, m.attrs) for m in others) / len(others)
+    return _mean_over_others(r, members, lambda m: set_jaccard(r.attrs, m.attrs))
 
 
 # ---------------------------------------------------------------------------

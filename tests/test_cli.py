@@ -41,6 +41,10 @@ def _dataset_args(paths):
     ]
 
 
+def _csv_rows(path):
+    return list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+
+
 def _mine_config(tmp_path):
     cfg = tmp_path / "mine.cfg"
     cfg.write_text(
@@ -65,10 +69,10 @@ class TestMineCommand:
              "--operator-mode", "conj", "--seed", "0", "--out", str(out)]
         )
         assert code == 0
-        report = json.loads((out / "mine_report.json").read_text())
+        report = json.loads((out / "mine_report.json").read_text(encoding="utf-8"))
         assert report["redescriptions"] >= 1
         assert report["seed"] == 0 and report["tool_version"]
-        text = (out / "mined.tsv").read_text()
+        text = (out / "mined.tsv").read_text(encoding="utf-8")
         assert "\t1.0\t" in text  # at least one fully accurate record
 
     def test_missing_dataset_file_exits_two_and_names_path(self, tmp_path, capsys):
@@ -321,7 +325,7 @@ class TestReduceCommand:
              "--sizes", "100", "--out", str(out)]
         )
         assert code == 0
-        report = json.loads((out / "reduce_report.json").read_text())
+        report = json.loads((out / "reduce_report.json").read_text(encoding="utf-8"))
         assert report["pool_size"] == 45
 
     def test_emits_requested_record_count(self, tmp_path):
@@ -333,7 +337,7 @@ class TestReduceCommand:
             ["reduce", str(src), *_dataset_args(paths), "--sizes", "200", "--out", str(out)]
         )
         assert code == 0
-        produced = (out / "reduced_w1_n200.tsv").read_text().splitlines()
+        produced = (out / "reduced_w1_n200.tsv").read_text(encoding="utf-8").splitlines()
         assert len([l for l in produced if l and not l.startswith("#")]) == 200
 
     def test_bad_record_rejected_with_line_number_run_continues(self, tmp_path, capsys):
@@ -352,7 +356,7 @@ class TestReduceCommand:
         assert code == 0
         err = capsys.readouterr().err
         assert "line 2" in err and "ghost" in err
-        report = json.loads((out / "reduce_report.json").read_text())
+        report = json.loads((out / "reduce_report.json").read_text(encoding="utf-8"))
         assert report["rejected_records"] == 1 and report["pool_size"] == 2
 
     def test_rejected_records_name_their_file(self, tmp_path, capsys):
@@ -446,7 +450,7 @@ class TestReduceCommand:
              "--sizes", "3", "--out", str(out)]
         )
         assert code == 0
-        report = json.loads((out / "reduce_report.json").read_text())
+        report = json.loads((out / "reduce_report.json").read_text(encoding="utf-8"))
         assert [o["requested"] for o in report["outputs"]] == [3]
         assert sorted(p.name for p in out.glob("reduced_*.tsv")) == ["reduced_w1_n3.tsv"]
 
@@ -458,7 +462,7 @@ class TestEvalCommand:
         src.write_text("[0.0 <= a0 <= 5.0]\tz0\n", encoding="utf-8")
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "eval_redescriptions.csv").read_text().splitlines()))
+        rows = _csv_rows(out / "eval_redescriptions.csv")
         assert len(rows) == 1
         assert float(rows[0]["aej"]) == 0.0 and float(rows[0]["aaj"]) == 0.0
 
@@ -483,7 +487,7 @@ class TestEvalCommand:
         )
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "eval_redescriptions.csv").read_text().splitlines()))
+        rows = _csv_rows(out / "eval_redescriptions.csv")
         assert float(rows[0]["aaj"]) == 0.75
 
     def test_full_coverage_reported(self, tmp_path):
@@ -494,7 +498,7 @@ class TestEvalCommand:
         src.write_text("[-inf <= a0 <= inf]\tz0 | !z0\n", encoding="utf-8")
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        summary = list(csv.DictReader((out / "eval_summary.csv").read_text().splitlines()))[0]
+        summary = _csv_rows(out / "eval_summary.csv")[0]
         assert float(summary["element_coverage"]) == 1.0
 
     def test_summary_redundancy_is_mean_of_rows(self, tmp_path):
@@ -503,8 +507,8 @@ class TestEvalCommand:
         _synthetic_interchange(src, 30)
         out = tmp_path / "ev"
         assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "eval_redescriptions.csv").read_text().splitlines()))
-        summary = list(csv.DictReader((out / "eval_summary.csv").read_text().splitlines()))[0]
+        rows = _csv_rows(out / "eval_redescriptions.csv")
+        summary = _csv_rows(out / "eval_summary.csv")[0]
         assert len(rows) == 30
         for column in ("aej", "aaj"):
             mean = sum(float(r[column]) for r in rows) / len(rows)
@@ -559,6 +563,24 @@ class TestInterchangeRoundTrip:
         loaded, rejected = read_records(src, ds)
         assert not rejected and len(loaded) == 1
         assert loaded[0].key == ("[0.0 <= a0 <= 5.0]", "z0")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c", "\x0b", "\x1e"])
+    def test_only_line_feeds_and_returns_end_a_record(self, tmp_path, separator):
+        # str.splitlines would cut the first record at the separator in its
+        # stats column, reject the tail and shift the later line numbers
+        ds, _ = _wide_dataset(tmp_path)
+        src = tmp_path / "sep.tsv"
+        src.write_text(
+            f"[0.0 <= a0 <= 5.0]\tz0\tnote{separator}more\r\n"
+            "[0.0 <= a0 <= 5.0]\tnope\rjunk\n",
+            encoding="utf-8",
+        )
+        loaded, rejected = read_records(src, ds)
+        assert [m.key for m in loaded] == [("[0.0 <= a0 <= 5.0]", "z0")]
+        assert [(bad.line_no, bad.reason) for bad in rejected] == [
+            (2, "unknown attribute name 'nope' (at position 0)"),
+            (3, "expected at least two tab-separated fields"),
+        ]
 
     def test_written_bytes_are_deterministic(self, tmp_path):
         ds, _ = _wide_dataset(tmp_path)

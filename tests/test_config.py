@@ -2,7 +2,9 @@
 
 import dataclasses
 
-from redesc.config import FIELDS, RunConfig, parse_config_file
+import pytest
+
+from redesc.config import FIELDS, ConfigError, RunConfig, parse_config_file
 from redesc.measures import Constraints
 from redesc.mine import MiningParams
 from redesc.reduce import EQUAL_WEIGHTS
@@ -49,3 +51,11 @@ def test_utf8_byte_order_mark_skipped(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("\ufeffmin_jaccard = 0.4\nseed = 3\n", encoding="utf-8")
     assert parse_config_file(path) == {"min_jaccard": "0.4", "seed": "3"}
+
+
+def test_line_separator_inside_a_comment_stays_in_the_comment(tmp_path):
+    # str.splitlines would end the comment at U+2028 and read "inside" as line 2
+    path = tmp_path / "run.cfg"
+    path.write_text("# a note\u2028inside\nworkers = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown key 'workers'"):
+        parse_config_file(path)

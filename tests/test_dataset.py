@@ -278,6 +278,12 @@ class TestSchemaFile:
         path = _write(tmp_path, "v.schema", "\ufeffx = numeric\nk = categorical\n")
         assert read_schema(path) == {"x": "numeric", "k": "categorical"}
 
+    def test_page_break_line_keeps_line_numbers(self, tmp_path):
+        # str.splitlines would break at the form feed too and report line 5
+        path = _write(tmp_path, "v.schema", "x = numeric\n\x0c\nk = categorical\ny = text\n")
+        with pytest.raises(SchemaError, match=r"v\.schema:4: unknown kind 'text'"):
+            read_schema(path)
+
     def test_bad_kind_rejected(self, tmp_path):
         path = _write(tmp_path, "v.schema", "x = strings\n")
         with pytest.raises(SchemaError, match="strings"):

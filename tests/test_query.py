@@ -1,7 +1,9 @@
 """Three-valued evaluation, the per-view literal memo, grammar round-trips,
 and minimization."""
 
+import dataclasses
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import redesc.query as query_module
-from redesc.dataset import BOOLEAN, NUMERIC, SchemaError, View, concat_rows, make_artificial
+from redesc.dataset import (
+    BOOLEAN,
+    CATEGORICAL,
+    NUMERIC,
+    SchemaError,
+    View,
+    concat_rows,
+    make_artificial,
+)
 from redesc.query import (
     And,
     Leaf,
@@ -17,10 +27,12 @@ from redesc.query import (
     Not,
     Or,
     Query,
+    QueryStructureError,
     QuerySyntaxError,
     canonicalize,
     is_conjunctive,
     iter_literals,
+    memoize_literals,
     minimize_query,
     pack_masks,
     parse_query,
@@ -29,14 +41,17 @@ from redesc.query import (
     unpack_rows,
 )
 
-from conftest import _random_node, make_view, random_query, random_view
+from conftest import _random_literal, _random_node, make_view, random_query, random_view
 from reference import (
     FALSE,
     TRUE,
     UNKNOWN,
+    check_attrs,
     eval_query,
     in_set,
     reference_minimize,
+    reference_tokenize,
+    row_support,
     row_values,
     unk_set,
     value_at,
@@ -396,13 +411,13 @@ class TestLiteralMemo:
 
     def test_each_literal_is_computed_once_per_view(self, monkeypatch):
         computed = []
-        compute = query_module._compute_literal_support
+        compute = query_module._compute_literal_supports
 
-        def recording(lit, view):
-            computed.append((lit, id(view)))
-            return compute(lit, view)
+        def recording(lits, view):
+            computed.extend((lit, id(view)) for lit in lits)
+            return compute(lits, view)
 
-        monkeypatch.setattr(query_module, "_compute_literal_support", recording)
+        monkeypatch.setattr(query_module, "_compute_literal_supports", recording)
         rng = np.random.default_rng(3)
         view = random_view(rng, 30, n_num=3, n_bool=1, n_cat=1, missing_rate=0.1)
         queries = [random_query(rng, view, 1, depth=3) for _ in range(20)]
@@ -467,6 +482,90 @@ class TestLiteralMemo:
         # the doubled view's first half is the view itself
         assert _tri_values(on_doubled)[:n_rows] == _tri_values(on_view)
 
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from(EDGE_ROWS + [130]),
+        missing=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+        data=st.data(),
+    )
+    def test_batch_matches_row_interpreter_property(self, seed, n_rows, missing, data):
+        rng = np.random.default_rng(seed)
+        try:
+            view = random_view(rng, n_rows, n_num=2, n_bool=2, n_cat=2, missing_rate=missing)
+        except SchemaError:  # every categorical cell missing: no label to test
+            assume(False)
+        drawn = [_random_literal(rng, view).literal for _ in range(12)]
+        drawn += [Literal(0, NUMERIC), Literal(1, NUMERIC, hi=0.0), Literal(0, NUMERIC, lo=0.0)]
+        pool = drawn + [dataclasses.replace(lit, negated=not lit.negated) for lit in drawn]
+        batch = data.draw(st.lists(st.sampled_from(pool), max_size=40))  # repeats too
+        for lit in data.draw(st.lists(st.sampled_from(pool), max_size=6)):
+            tri_support(Query(Leaf(lit), 1), view)  # already in the memo
+        cells = data.draw(st.sampled_from([1, 64, query_module._BLOCK_CELLS]))
+        with mock.patch.object(query_module, "_BLOCK_CELLS", cells):  # blocks of 1, some, all
+            memoize_literals(batch, view)
+        assert set(batch) <= set(view._literal_supports)
+        for lit in set(batch):
+            q = Query(Leaf(lit), 1)
+            assert view._literal_supports[lit] == row_support(q, view)
+            assert tri_support(q, view) is view._literal_supports[lit]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from(EDGE_ROWS),
+        depth=st.integers(0, 2),
+        fault=st.sampled_from(["past-end", "negative", "kind"]),
+        data=st.data(),
+    )
+    def test_bad_literal_raises_on_every_use_property(self, seed, n_rows, depth, fault, data):
+        view, q = _raw_query_view(seed, n_rows, depth, 0.2)
+        if fault == "past-end":
+            bad = Literal(view.n_cols + data.draw(st.integers(0, 3)), BOOLEAN)
+        elif fault == "negative":
+            bad = Literal(-data.draw(st.integers(1, 3)), NUMERIC, 0.0, 1.0)
+        else:
+            attr = data.draw(st.integers(0, view.n_cols - 1))
+            kind = data.draw(st.sampled_from([BOOLEAN, NUMERIC, CATEGORICAL]))
+            assume(kind != view.attributes[attr].kind)
+            bad = Literal(attr, kind, category="c0" if kind == CATEGORICAL else None)
+        ctor = data.draw(st.sampled_from([And, Or]))
+        children = [q.root, Leaf(bad)] if data.draw(st.booleans()) else [Leaf(bad), q.root]
+        query = Query(ctor(tuple(children)), 1)
+        with pytest.raises(QueryStructureError) as expected:
+            check_attrs(query.root, view)
+        for _ in range(2):  # a failed literal never enters the memo
+            for evaluate in (tri_support, minimize_query):
+                with pytest.raises(QueryStructureError) as raised:
+                    evaluate(query, view)
+                assert str(raised.value) == str(expected.value)
+        assert bad not in view._literal_supports
+
+
+_TOKEN_PIECES = [
+    "x", "_a1", "b.c/d", "inf", "infinity", "infx", "1", "2.5", ".5", "1e", "e3", "E-2", "+", "-",
+    ".", "<=", "<", "=", "&", "|", "!", "(", ")", "[", "]", " ", "\t", "\n", "\r",
+    "#", "$", "\u00e9", "\u0663", "\u2028", "\u00a0",
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    text=st.one_of(
+        st.lists(st.sampled_from(_TOKEN_PIECES), max_size=20).map("".join),
+        st.text(max_size=20),
+    )
+)
+def test_tokenizer_matches_per_token_reference_property(text):
+    try:
+        want = reference_tokenize(text)
+    except QuerySyntaxError as exc:
+        with pytest.raises(QuerySyntaxError) as raised:
+            query_module._tokenize(text)
+        assert (str(raised.value), raised.value.position) == (str(exc), exc.position)
+    else:
+        assert query_module._tokenize(text) == want
 
 def _leaves(node):
     from redesc.query import iter_literals
