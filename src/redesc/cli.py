@@ -36,12 +36,28 @@ def _log10_floored(pv: float) -> float:
     return math.log10(max(pv, PVALUE_SCORE_FLOOR))
 
 
-def _load_dataset(cfg: RunConfig) -> Dataset:
-    cfg.require_dataset()
-    for path in (cfg.view1, cfg.schema1, cfg.view2, cfg.schema2):
+def _require_files(paths) -> None:
+    for path in paths:
         if not Path(path).exists():
             raise ConfigError(f"input file does not exist: {path}")
-    return load_dataset(cfg.view1, cfg.schema1, cfg.view2, cfg.schema2)
+
+
+def _load_dataset(cfg: RunConfig) -> Dataset:
+    paths = {name: getattr(cfg, name) for name in ("view1", "schema1", "view2", "schema2")}
+    missing = [name for name, path in paths.items() if path is None]
+    if missing:
+        raise ConfigError(f"missing dataset inputs: {', '.join(missing)}")
+    _require_files(paths.values())
+    return load_dataset(*paths.values())
+
+
+def _usable(records, rejected) -> bool:
+    """Report each rejected record; False, after saying so, when none is left."""
+    for bad in rejected:
+        print(f"rejected record in {bad.path} at line {bad.line_no}: {bad.reason}", file=sys.stderr)
+    if not records:
+        print("no usable records in input", file=sys.stderr)
+    return bool(records)
 
 
 def _run_config(args) -> RunConfig:
@@ -92,17 +108,12 @@ def cmd_mine(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = _run_config(args)
     dataset = _load_dataset(cfg)
-    for path in args.inputs:
-        if not Path(path).exists():
-            raise ConfigError(f"input file does not exist: {path}")
+    _require_files(args.inputs)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     pool, rejected = merge_records(args.inputs, dataset)
-    for bad in rejected:
-        print(f"rejected record in {bad.path} at line {bad.line_no}: {bad.reason}", file=sys.stderr)
-    if not pool:
-        print("no usable records in input", file=sys.stderr)
+    if not _usable(pool, rejected):
         return EXIT_ERROR
 
     outputs = []
@@ -140,16 +151,12 @@ def cmd_reduce(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _run_config(args)
     dataset = _load_dataset(cfg)
-    if not Path(args.input).exists():
-        raise ConfigError(f"input file does not exist: {args.input}")
+    _require_files((args.input,))
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     members, rejected = read_records(args.input, dataset)
-    for bad in rejected:
-        print(f"rejected record in {bad.path} at line {bad.line_no}: {bad.reason}", file=sys.stderr)
-    if not members:
-        print("no usable records in input", file=sys.stderr)
+    if not _usable(members, rejected):
         return EXIT_ERROR
 
     packed = PackedMembers(members)

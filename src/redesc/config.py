@@ -191,15 +191,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         return cls(constraints=constraints, mining=mining, **sections["run"])
 
-    def require_dataset(self) -> None:
-        missing = [
-            name
-            for name in ("view1", "schema1", "view2", "schema2")
-            if getattr(self, name) is None
-        ]
-        if missing:
-            raise ConfigError(f"missing dataset inputs: {', '.join(missing)}")
-
     def digest(self) -> str:
         """Stable hash of the effective configuration, for run reports."""
         parts = [

@@ -160,22 +160,26 @@ class Dataset:
         raise ValueError(f"view_id must be 1 or 2, got {view_id}")
 
 
+def _split_lines(text: str) -> list[str]:
+    """`text` broken at LF, CR LF and CR only (`str.splitlines` also breaks
+    at form feeds, U+2028 and more, which shifts every later line number)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_text(path: str | Path) -> str:
-    """A file's UTF-8 text, BOM skipped; a byte that is not UTF-8 is a DataError."""
+    """A file's UTF-8 text, BOM skipped; a byte that is not UTF-8 is a DataError
+    naming its line."""
     data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
+        line = len(_split_lines(data[: exc.start].decode("utf-8")))
         raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The lines of `read_text(path)`, broken at LF, CR LF and CR only.
-
-    `str.splitlines` also breaks at form feeds, U+2028 and other separators,
-    which splits a line in two and shifts every later line number."""
-    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """The lines of `read_text(path)`, broken at LF, CR LF and CR only."""
+    lines = _split_lines(read_text(path))
     if not lines[-1]:
         lines.pop()  # the final line break ends the last line, not an empty one
     return lines

@@ -5,8 +5,8 @@ appended, a tree learns to tell original from shuffled rows, and every tree
 node becomes a conjunctive rule. The loop then alternates views, using one
 view's rule supports as the binary targets for the other view's next tree.
 Redescriptions are the constraint-surviving pairs from the Cartesian product
-of the two rule lists, optionally improved by conjunctive refinement and
-extended with accuracy-gated disjunctions.
+of the two rule lists, paired by one loop that optionally refines them
+(`refine.construct_and_refine`), then extended with accuracy-gated disjunctions.
 """
 
 from __future__ import annotations
@@ -173,30 +173,6 @@ def construct_targets(rules: Sequence[Rule], n_elements: int, window: int = 64) 
     return np.ascontiguousarray(unpack_rows(words, n_elements).T)
 
 
-def create_redescriptions(
-    rules1: Sequence[Rule],
-    rules2: Sequence[Rule],
-    constraints: Constraints,
-    dataset: Dataset,
-) -> list[Redescription]:
-    """Score the Cartesian product of the two rule lists and keep the pairs
-    satisfying every hard constraint. Pre-screens of each view-1 rule against
-    all packed view-2 definite supports skip most pairs before scoring."""
-    kept: list[Redescription] = []
-    words2 = pack_masks([r2.tri.in_mask for r2 in rules2], dataset.n_elements)
-    sizes2 = row_sizes(words2)
-    for r1 in rules1:
-        overlap, union = overlap_counts(words2, sizes2, r1.tri.in_mask)
-        screen = constraints.admits_support(overlap) & (union > 0)
-        screen &= overlap / np.maximum(union, 1) >= constraints.min_jaccard
-        for j in np.flatnonzero(screen):
-            r2 = rules2[j]
-            candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
-            if constraints.admits(candidate):
-                kept.append(candidate)
-    return kept
-
-
 def _or_extend(red: Redescription, side: int, rule: Rule, dataset: Dataset) -> Redescription:
     if side == 1:
         q1 = canonicalize(Query(Or((red.q1.root, rule.query.root)), 1))
@@ -264,8 +240,8 @@ def combine_disjunctive(
 
 def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> RedescriptionSet:
     """Full mining loop: bootstrap, then `max_iter` rounds of cross-view
-    target construction, tree induction, rule harvesting, and redescription
-    creation (with refinement and disjunction building when enabled)."""
+    target construction, tree induction, rule harvesting, pairing (refined
+    when `params.use_refinement` is set), and disjunction building."""
     rules = init_rules(dataset, params)
     rset = RedescriptionSet(dedup_supports=params.dedup_supports)
     n = dataset.n_elements
@@ -292,11 +268,9 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
         done1, done2 = len(rules1), len(rules2)
         before_keys = {m.key for m in rset.members}
         for block1, block2 in blocks:
-            if params.use_refinement:
-                refine.construct_and_refine(block1, block2, rset, constraints, dataset)
-            else:
-                for candidate in create_redescriptions(block1, block2, constraints, dataset):
-                    rset.add(candidate)
+            refine.construct_and_refine(
+                block1, block2, rset, constraints, dataset, refine=params.use_refinement
+            )
         # the round's new members: a candidate that `add` took may since have
         # been displaced by a more accurate one of the same support
         fresh = [m for m in rset.members if m.key not in before_keys]

@@ -134,23 +134,25 @@ def construct_and_refine(
     rset: RedescriptionSet,
     constraints: Constraints,
     dataset: Dataset,
+    refine: bool = True,
 ) -> RedescriptionSet:
-    """Cartesian-product candidate generation with bidirectional refinement.
+    """Cartesian-product candidate generation, refined when `refine` is set.
 
-    Every candidate pair at or above the refinement accuracy floor refines,
-    and is refined by, every current member before the admission check; a
-    candidate below the admission floor can therefore still improve members
-    it never joins.
+    The Jaccard screen on packed supports (floor `ref_jaccard` when refining,
+    else `min_jaccard`) only prefilters: `Constraints.admits` takes no pair it
+    drops. When refining, each candidate refines, and is refined by, every
+    member before the admission check, so it can improve members it never joins.
     """
+    floor = constraints.ref_jaccard if refine else constraints.min_jaccard
     words2 = pack_masks([r2.tri.in_mask for r2 in rules2], dataset.n_elements)
     sizes2 = row_sizes(words2)
     for r1 in rules1:
         overlap, union = overlap_counts(words2, sizes2, r1.tri.in_mask)
-        for j in np.flatnonzero(overlap / np.maximum(union, 1) >= constraints.ref_jaccard):
+        for j in np.flatnonzero(overlap / np.maximum(union, 1) >= floor):
             r2 = rules2[j]
             candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
             idx = 0
-            while idx < len(rset.members):
+            while refine and idx < len(rset.members):
                 outcome = refine_pair(rset.members[idx], candidate, dataset)
                 if outcome.improved and rset.replace(idx, outcome.refined):
                     continue  # the next member moved up to idx

@@ -358,15 +358,16 @@ def reference_rules(view: View, targets, params, view_id: int) -> list[Query]:
 
 
 def scalar_pair_screen(rules1, rules2, constraints):
-    """Pairs the scalar screen admits, in product order: the loop that
-    `create_redescriptions` ran before its rules were packed."""
+    """Pairs that refinement-off pairing admits when no cell is missing and
+    every p-value passes, in product order: the support bounds and the
+    Jaccard floor, an empty union at Jaccard 0."""
     c = constraints
     for (i, r1), (j, r2) in product(enumerate(rules1), enumerate(rules2)):
         overlap = (r1.tri.in_mask & r2.tri.in_mask).bit_count()
         if not (c.min_support <= overlap and (c.max_support is None or overlap <= c.max_support)):
             continue
         union = (r1.tri.in_mask | r2.tri.in_mask).bit_count()
-        if union == 0 or overlap / union < c.min_jaccard:
+        if (overlap / union if union else 0.0) < c.min_jaccard:
             continue
         yield i, j
 

@@ -1,11 +1,16 @@
 """Command-line pipeline, interchange format, and reports."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redesc.cli import main
 from redesc.interchange import read_records, write_records
@@ -225,15 +230,124 @@ def test_bytes_that_are_not_utf8_exit_two_and_name_file_line(tmp_path, capsys, t
     _synthetic_interchange(paths["interchange"], 5)
     paths["config"] = tmp_path / "run.cfg"
     paths["config"].write_text("seed = 1\nsizes = 5\n", encoding="utf-8")
-    # the last line, past the first 8 KiB of the view, which is read in chunks
+    # the last line, past the first 8 KiB of the view, which is read in
+    # chunks; the byte goes before the line end, which is CR LF in the views
     lines = paths[target].read_bytes().split(b"\n")
-    lines[-2] += b"\xff"
+    body = lines[-2].removesuffix(b"\r")
+    lines[-2] = body + b"\xff" + lines[-2][len(body):]
     paths[target].write_bytes(b"\n".join(lines))
     code = main(["eval", str(paths["interchange"]), *_dataset_args(paths),
                  "--config", str(paths["config"]), "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {paths[target]}:{len(lines) - 1}: not UTF-8 text" in err
+
+# Each reader's file as (good lines, the bad line for `content` faults). View
+# lines are the header and one line per data row, so a bad view line
+# replaces a row and the two views keep their row count.
+def _reader_lines(target, n):
+    rows = [f"{i}.5" for i in range(n)]
+    if target == "view1":
+        return ["x", *rows], "abc"
+    filler = [f"# note {i}" for i in range(n)]
+    if target == "schema1":
+        return ["x = numeric", *filler], "z = text"
+    if target == "config":
+        return ["seed = 1", *filler], "not a pair"
+    return ["[0.0 <= x <= 5.0]\ty"] * (n + 1), "nosuch\ty"
+
+
+@st.composite
+def reader_faults(draw):
+    """(target, n, k, fault, line ends, BOM): one bad line at position k of a
+    reader's file, whose lines end in any mix of LF, CR LF and CR."""
+    target = draw(st.sampled_from(["view1", "schema1", "config", "interchange"]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2 if target == "view1" else 1, n + 1))
+    fault = draw(st.sampled_from(["content", "byte"]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return target, n, k, fault, ends, draw(st.booleans())
+
+
+def _small_inputs(tmp, n):
+    """Valid view, schema, config and interchange files over n rows."""
+    paths = {key: Path(tmp, name) for key, name in (
+        ("view1", "v1.csv"), ("schema1", "v1.schema"), ("view2", "v2.csv"),
+        ("schema2", "v2.schema"), ("config", "run.cfg"), ("interchange", "pool.tsv"))}
+    for key, text in (
+        ("view1", "x\n" + "".join(f"{i}.5\n" for i in range(n))),
+        ("schema1", "x = numeric\n"),
+        ("view2", "y\n" + "".join(("true\n", "false\n")[i % 2] for i in range(n))),
+        ("schema2", "y = boolean\n"),
+        ("config", "seed = 1\n"),
+        ("interchange", "[0.0 <= x <= 5.0]\ty\n"),
+    ):
+        paths[key].write_text(text, encoding="utf-8")
+    return paths
+
+
+def _eval_stderr(paths, tmp):
+    """`eval` of the interchange file: its exit code and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["eval", str(paths["interchange"]), *_dataset_args(paths),
+                     "--config", str(paths["config"]), "--out", str(Path(tmp, "out"))])
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(reader_faults())
+@example(("schema1", 2, 3, "byte", ["\r", "\r", "\r"], False))
+@example(("view1", 3, 4, "byte", ["\r\n"] * 4, False))
+def test_bad_line_is_named_at_its_position_property(case):
+    target, n, k, fault, ends, bom = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _small_inputs(tmp, n)
+        good, bad = _reader_lines(target, n)
+        lines = [line.encode("utf-8") for line in good]
+        lines[k - 1] = bad.encode("utf-8") if fault == "content" else b"\xff" + lines[k - 1]
+        data = b"".join(line + end.encode("ascii") for line, end in zip(lines, ends))
+        paths[target].write_bytes(b"\xef\xbb\xbf" * bom + data)
+        code, err = _eval_stderr(paths, tmp)
+    path = paths[target]
+    if target == "interchange" and fault == "content":
+        assert f"rejected record in {path} at line {k}: " in err
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"error: {path}:{k}: " in err
+
+
+EDIT_BYTES = st.sampled_from([
+    b"\x00", b"\xff", b"\xef\xbb\xbf", "é".encode(), b"\r", b"\n", b"\t", b",", b"=", b"#",
+    b'"', b"[", b"]", b"<=", b"?", b"-", b"e", b"nan", b"inf", b"1e999", b"x", b"y", b"0", b" ",
+])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    target=st.sampled_from(["view1", "schema1", "view2", "schema2", "config", "interchange"]),
+    edits=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.sampled_from(["insert", "replace", "delete"]), EDIT_BYTES),
+        min_size=1, max_size=4,
+    ),
+)
+def test_any_edit_exits_zero_or_two_property(target, edits):
+    """Random byte edits to one input: `eval` ends with exit 0 (rejected
+    records reported) or exit 2, and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _small_inputs(tmp, 4)
+        data = paths[target].read_bytes()
+        for where, op, chunk in edits:
+            at = round(where * len(data))
+            cut = len(chunk) if op == "replace" else 1 if op == "delete" else 0
+            data = data[:at] + (b"" if op == "delete" else chunk) + data[at + cut:]
+        paths[target].write_bytes(data)
+        code, _ = _eval_stderr(paths, tmp)
+    assert code in (0, 2)
+
 
 def _risk_files(tmp_path, high, low, n_rows=200):
     """Two views whose categorical column `risk` (labels `high`, `low`) the

@@ -284,6 +284,12 @@ class TestSchemaFile:
         with pytest.raises(SchemaError, match=r"v\.schema:4: unknown kind 'text'"):
             read_schema(path)
 
+    def test_byte_that_is_not_utf8_counts_returns_as_line_ends(self, tmp_path):
+        path = tmp_path / "v.schema"
+        path.write_bytes(b"x = numeric\rk = categorical\ry = \xff\r")
+        with pytest.raises(DataError, match=r"v\.schema:3: not UTF-8 text"):
+            read_schema(path)
+
     def test_bad_kind_rejected(self, tmp_path):
         path = _write(tmp_path, "v.schema", "x = strings\n")
         with pytest.raises(SchemaError, match="strings"):

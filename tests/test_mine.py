@@ -20,7 +20,6 @@ from redesc.mine import (
     RuleSet,
     combine_disjunctive,
     construct_targets,
-    create_redescriptions,
     init_rules,
     mine,
 )
@@ -36,6 +35,7 @@ from redesc.query import (
     print_query,
     tri_support,
 )
+from redesc.refine import construct_and_refine
 from redesc.tree import PctParams
 
 from conftest import (
@@ -143,7 +143,11 @@ class TestConstructTargets:
         assert list(out[:, 0]) == [0.0, 1.0, 0.0]
 
 
-class TestCreateRedescriptions:
+def _pair_without_refinement(rules1, rules2, constraints, ds) -> list[Redescription]:
+    return construct_and_refine(rules1, rules2, RedescriptionSet(), constraints, ds, refine=False).members
+
+
+class TestPairingWithoutRefinement:
     def _fixture(self):
         n = 30
         x = [1.0] * 12 + [5.0] * 18
@@ -155,7 +159,7 @@ class TestCreateRedescriptions:
         ds = self._fixture()
         r1 = _rule("[0.0 <= x <= 2.0]", ds.view1, 1)
         r2 = _rule("y", ds.view2, 2)
-        kept = create_redescriptions(
+        kept = _pair_without_refinement(
             [r1], [r2], Constraints(min_jaccard=0.9, max_pvalue=0.05, min_support=5), ds
         )
         assert len(kept) == 1 and kept[0].j_qnm == 1.0
@@ -164,7 +168,7 @@ class TestCreateRedescriptions:
         ds = self._fixture()
         r1 = _rule("[4.0 <= x <= 6.0]", ds.view1, 1)
         r2 = _rule("y", ds.view2, 2)
-        kept = create_redescriptions(
+        kept = _pair_without_refinement(
             [r1], [r2], Constraints(min_jaccard=0.1, max_pvalue=1.0, min_support=1), ds
         )
         assert kept == []
@@ -176,7 +180,7 @@ class TestCreateRedescriptions:
         ds = make_dataset([("x", NUMERIC, x)], [("y", BOOLEAN, y)])
         r1 = _rule("[0.0 <= x <= 2.0]", ds.view1, 1)
         r2 = _rule("y", ds.view2, 2)
-        kept = create_redescriptions(
+        kept = _pair_without_refinement(
             [r1], [r2], Constraints(min_jaccard=0.5, max_pvalue=1.0, min_support=10), ds
         )
         assert kept == []
@@ -184,21 +188,34 @@ class TestCreateRedescriptions:
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=rule_supports(), min_jaccard=JACCARD_FLOORS)
-@example(case=(64, [0, 1], [0, 3], 0, None), min_jaccard=0.0)  # empty unions stay out
+@example(case=(64, [0, 1], [0, 3], 0, None), min_jaccard=0.0)  # empty unions pass at 0
 def test_pair_screen_matches_scalar_loop_property(case, min_jaccard):
     n, masks1, masks2, lo, hi = case
     ds = placeholder_dataset(n)
     rules1, rules2 = mask_rules(masks1, 1, n), mask_rules(masks2, 2, n)
     constraints = Constraints(min_jaccard=min_jaccard, max_pvalue=1.0, min_support=lo, max_support=hi)
+    # every rule has the same query, so the set keeps one member per key: the
+    # spy records each created pair, and with it whether `admits` takes it
+    created = []
+
+    class Spy(Redescription):
+        @classmethod
+        def create(cls, q1, q2, tri1, tri2, dataset):
+            red = Redescription.create(q1, q2, tri1, tri2, dataset)
+            created.append((
+                next(i for i, r in enumerate(rules1) if r.tri is tri1),
+                next(j for j, r in enumerate(rules2) if r.tri is tri2),
+                constraints.admits(red),
+            ))
+            return red
+
+    with mock.patch.object(refine_module, "Redescription", Spy):
+        construct_and_refine(rules1, rules2, RedescriptionSet(), constraints, ds, refine=False)
     # without unknown cells j_qnm is the screened Jaccard and every p-value is
-    # at most 1, so each screened pair is kept: the output shows the screen
-    kept = create_redescriptions(rules1, rules2, constraints, ds)
-    pairs = [
-        (next(i for i, r in enumerate(rules1) if r.tri is k.tri1),
-         next(j for j, r in enumerate(rules2) if r.tri is k.tri2))
-        for k in kept
-    ]
-    assert pairs == list(scalar_pair_screen(rules1, rules2, constraints))
+    # at most 1, so the admitted pairs show the screen: it drops none that
+    # the scalar loop keeps, and keeps their order
+    admitted = [(i, j) for i, j, admits in created if admits]
+    assert admitted == list(scalar_pair_screen(rules1, rules2, constraints))
 
 
 class TestCombineDisjunctive:
@@ -347,11 +364,13 @@ class TestMine:
         ds, _ = planted_dataset(seed=11)
         scored: list[tuple[str, str]] = []
         blocks: list[int] = []
+        refine_flags: set[bool] = set()
         rule_sets = []
 
         def spy(original):
             def wrapped(rules1, rules2, *args, **kwargs):
                 blocks.append(len(rules1) * len(rules2))
+                refine_flags.add(kwargs["refine"])
                 scored.extend((r1.text, r2.text) for r1, r2 in product(rules1, rules2))
                 return original(rules1, rules2, *args, **kwargs)
             return wrapped
@@ -361,11 +380,11 @@ class TestMine:
             return rule_sets[-1]
 
         monkeypatch.setattr(refine_module, "construct_and_refine", spy(refine_module.construct_and_refine))
-        monkeypatch.setattr(mine_module, "create_redescriptions", spy(create_redescriptions))
         monkeypatch.setattr(mine_module, "init_rules", keep_rules)
         mine(ds, PLANTED_CONSTRAINTS, _planted_params(max_iter=3, use_refinement=use_refinement))
 
         (rules,) = rule_sets
+        assert refine_flags == {use_refinement}
         assert any(blocks[2:]), "later rounds harvested no new rule"
         counts = Counter(scored)
         assert max(counts.values()) == 1

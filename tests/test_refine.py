@@ -414,10 +414,8 @@ class TestConstructAndRefine:
         constraints = Constraints(min_jaccard=0.9, max_pvalue=1.0, min_support=1)
         rset = RedescriptionSet()
         construct_and_refine(rules1, rules2, rset, constraints, ds)
-        from redesc.mine import create_redescriptions
-
-        plain = create_redescriptions(rules1, rules2, constraints, ds)
-        assert {m.supp_mask for m in rset.members} == {p.supp_mask for p in plain}
+        plain = construct_and_refine(rules1, rules2, RedescriptionSet(), constraints, ds, refine=False)
+        assert {m.supp_mask for m in rset.members} == {p.supp_mask for p in plain.members}
         for member in rset.members:
             assert member.j_qnm >= 0.9
 
