@@ -347,9 +347,6 @@ class PackedMembers:
         self.incidence = np.zeros((len(members), len(self.attr_col)), dtype=bool)
         self.incidence[np.repeat(np.arange(len(members)), self.attr_sizes), cols] = True
 
-        # exclusion is by identity: a list holding one object twice loses both rows
-        self.ids = np.fromiter(map(id, members), dtype=np.uint64, count=len(members))
-
         def column(values) -> np.ndarray:
             return np.fromiter(values, dtype=np.float64, count=len(members))
 
@@ -382,16 +379,15 @@ class PackedMembers:
             counts += bits.sum(axis=0)
         return counts
 
-    def element_similarity(self, m: Redescription) -> np.ndarray:
-        """Support Jaccard of every member against m, which need not be one."""
-        inter, union = overlap_counts(self.words, self.sizes, m.supp_mask)
-        return inter / np.maximum(union, 1)
+    def element_similarity(self, i: int) -> np.ndarray:
+        """Support Jaccard of every member against member i."""
+        inter = np.bitwise_count(self.words & self.words[i]).sum(axis=1, dtype=np.int64)
+        return inter / np.maximum(self.sizes + self.sizes[i] - inter, 1)
 
-    def attribute_similarity(self, m: Redescription) -> np.ndarray:
-        """Attribute-set Jaccard of every member against m."""
-        cols = [self.attr_col[a] for a in m.attrs if a in self.attr_col]
-        shared = self.incidence[:, cols].sum(axis=1, dtype=np.int64)
-        return shared / np.maximum(self.attr_sizes + len(m.attrs) - shared, 1)
+    def attribute_similarity(self, i: int) -> np.ndarray:
+        """Attribute-set Jaccard of every member against member i."""
+        shared = self.incidence[:, self.incidence[i]].sum(axis=1, dtype=np.int64)
+        return shared / np.maximum(self.attr_sizes + self.attr_sizes[i] - shared, 1)
 
 
 def _mean_jaccard_over_others(
@@ -401,10 +397,10 @@ def _mean_jaccard_over_others(
 
     Row i of `bits` holds member i's set as packed words, `sizes[i]` its size.
     Each block of rows meets every member one word column at a time, so no
-    temporary outgrows `_BLOCK_CELLS` pairs. A member's own entries (by
-    identity: one object listed twice drops both) become +0.0, which leaves a
-    non-negative running sum's bits alone, so the last prefix sum of a row is
-    the left-to-right sum over the other members.
+    temporary outgrows `_BLOCK_CELLS` pairs. Each member's entry for itself
+    becomes +0.0, which leaves a non-negative running sum's bits alone, so the
+    last prefix sum of a row is the left-to-right sum over the other members;
+    an equal copy in another row is another member.
     """
     m = len(packed)
     out = np.empty(m)
@@ -416,10 +412,8 @@ def _mean_jaccard_over_others(
         for w in range(bits.shape[1]):
             inter += np.bitwise_count(block[:, w, None] & bits[:, w])
         similarity = inter / np.maximum(sizes[rows, None] + sizes - inter, 1)
-        own = packed.ids[rows, None] == packed.ids
-        similarity[own] = 0.0
-        others = m - own.sum(axis=1)
-        out[rows] = np.cumsum(similarity, axis=1)[:, -1] / np.maximum(others, 1)
+        similarity[np.arange(len(block)), np.arange(lo, lo + len(block))] = 0.0
+        out[rows] = np.cumsum(similarity, axis=1)[:, -1] / max(m - 1, 1)
     return out
 
 

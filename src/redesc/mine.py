@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import reduce, refine
-from .dataset import BOOLEAN, CATEGORICAL, Dataset, concat_rows, make_artificial
+from .dataset import CATEGORICAL, Dataset, concat_rows, make_artificial
 from .measures import Constraints, Redescription, RedescriptionSet, overlap_counts, row_sizes
 from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
 from .query import Or, Query, TriSupport, _print_node, canonicalize, iter_literals, pack_masks, tri_support, unpack_rows
@@ -91,12 +91,8 @@ class RuleSet:
 
 
 def _mode_accepts(q: Query, mode: str) -> bool:
-    """Conjunctive mode rejects negation: tree rules are literals or ANDs of
-    literals, so it shows only as a negated boolean or categorical literal
-    (a right-branch numeric test materializes as a plain interval)."""
-    return mode != "conjunctive" or not any(
-        lit.negated and lit.kind in (BOOLEAN, CATEGORICAL) for lit in iter_literals(q.root)
-    )
+    """Conjunctive mode rejects any negated literal."""
+    return mode != "conjunctive" or not any(lit.negated for lit in iter_literals(q.root))
 
 
 def _harvest(tree: Tree, dataset: Dataset, view_id: int, rules: RuleSet, mode: str) -> int:

@@ -1,13 +1,16 @@
 """Query ASTs with three-valued evaluation against a view.
 
-Queries are logical formulas over one view's attributes: AND/OR/NOT over
-interval, boolean, and categorical literals. Evaluation uses strong Kleene
-semantics with the truth ordering FALSE < UNKNOWN < TRUE: a literal over a
-missing cell is UNKNOWN, AND takes the minimum, OR the maximum, and NOT swaps
-TRUE/FALSE while fixing UNKNOWN.
+Queries are logical formulas over one view's attributes: AND/OR over
+interval, boolean, and categorical literals, each literal possibly negated.
+Evaluation uses strong Kleene semantics with the truth ordering
+FALSE < UNKNOWN < TRUE: a literal over a missing cell is UNKNOWN, AND takes
+the minimum, OR the maximum, and NOT swaps TRUE/FALSE while fixing UNKNOWN.
+Queries are in negation normal form: negation sits only on literals. The
+parser pushes a `!` over a group down to the literals (De Morgan's laws,
+which strong Kleene logic satisfies exactly), so no node negates a subtree.
 
 `tri_support` is the one evaluator: it folds each literal's `TriSupport`
-masks with `intersect` (AND), `union` (OR) and `negate` (NOT).
+masks with `intersect` (AND) and `union` (OR).
 Each view memoizes its literal supports, which serve `tri_support`,
 `minimize_query` and tree routing. Literals missing from the memo, one
 (`_literal_support`) or a batch (`memoize_literals`: an interchange file's
@@ -30,7 +33,7 @@ canonicalizes whatever it is handed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -91,12 +94,7 @@ class Or:
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Node"
-
-
-Node = Union[Leaf, And, Or, Not]
+Node = Union[Leaf, And, Or]
 
 
 @dataclass(frozen=True)
@@ -162,11 +160,6 @@ class TriSupport:
         """Kleene OR combined at the set level (max per instance)."""
         in_mask = self.in_mask | other.in_mask
         return TriSupport(in_mask, (self.unk_mask | other.unk_mask) & ~in_mask, self.n)
-
-    def negate(self) -> "TriSupport":
-        """Kleene NOT: in and out swap, unknown stays."""
-        out_mask = ((1 << self.n) - 1) & ~(self.in_mask | self.unk_mask)
-        return TriSupport(out_mask, self.unk_mask, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +247,6 @@ def _fold(node: Node, supports: Iterator[TriSupport]) -> TriSupport:
     """Combine the supports of `node`'s literals, consumed in preorder."""
     if isinstance(node, Leaf):
         return next(supports)
-    if isinstance(node, Not):
-        return _fold(node.child, supports).negate()
     combine = TriSupport.intersect if isinstance(node, And) else TriSupport.union
     return reduce(combine, [_fold(child, supports) for child in node.children])
 
@@ -274,8 +265,6 @@ def iter_literals(node: Node) -> Iterator[Literal]:
     """The literals of `node` in preorder."""
     if isinstance(node, Leaf):
         yield node.literal
-    elif isinstance(node, Not):
-        yield from iter_literals(node.child)
     else:
         for child in node.children:
             if isinstance(child, Leaf):  # no generator per leaf of a conjunction
@@ -317,22 +306,12 @@ def _node_key(node: Node):
         return (0, _leaf_key(node.literal))
     if isinstance(node, And):
         return (1, tuple(_node_key(c) for c in node.children))
-    if isinstance(node, Or):
-        return (2, tuple(_node_key(c) for c in node.children))
-    return (3, _node_key(node.child))
+    return (2, tuple(_node_key(c) for c in node.children))
 
 
 def _canon_node(node: Node) -> Node:
     if isinstance(node, Leaf):
         return node
-    if isinstance(node, Not):
-        child = _canon_node(node.child)
-        if isinstance(child, Leaf):
-            lit = child.literal
-            return Leaf(Literal(lit.attr, lit.kind, lit.lo, lit.hi, lit.category, not lit.negated))
-        if isinstance(child, Not):
-            return child.child
-        return Not(child)
     same = And if isinstance(node, And) else Or
     flat: list[Node] = []
     for child in node.children:
@@ -351,9 +330,9 @@ def _canon_node(node: Node) -> Node:
 
 
 def canonicalize(q: Query) -> Query:
-    """Canonical form: negations folded into leaves where possible, nested
-    same-operator nodes flattened, duplicate children dropped, children
-    ordered by (attribute id, bounds)."""
+    """Canonical form: nested same-operator nodes flattened, duplicate
+    children dropped, children ordered by (attribute id, bounds). Negation
+    is always on the leaves already: no node negates a subtree."""
     return Query(_canon_node(q.root), q.view_id)
 
 
@@ -380,8 +359,6 @@ def _print_literal(lit: Literal, view: View) -> str:
 def _print_node(node: Node, view: View) -> str:
     if isinstance(node, Leaf):
         return _print_literal(node.literal, view)
-    if isinstance(node, Not):
-        return f"!({_print_node(node.child, view)})"
     if isinstance(node, And):
         parts = []
         for c in node.children:
@@ -433,6 +410,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _negate(node: Node) -> Node:
+    """`node` negated with negation on the leaves only: each literal flips and
+    AND and OR swap (De Morgan). The literals and their order stay."""
+    if isinstance(node, Leaf):
+        return Leaf(replace(node.literal, negated=not node.literal.negated))
+    dual = Or if isinstance(node, And) else And
+    return dual(tuple(_negate(c) for c in node.children))
+
+
 class _Parser:
     def __init__(self, text: str, view: View, view_id: int):
         self.tokens = _tokenize(text)
@@ -476,7 +462,7 @@ class _Parser:
         tok = self.peek()
         if tok[:2] == ("sym", "!"):
             self.take("sym", "!")
-            return Not(self.parse_factor())
+            return _negate(self.parse_factor())
         if tok[:2] == ("sym", "("):
             self.take("sym", "(")
             node = self.parse_or()
@@ -544,7 +530,9 @@ def parse_query(text: str, view: View, view_id: int) -> Query:
     Grammar: literals are `NAME` (boolean), `!NAME`, `NAME=LABEL`
     (categorical), and `[NUM <= NAME <= NUM]` (numeric interval, `inf`
     endpoints allowed); connectives are `&`, `|`, `!` and parentheses, with
-    `&` binding tighter than `|`. The result is canonical.
+    `&` binding tighter than `|`. A `!` over a group negates its literals
+    and swaps `&` and `|` within it, so `!(a & b)` reads as `!a | !b`. The
+    result is canonical.
     """
     return _Parser(text, view, view_id).parse()
 
@@ -561,9 +549,6 @@ def _remove_leaf(node: Node, target: int) -> tuple[Node | None, int]:
     """
     if isinstance(node, Leaf):
         return (None, 1) if target == 0 else (node, 1)
-    if isinstance(node, Not):
-        child, used = _remove_leaf(node.child, target)
-        return (None if child is None else Not(child)), used
     consumed = 0
     kept: list[Node] = []
     for child in node.children:
@@ -582,8 +567,6 @@ def _remove_leaf(node: Node, target: int) -> tuple[Node | None, int]:
 def _merge_intervals(node: Node) -> Node:
     if isinstance(node, Leaf):
         return node
-    if isinstance(node, Not):
-        return Not(_merge_intervals(node.child))
     children = [_merge_intervals(c) for c in node.children]
     if isinstance(node, Or):
         return Or(tuple(children))

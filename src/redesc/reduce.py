@@ -6,6 +6,10 @@ accuracy, significance, occurrence, and size scores; every following pick
 minimizes the same sum with the occurrence scores swapped for similarity
 against the set built so far and the significance score blended with relative
 support. Positive weights make each pick a non-dominated candidate.
+
+The pool is packed once (`PackedMembers`), and the selection works on its
+rows: `find_specific` and `find_best` return row numbers, and a pick excludes
+its row only, so a record listed twice is two candidates.
 """
 
 from __future__ import annotations
@@ -74,47 +78,37 @@ class ReducedSet:
 
 @dataclass
 class OccurrenceProfile:
-    """Per-element and per-attribute counts of containing redescriptions."""
+    """Per element, and per attribute column of the packed candidates
+    (`PackedMembers.incidence`), the number of containing redescriptions."""
 
     element_counts: np.ndarray
-    attribute_counts: dict[tuple[int, int], int]
-
-    @property
-    def element_total(self) -> float:
-        return float(self.element_counts.sum())
-
-    @property
-    def attribute_total(self) -> float:
-        return float(sum(self.attribute_counts.values()))
+    attribute_counts: np.ndarray
 
 
 def compute_occurrence(cand: PackedMembers) -> OccurrenceProfile:
     """Count, per element and per attribute, how many packed redescriptions
     cover or use it."""
-    per_attr = cand.incidence.sum(axis=0).tolist()
-    return OccurrenceProfile(cand.element_counts(), dict(zip(cand.attr_col, per_attr)))
+    return OccurrenceProfile(cand.element_counts(), cand.incidence.sum(axis=0))
 
 
 class _Selection:
-    """Running greedy state over packed candidates: which rows are taken and
-    each candidate's highest element and attribute Jaccard against the
-    members folded in so far."""
+    """Running greedy state over packed candidates: the rows picked so far,
+    in order, and each candidate's highest element and attribute Jaccard
+    against them."""
 
     def __init__(self, cand: PackedMembers) -> None:
         self.cand = cand
+        self.picks: list[int] = []
         self.taken = np.zeros(len(cand), dtype=bool)
         self.elem_max = np.zeros(len(cand))
         self.attr_max = np.zeros(len(cand))
-        self.folded = 0
 
-    def catch_up(self, reduced: Sequence[Redescription]) -> None:
-        """Fold in the members of `reduced` not seen yet (the newest pick,
-        when called once per pick)."""
-        for m in reduced[self.folded :]:
-            self.taken |= self.cand.ids == id(m)
-            np.maximum(self.elem_max, self.cand.element_similarity(m), out=self.elem_max)
-            np.maximum(self.attr_max, self.cand.attribute_similarity(m), out=self.attr_max)
-        self.folded = len(reduced)
+    def take(self, i: int) -> None:
+        """Pick row i: exclude it and fold its similarities in."""
+        self.picks.append(i)
+        self.taken[i] = True
+        np.maximum(self.elem_max, self.cand.element_similarity(i), out=self.elem_max)
+        np.maximum(self.attr_max, self.cand.attribute_similarity(i), out=self.attr_max)
 
 
 def _first_min(
@@ -124,9 +118,9 @@ def _first_min(
     pval_term: np.ndarray,
     elem_term: np.ndarray,
     attr_term: np.ndarray,
-) -> Redescription | None:
-    """The untaken candidate with the lowest weighted score; ties keep the
-    earliest. None when no untaken candidate scores below infinity.
+) -> int | None:
+    """The row of the untaken candidate with the lowest weighted score; ties
+    keep the earliest. None when no untaken candidate scores below infinity.
 
     The three term arrays are the significance, element and attribute terms
     per candidate; accuracy, query size and variability come from `cand`.
@@ -143,47 +137,37 @@ def _first_min(
     # a NaN score never won the strict `<` scan; argmin keeps the first minimum
     scores[taken | np.isnan(scores)] = np.inf
     best = int(np.argmin(scores))
-    return cand.members[best] if scores[best] < np.inf else None
+    return best if scores[best] < np.inf else None
 
 
-def find_specific(
-    cand: PackedMembers, profile: OccurrenceProfile, w: WeightVector
-) -> Redescription:
-    """First pick among the packed candidates: accurate, significant, small,
-    and built from elements and attributes that few other redescriptions
-    touch. Ties keep input order.
+def find_specific(cand: PackedMembers, profile: OccurrenceProfile, w: WeightVector) -> int:
+    """Row of the first pick among the packed candidates: accurate,
+    significant, small, and built from elements and attributes that few other
+    redescriptions touch. Ties keep input order.
     """
-    el_total = profile.element_total
-    at_total = profile.attribute_total
     # the counts are integers, so these sums are exact in any order
+    el_total = profile.element_counts.sum()
+    at_total = profile.attribute_counts.sum()
     ocur_el = np.zeros(len(cand))
     if el_total:
         ocur_el = cand.support_sums(profile.element_counts) / el_total
     ocur_at = np.zeros(len(cand))
     if at_total:
-        per_attr = [profile.attribute_counts.get(a, 0) for a in cand.attr_col]
-        ocur_at = (cand.incidence * np.array(per_attr, dtype=np.int64)).sum(axis=1) / at_total
+        ocur_at = (cand.incidence * profile.attribute_counts).sum(axis=1) / at_total
     best = _first_min(w, cand, np.zeros(len(cand), dtype=bool), cand.pval_score, ocur_el, ocur_at)
-    return cand.members[0] if best is None else best
+    return 0 if best is None else best
 
 
-def find_best(
-    state: _Selection, reduced: Sequence[Redescription], w: WeightVector, n: int
-) -> Redescription | None:
-    """Next pick given the set built so far; None when the candidates are
-    exhausted.
+def find_best(state: _Selection, w: WeightVector, n: int) -> int | None:
+    """Row of the next pick given the rows `state` has picked; None when the
+    candidates are exhausted.
 
     The significance weight splits between the p-value score and relative
     support with ratio k/n, where k is the current reduced-set size: early
     picks favour small significant redescriptions, late picks larger support.
-    Members of `reduced` are excluded by identity and enter the similarity
-    terms whether or not they are candidates. `state` is `reduce_set`'s
-    running selection over the packed pool; it folds in only the members of
-    `reduced` added since the previous call.
     """
-    state.catch_up(reduced)
     cand = state.cand
-    k = len(reduced)
+    k = len(state.picks)
     blend = (k / n) * cand.pval_score + (1.0 - k / n) * cand.rel_support
     return _first_min(w, cand, state.taken, blend, state.elem_max, state.attr_max)
 
@@ -205,11 +189,11 @@ def reduce_set(pool, weight_rows: Sequence[WeightVector], n: int) -> list[Reduce
     outputs: list[ReducedSet] = []
     for w in weight_rows:
         state = _Selection(cand)
-        selected = [find_specific(cand, profile, w)]
-        while len(selected) < n:
-            nxt = find_best(state, selected, w, n)
+        state.take(find_specific(cand, profile, w))
+        while len(state.picks) < n:
+            nxt = find_best(state, w, n)
             if nxt is None:
                 break
-            selected.append(nxt)
-        outputs.append(ReducedSet(members=selected, weights=w, n=n))
+            state.take(nxt)
+        outputs.append(ReducedSet([candidates[i] for i in state.picks], w, n))
     return outputs

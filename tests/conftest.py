@@ -34,7 +34,9 @@ from redesc.dataset import (
 )
 from redesc.measures import Redescription
 from redesc.mine import Rule
-from redesc.query import And, Leaf, Literal, Or, Query, TriSupport, canonicalize
+from redesc.query import And, Leaf, Literal, Or, Query, TriSupport, canonicalize, parse_query
+
+from reference import Not, raw_text
 
 
 def make_view(spec: list[tuple[str, str, list]]) -> View:
@@ -83,7 +85,9 @@ def random_view(rng: np.random.Generator, n_rows: int, n_num=2, n_bool=1, n_cat=
 
 
 def random_query(rng: np.random.Generator, view: View, view_id: int, depth: int = 2) -> Query:
-    return canonicalize(Query(_random_node(rng, view, depth), view_id))
+    """A canonical query, parsed from the text of a raw tree with `Not` nodes."""
+    raw = _random_node(rng, view, depth, nots=True)
+    return parse_query(raw_text(raw, view), view, view_id)
 
 
 def _random_literal(rng: np.random.Generator, view: View) -> Leaf:
@@ -109,19 +113,20 @@ def _random_literal(rng: np.random.Generator, view: View) -> Leaf:
     return Leaf(Literal(attr_id, CATEGORICAL, category=label, negated=negated))
 
 
-def _random_node(rng: np.random.Generator, view: View, depth: int):
+def _random_node(rng: np.random.Generator, view: View, depth: int, nots: bool = False):
+    """A raw query tree: nested same-operator nodes, duplicate children and
+    negated literals occur; with `nots`, so does the reference `Not` over a
+    subtree, which only query text carries into the library."""
     if depth == 0 or rng.random() < 0.35:
         return _random_literal(rng, view)
     kind = rng.random()
     if kind < 0.45:
         n = int(rng.integers(2, 4))
-        return And(tuple(_random_node(rng, view, depth - 1) for _ in range(n)))
-    if kind < 0.9:
+        return And(tuple(_random_node(rng, view, depth - 1, nots) for _ in range(n)))
+    if kind < 0.9 or not nots:
         n = int(rng.integers(2, 4))
-        return Or(tuple(_random_node(rng, view, depth - 1) for _ in range(n)))
-    from redesc.query import Not
-
-    return Not(_random_node(rng, view, depth - 1))
+        return Or(tuple(_random_node(rng, view, depth - 1, nots) for _ in range(n)))
+    return Not(_random_node(rng, view, depth - 1, nots))
 
 
 # ---------------------------------------------------------------------------

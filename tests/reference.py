@@ -5,6 +5,8 @@ way they import `conftest` helpers:
 
 - a row-by-row three-valued query interpreter that shares no code with
   `tri_support`, its own attribute check, and supports as Python sets
+- `Not` over a whole subtree, which the library's queries never hold, and
+  the raw text that carries it into the parser as `!(...)`
 - the query tokenizer as one regex match per token
 - the per-node tree, the scalar pair, refinement and disjunction screens,
   full-build refinement, the brute-force greedy reduction and the pairwise
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -58,6 +61,25 @@ from redesc.tree import Split, _edge_literal
 FALSE = 0
 UNKNOWN = 1
 TRUE = 2
+
+
+@dataclass(frozen=True)
+class Not:
+    """Negation of a whole subtree, as query text's `!(...)` writes it; the
+    library reads it only through `raw_text` and the parser."""
+
+    child: Node
+
+
+def raw_text(node, view: View) -> str:
+    """Query text of a raw tree as it stands: every group in parentheses,
+    and a `Not` as `!(...)`."""
+    if isinstance(node, Leaf):
+        return print_query(Query(node, 1), view)
+    if isinstance(node, Not):
+        return f"!({raw_text(node.child, view)})"
+    op = " & " if isinstance(node, And) else " | "
+    return op.join(f"({raw_text(c, view)})" for c in node.children)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +257,13 @@ def packed(pool) -> PackedMembers:
     return PackedMembers(list(pool))
 
 
-def selection(pool) -> _Selection:
-    """A fresh greedy state over the packed pool, as `reduce_set` starts one
-    per weight row."""
-    return _Selection(packed(pool))
+def selection(pool, picks=()) -> _Selection:
+    """A greedy state over the packed pool, as `reduce_set` starts one per
+    weight row, with the rows `picks` taken in order."""
+    state = _Selection(packed(pool))
+    for i in picks:
+        state.take(i)
+    return state
 
 
 # ---------------------------------------------------------------------------

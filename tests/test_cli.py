@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from redesc.cli import main
 from redesc.interchange import read_records, write_records
-from redesc.measures import Redescription
+from redesc.measures import Redescription, mask_jaccard
 from redesc.query import parse_query
 
 from conftest import make_dataset, planted_dataset
@@ -579,6 +579,27 @@ class TestEvalCommand:
         rows = _csv_rows(out / "eval_redescriptions.csv")
         assert len(rows) == 1
         assert float(rows[0]["aej"]) == 0.0 and float(rows[0]["aaj"]) == 0.0
+
+    def test_record_listed_twice_counts_its_copy(self, tmp_path):
+        # eval reads each line as its own record, so a repeated line is an
+        # equal copy: another member, at Jaccard 1 on supports and attributes
+        ds, paths = _wide_dataset(tmp_path)
+        src = tmp_path / "twice.tsv"
+        src.write_text(
+            "[0.0 <= a0 <= 5.0]\tz0\n"
+            "[0.0 <= a1 <= 4.0]\tz1 & z2\n"
+            "[0.0 <= a0 <= 5.0]\tz0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ev"
+        assert main(["eval", str(src), *_dataset_args(paths), "--out", str(out)]) == 0
+        first, other, copy = _csv_rows(out / "eval_redescriptions.csv")
+        assert copy == first
+        members, _ = read_records(src, ds)
+        elem = mask_jaccard(members[0].supp_mask, members[1].supp_mask)
+        assert 0.0 < elem < 1.0
+        assert float(first["aej"]) == (1.0 + elem) / 2
+        assert float(first["aaj"]) == (1.0 + 0.0) / 2  # no attribute shared with the other record
 
     def test_worked_attribute_redundancy_example(self, tmp_path, climate_species_dataset):
         ds = climate_species_dataset

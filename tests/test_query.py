@@ -24,7 +24,6 @@ from redesc.query import (
     And,
     Leaf,
     Literal,
-    Not,
     Or,
     Query,
     QueryStructureError,
@@ -46,9 +45,11 @@ from reference import (
     FALSE,
     TRUE,
     UNKNOWN,
+    Not,
     check_attrs,
     eval_query,
     in_set,
+    raw_text,
     reference_minimize,
     reference_tokenize,
     row_support,
@@ -68,8 +69,8 @@ EDGE_ROWS = [1, 7, 8, 9, 63, 64, 65]
 
 def _raw_query_view(seed, n_rows, depth, missing):
     """A view with numeric, boolean and categorical columns, and a raw
-    (uncanonicalized) query tree over it: `Not` over `And`/`Or`, double
-    negations and duplicate children all occur."""
+    (uncanonicalized) query tree over it: nested same-operator nodes,
+    duplicate children and negated literals all occur."""
     rng = np.random.default_rng(seed)
     try:
         view = random_view(rng, n_rows, n_num=2, n_bool=1, n_cat=1, missing_rate=missing)
@@ -219,8 +220,6 @@ class TestTriSupport:
     def test_complete_data_agrees_with_two_valued_semantics(self):
         # brute-force boolean interpreter, no third truth value anywhere
         def two_valued(node, view, row):
-            from redesc.query import And, Leaf, Not, Or
-
             if isinstance(node, Leaf):
                 lit = node.literal
                 attr = view.attributes[lit.attr]
@@ -234,9 +233,7 @@ class TestTriSupport:
                 return not holds if lit.negated else holds
             if isinstance(node, And):
                 return all(two_valued(c, view, row) for c in node.children)
-            if isinstance(node, Or):
-                return any(two_valued(c, view, row) for c in node.children)
-            return not two_valued(node.child, view, row)
+            return any(two_valued(c, view, row) for c in node.children)
 
         rng = np.random.default_rng(99)
         for _ in range(200):
@@ -325,8 +322,8 @@ class TestGrammar:
         missing=st.sampled_from([0.0, 0.2]),
     )
     def test_canonical_form_property(self, seed, depth, missing):
-        # raw trees, not canonicalized: nested same-operator nodes, double
-        # negations and duplicate children all occur
+        # raw trees, not canonicalized: nested same-operator nodes and
+        # duplicate children occur
         rng = np.random.default_rng(seed)
         view = random_view(rng, 8, n_num=2, n_bool=2, n_cat=1, missing_rate=missing)
         raw = Query(_random_node(rng, view, depth), 2)
@@ -334,6 +331,34 @@ class TestGrammar:
         assert canonicalize(canon) == canon
         assert parse_query(print_query(raw, view), view, 2) == canon
         assert print_query(canon, view) == print_query(raw, view)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from(EDGE_ROWS),
+        depth=st.integers(0, 4),
+        missing=st.sampled_from([0.0, 0.2]),
+    )
+    def test_negation_over_groups_property(self, seed, n_rows, depth, missing):
+        # `!(...)` over any group parses to negated literals under swapped
+        # connectives; strong Kleene logic keeps every row's value
+        rng = np.random.default_rng(seed)
+        try:
+            view = random_view(rng, n_rows, n_num=2, n_bool=1, n_cat=1, missing_rate=missing)
+        except SchemaError:  # every categorical cell missing: no label to test
+            assume(False)
+        raw = Query(_random_node(rng, view, depth, nots=True), 1)
+        q = parse_query(raw_text(raw.root, view), view, 1)
+        assert _tri_values(tri_support(q, view)) == row_values(raw, view)
+        text = print_query(q, view)
+        assert "!(" not in text
+        assert parse_query(text, view, 1) == q
+
+    def test_negated_group_prints_on_its_literals(self):
+        view = make_view([(n, BOOLEAN, [True]) for n in ("a", "b", "c")])
+        assert print_query(parse_query("!(a & !b)", view, 1), view) == "!a | b"
+        assert print_query(parse_query("!(a | b & c)", view, 1), view) == "!a & (!b | !c)"
+        assert parse_query("!!(a | b)", view, 1) == parse_query("a | b", view, 1)
 
     def test_categorical_equality_round_trip(self):
         view = make_view([("k", "categorical", ["red", "blue", "red"])])

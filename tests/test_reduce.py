@@ -47,12 +47,15 @@ class TestComputeOccurrence:
     def test_matches_double_loop_recount(self):
         rng = np.random.default_rng(3)
         pool, _ = fabricate_pool(rng, 50, n_elements=80)
-        profile = compute_occurrence(packed(pool))
+        cand = packed(pool)
+        profile = compute_occurrence(cand)
         for e in range(80):
             assert profile.element_counts[e] == sum(1 for r in pool if e in supp(r))
         attrs = {a for r in pool for a in r.attrs}
+        assert len(profile.attribute_counts) == len(attrs)
         for a in attrs:
-            assert profile.attribute_counts[a] == sum(1 for r in pool if a in r.attrs)
+            count = profile.attribute_counts[cand.attr_col[a]]
+            assert count == sum(1 for r in pool if a in r.attrs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -65,17 +68,19 @@ class TestComputeOccurrence:
 def test_compute_occurrence_matches_per_member_loop_property(seed, size, n_elements, repeats):
     rng = np.random.default_rng(seed)
     pool, _ = fabricate_pool(rng, size, n_elements=n_elements, missing=True)
-    pool += [pool[i % size] for i in repeats]  # objects listed twice count twice
+    pool += [pool[i % size] for i in repeats]  # rows listed twice count twice
     element_counts = np.zeros(n_elements)
     attribute_counts = {}
     for m in pool:
         element_counts += mask_to_bools(m.supp_mask, n_elements)
         for a in m.attrs:
             attribute_counts[a] = attribute_counts.get(a, 0) + 1
-    profile = compute_occurrence(packed(pool))
+    cand = packed(pool)
+    profile = compute_occurrence(cand)
     assert profile.element_counts.dtype == element_counts.dtype
     assert np.array_equal(profile.element_counts, element_counts)
-    assert list(profile.attribute_counts.items()) == list(attribute_counts.items())
+    assert list(cand.attr_col) == list(attribute_counts)
+    assert profile.attribute_counts.tolist() == list(attribute_counts.values())
 
 
 def _dataset():
@@ -91,14 +96,14 @@ class TestFindSpecific:
         rng = np.random.default_rng(4)
         pool, _ = fabricate_pool(rng, 60, n_elements=100)
         profile = compute_occurrence(packed(pool))
-        pick = find_specific(packed(pool), profile, WeightVector(1, 0, 0, 0, 0, 0))
+        pick = pool[find_specific(packed(pool), profile, WeightVector(1, 0, 0, 0, 0, 0))]
         assert pick.j_qnm == max(r.j_qnm for r in pool)
 
     def test_pure_size_weight_takes_fewest_literals(self):
         rng = np.random.default_rng(5)
         pool, _ = fabricate_pool(rng, 60, n_elements=100)
         profile = compute_occurrence(packed(pool))
-        pick = find_specific(packed(pool), profile, WeightVector(0, 0, 0, 0, 1, 0))
+        pick = pool[find_specific(packed(pool), profile, WeightVector(0, 0, 0, 0, 1, 0))]
         assert pick.attr_count == min(r.attr_count for r in pool)
 
     def test_balanced_row_matches_oracle(self):
@@ -106,7 +111,7 @@ class TestFindSpecific:
         pool, _ = fabricate_pool(rng, 100, n_elements=120, missing=True)
         profile = compute_occurrence(packed(pool))
         w = WeightVector.from_row(ACCURACY_LADDER[0])
-        assert find_specific(packed(pool), profile, w) is oracle_specific(pool, w)
+        assert pool[find_specific(packed(pool), profile, w)] is oracle_specific(pool, w)
 
 
 class TestFindBest:
@@ -114,8 +119,7 @@ class TestFindBest:
         rng = np.random.default_rng(7)
         pool, _ = fabricate_pool(rng, 40, n_elements=80)
         w = WeightVector(0, 0, 0, 1, 0, 0)
-        reduced = [pool[0]]
-        pick = find_best(selection(pool), reduced, w, n=10)
+        pick = pool[find_best(selection(pool, [0]), w, n=10)]
         overlaps = {
             id(r): set_jaccard(supp(r), supp(pool[0])) for r in pool[1:]
         }
@@ -126,42 +130,14 @@ class TestFindBest:
         pool, _ = fabricate_pool(rng, 30, n_elements=60)
         w = WeightVector(0, 1, 0, 0, 0, 0)
         n = 10
-        reduced = pool[: n - 1]
-        pick = find_best(selection(pool), reduced, w, n=n)
-        remaining = [r for r in pool if id(r) not in {id(m) for m in reduced}]
         k = n - 1
+        pick = pool[find_best(selection(pool, range(k)), w, n=n)]
+        remaining = pool[k:]
         scores = {
             id(r): (k / n) * pv_score(r.p_value) + (1 - k / n) * r.support_size / 60
             for r in remaining
         }
         assert scores[id(pick)] == min(scores.values())
-
-    def test_object_listed_twice_is_excluded_once_picked(self):
-        rng = np.random.default_rng(17)
-        pool, _ = fabricate_pool(rng, 15, n_elements=60)
-        w = WeightVector(1, 0, 0, 0, 0, 0)
-        best = max(pool, key=lambda r: r.j_qnm)
-        doubled = [best] + pool + [best]
-        assert find_best(selection(doubled), [], w, n=5) is best
-        assert find_best(selection(doubled), [best], w, n=5) is not best
-        out = reduce_set(doubled, [WeightVector.from_row(ACCURACY_LADDER[0])], 40)[0]
-        ids = [id(m) for m in out.members]
-        assert len(ids) == len(set(ids)) == len(pool)
-
-    def test_reduced_member_outside_pool_enters_similarity(self):
-        rng = np.random.default_rng(18)
-        pool, _ = fabricate_pool(rng, 30, n_elements=70, missing=True)
-        outsider = fabricate_pool(rng, 1, n_elements=70)[0][0]
-        assert all(r is not outsider for r in pool)
-        elem = find_best(selection(pool), [outsider], WeightVector(0, 0, 0, 1, 0, 0), n=10)
-        assert elem is min(pool, key=lambda r: set_jaccard(supp(r), supp(outsider)))
-        attr = find_best(selection(pool), [outsider], WeightVector(0, 0, 1, 0, 0, 0), n=10)
-        assert attr is min(pool, key=lambda r: set_jaccard(r.attrs, outsider.attrs))
-        # an equal copy outside the pool excludes nothing: exclusion is by identity
-        best = max(pool, key=lambda r: r.j_qnm)
-        copy = dataclasses.replace(best)
-        assert copy == best and copy is not best
-        assert find_best(selection(pool), [copy], WeightVector(1, 0, 0, 0, 0, 0), n=10) is best
 
     def test_accuracy_heavy_row_matches_oracle_stepwise(self):
         rng = np.random.default_rng(9)
