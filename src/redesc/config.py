@@ -23,7 +23,6 @@ Recognized keys:
   max_depth, min_leaf_size         tree limits (min_leaf_size 0 = auto)
   target_window                    most-recent-rules cap for target matrices
   max_set_size                     mined-set memory cap
-  dedup_supports                   true | false: keep one member per support
   operator_mode                    conj | conjneg | all
   refine                           true | false
   disjunction_threshold            accuracy gate for disjunction building
@@ -147,7 +146,6 @@ FIELDS = {
     "max_iter": ("mining", "max_iter", _as_int),
     "target_window": ("mining", "target_window", _as_int),
     "max_set_size": ("mining", "max_set_size", _as_int),
-    "dedup_supports": ("mining", "dedup_supports", _as_bool),
     "operator_mode": ("mining", "operator_mode", _as_mode),
     "refine": ("mining", "use_refinement", _as_bool),
     "disjunction_threshold": ("mining", "disjunction_threshold", _as_float),

@@ -225,14 +225,12 @@ class Redescription:
 
 
 class RedescriptionSet:
-    """Ordered collection with canonical-pair dedup and optional dedup by
-    identical support (keeping the more accurate of two same-support members).
-    """
+    """Ordered collection holding one member per support, the more accurate
+    of any two. Equal keys mean equal queries, so equal supports and
+    accuracy: a second copy of a member is refused."""
 
-    def __init__(self, dedup_supports: bool = True):
+    def __init__(self):
         self.members: list[Redescription] = []
-        self.dedup_supports = dedup_supports
-        self._by_pair: dict[tuple[str, str], int] = {}
         self._by_supp: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -241,45 +239,18 @@ class RedescriptionSet:
     def __iter__(self):
         return iter(self.members)
 
-    def _reindex(self) -> None:
-        self._by_pair = {m.key: i for i, m in enumerate(self.members)}
-        if self.dedup_supports:
-            self._by_supp = {}
-            for i, m in enumerate(self.members):
-                self._by_supp.setdefault(m.supp_mask, i)
-
     def add(self, red: Redescription) -> bool:
-        if red.key in self._by_pair:
+        """Append red if no member has its support; otherwise put red in that
+        member's place if red is strictly more accurate. False if refused."""
+        held = self._by_supp.get(red.supp_mask)
+        if held is None:
+            self._by_supp[red.supp_mask] = len(self.members)
+            self.members.append(red)
+        elif red.j_qnm > self.members[held].j_qnm:
+            self.members[held] = red
+        else:
             return False
-        if self.dedup_supports:
-            held = self._by_supp.get(red.supp_mask)
-            if held is not None:
-                if red.j_qnm > self.members[held].j_qnm:
-                    self.replace(held, red)
-                    return True
-                return False
-        self.members.append(red)
-        self._by_pair[red.key] = len(self.members) - 1
-        if self.dedup_supports:
-            self._by_supp[red.supp_mask] = len(self.members) - 1
         return True
-
-    def replace(self, index: int, red: Redescription) -> bool:
-        """Put red at `index`; True when red is another member's pair instead,
-        so the member at `index` is deleted and the later ones move up one."""
-        other = self._by_pair.get(red.key)
-        if other is not None and other != index:
-            # an equal key means equal queries, so the held member is as good
-            del self.members[index]
-            self._reindex()
-            return True
-        old = self.members[index]
-        self.members[index] = red
-        del self._by_pair[old.key]
-        self._by_pair[red.key] = index
-        if self.dedup_supports and red.supp_mask != old.supp_mask:
-            self._reindex()
-        return False
 
     def recheck(self, constraints: "Constraints", dataset: Dataset) -> None:
         """Post-pass assertion that every member satisfies the constraints and

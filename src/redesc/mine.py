@@ -35,7 +35,6 @@ class MiningParams:
     operator_mode: str = "all"
     target_window: int = 64
     max_set_size: int = 10_000
-    dedup_supports: bool = True
     disjunction_threshold: float | None = None  # None: fall back to min_jaccard
     max_disjuncts: int = 2
 
@@ -237,9 +236,10 @@ def combine_disjunctive(
 def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> RedescriptionSet:
     """Full mining loop: bootstrap, then `max_iter` rounds of cross-view
     target construction, tree induction, rule harvesting, pairing (refined
-    when `params.use_refinement` is set), and disjunction building."""
+    when `params.use_refinement` is set), and disjunction building. The set
+    keeps one member per support (see `RedescriptionSet`)."""
     rules = init_rules(dataset, params)
-    rset = RedescriptionSet(dedup_supports=params.dedup_supports)
+    rset = RedescriptionSet()
     n = dataset.n_elements
     done1 = done2 = 0  # rules of each view paired in earlier rounds
 
@@ -277,7 +277,7 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
 
         if len(rset) > params.max_set_size:
             reduced = reduce.reduce_set(rset, [reduce.EQUAL_WEIGHTS], params.max_set_size // 2)[0]
-            trimmed = RedescriptionSet(dedup_supports=params.dedup_supports)
+            trimmed = RedescriptionSet()
             for member in reduced.members:
                 trimmed.add(member)
             rset = trimmed

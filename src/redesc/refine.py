@@ -142,6 +142,8 @@ def construct_and_refine(
     else `min_jaccard`) only prefilters: `Constraints.admits` takes no pair it
     drops. When refining, each candidate refines, and is refined by, every
     member before the admission check, so it can improve members it never joins.
+    A refined member keeps its support, so it takes its own place in `rset`:
+    the walk over the members never deletes one.
     """
     floor = constraints.ref_jaccard if refine else constraints.min_jaccard
     words2 = pack_masks([r2.tri.in_mask for r2 in rules2], dataset.n_elements)
@@ -151,15 +153,13 @@ def construct_and_refine(
         for j in np.flatnonzero(overlap / np.maximum(union, 1) >= floor):
             r2 = rules2[j]
             candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
-            idx = 0
-            while refine and idx < len(rset.members):
+            for idx in range(len(rset.members) if refine else 0):
                 outcome = refine_pair(rset.members[idx], candidate, dataset)
-                if outcome.improved and rset.replace(idx, outcome.refined):
-                    continue  # the next member moved up to idx
+                if outcome.improved:
+                    rset.add(outcome.refined)  # same support, more accurate: takes idx
                 back = refine_pair(candidate, rset.members[idx], dataset)
                 if back.improved:
                     candidate = back.refined
-                idx += 1
             if constraints.admits(candidate):
                 rset.add(candidate)
     return rset

@@ -11,6 +11,7 @@ way they import `conftest` helpers:
 - the per-node tree, the scalar pair, refinement and disjunction screens,
   full-build refinement, the brute-force greedy reduction and the pairwise
   set redundancy: the loops each optimized layer replaced
+- the mined set's one-member-per-support rule as a scan of a plain list
 - one whole `mine` -> `reduce` -> `eval` run composed from them, with every
   support taken row by row (no literal memo) and every tree scored densely
   on float64 targets, so the command line's output files can be pinned byte
@@ -34,7 +35,7 @@ import numpy as np
 from redesc.config import RunConfig
 from redesc.dataset import BOOLEAN, CATEGORICAL, NUMERIC, Dataset, View, concat_rows, make_artificial
 from redesc.interchange import write_records
-from redesc.measures import PackedMembers, Redescription, RedescriptionSet
+from redesc.measures import PackedMembers, Redescription
 from redesc.mine import Rule, RuleSet, _bootstrap_targets, _mode_accepts
 from redesc.query import (
     And,
@@ -570,22 +571,36 @@ def _harvest(queries, dataset: Dataset, view_id: int, rules: RuleSet, mode: str)
             rules.add(view_id, Rule(query=q, tri=row_support(q, view), text=print_query(q, view)))
 
 
-def _refine_into(rules1, rules2, rset, constraints, dataset) -> None:
+def support_set_add(members: list, red: Redescription) -> bool:
+    """`RedescriptionSet.add` as a scan of a plain list: a member with red's
+    key refuses red; otherwise a member with red's support gives way to red,
+    in its place, only when red is more accurate; otherwise red is appended."""
+    if any(m.key == red.key for m in members):
+        return False
+    for i, m in enumerate(members):
+        if m.supp_mask == red.supp_mask:
+            if red.j_qnm > m.j_qnm:
+                members[i] = red
+                return True
+            return False
+    members.append(red)
+    return True
+
+
+def _refine_into(rules1, rules2, members, constraints, dataset) -> None:
     """`construct_and_refine` over the scalar screen, refining by full builds."""
     for i, j in scalar_refinement_screen(rules1, rules2, constraints):
         r1, r2 = rules1[i], rules2[j]
         candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
-        idx = 0
-        while idx < len(rset.members):
-            outcome = full_build_refine_pair(rset.members[idx], candidate, dataset)
-            if outcome.improved and rset.replace(idx, outcome.refined):
-                continue  # the next member moved up to idx
-            back = full_build_refine_pair(candidate, rset.members[idx], dataset)
+        for idx in range(len(members)):
+            outcome = full_build_refine_pair(members[idx], candidate, dataset)
+            if outcome.improved:
+                support_set_add(members, outcome.refined)
+            back = full_build_refine_pair(candidate, members[idx], dataset)
             if back.improved:
                 candidate = back.refined
-            idx += 1
         if constraints.admits(candidate):
-            rset.add(candidate)
+            support_set_add(members, candidate)
 
 
 def _or_extend(red: Redescription, side: int, rule: Rule, dataset: Dataset) -> Redescription:
@@ -635,7 +650,7 @@ def reference_mine(dataset: Dataset, constraints, params) -> list[Redescription]
         queries = reference_rules(doubled, targets, params.pct, view_id)
         _harvest(queries, dataset, view_id, rules, params.operator_mode)
 
-    rset = RedescriptionSet(dedup_supports=params.dedup_supports)
+    members: list[Redescription] = []
     done1 = done2 = 0
     for _ in range(params.max_iter):
         grown = []  # both trees grow before either view's rules are harvested
@@ -653,28 +668,25 @@ def reference_mine(dataset: Dataset, constraints, params) -> list[Redescription]
         rules1, rules2 = rules.rules1, rules.rules2
         blocks = ((rules1[:done1], rules2[done2:]), (rules1[done1:], rules2))
         done1, done2 = len(rules1), len(rules2)
-        before = {m.key for m in rset.members}
+        before = {m.key for m in members}
         for block1, block2 in blocks:
             if params.use_refinement:
-                _refine_into(block1, block2, rset, constraints, dataset)
+                _refine_into(block1, block2, members, constraints, dataset)
             else:
                 for i, j in scalar_pair_screen(block1, block2, constraints):
                     r1, r2 = block1[i], block2[j]
                     candidate = Redescription.create(r1.query, r2.query, r1.tri, r2.tri, dataset)
                     if constraints.admits(candidate):
-                        rset.add(candidate)
-        fresh = [m for m in rset.members if m.key not in before]
+                        support_set_add(members, candidate)
+        fresh = [m for m in members if m.key not in before]
 
         if params.operator_mode == "all":
             for extended in _disjunctions(fresh, rules, constraints, dataset, params):
-                rset.add(extended)
+                support_set_add(members, extended)
 
-        if len(rset) > params.max_set_size:
-            trimmed = RedescriptionSet(dedup_supports=params.dedup_supports)
-            for member in oracle_reduce(rset.members, EQUAL_WEIGHTS, params.max_set_size // 2):
-                trimmed.add(member)
-            rset = trimmed
-    return list(rset.members)
+        if len(members) > params.max_set_size:
+            members = oracle_reduce(members, EQUAL_WEIGHTS, params.max_set_size // 2)
+    return members
 
 
 def _log10_floored(pv: float) -> float:

@@ -119,7 +119,7 @@ class TestMineCommand:
             outs.append((out / "mined.tsv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("line", ["min_jacard = 0.9", "workers = 3"])
+    @pytest.mark.parametrize("line", ["min_jacard = 0.9", "workers = 3", "dedup_supports = false"])
     def test_unknown_config_key_exits_two_and_names_line(self, planted_files, tmp_path, capsys, line):
         _, _, paths = planted_files
         cfg = tmp_path / "typo.cfg"

@@ -44,7 +44,7 @@ from redesc.query import (
 from redesc.reduce import OccurrenceProfile, WeightVector, compute_occurrence, find_specific
 
 from conftest import fabricate_pool, make_dataset
-from reference import from_sets, loop_aaj, loop_aej, packed, set_jaccard, supp
+from reference import from_sets, loop_aaj, loop_aej, packed, set_jaccard, supp, support_set_add
 
 
 # ---------------------------------------------------------------------------
@@ -492,3 +492,38 @@ def test_recheck_raises_on_member_built_from_non_canonical_query(shape):
     rset.add(red)
     with pytest.raises(AssertionError, match="non-canonical"):
         rset.recheck(constraints, ds)
+
+
+def _support_pool() -> list[Redescription]:
+    """Interval pairs on two copies of 0..4: pairs share a support whenever
+    their intervals meet on the same rows, and share an accuracy too when
+    their union is the same. Each pair of the first intervals is built twice,
+    as two objects with one key."""
+    values = [0.0, 1.0, 2.0, 3.0, 4.0]
+    ds = make_dataset([("x", "numeric", values)], [("y", "numeric", values)])
+    spans = [(lo, hi) for lo in values for hi in values if lo <= hi]
+
+    def build(s1, s2):
+        return Redescription.evaluate(
+            parse_query(f"[{s1[0]} <= x <= {s1[1]}]", ds.view1, 1),
+            parse_query(f"[{s2[0]} <= y <= {s2[1]}]", ds.view2, 2),
+            ds,
+        )
+
+    pool = [build(s1, s2) for s1 in spans for s2 in spans]
+    return pool + [build(s1, s2) for s1 in spans[:4] for s2 in spans[:4]]
+
+
+SUPPORT_POOL = _support_pool()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, len(SUPPORT_POOL) - 1), max_size=30))
+def test_set_add_equals_the_list_reference(picks):
+    """`RedescriptionSet.add` answers and keeps exactly what the linear scan
+    of `support_set_add` does: one member per support, a strictly more
+    accurate one in the held place, and a second copy of a key refused."""
+    rset, members = RedescriptionSet(), []
+    for i in picks:
+        assert rset.add(SUPPORT_POOL[i]) == support_set_add(members, SUPPORT_POOL[i])
+    assert [id(m) for m in rset.members] == [id(m) for m in members]

@@ -444,20 +444,6 @@ class TestMine:
         large = mine(ds, PLANTED_CONSTRAINTS, _planted_params(max_iter=3))
         assert {m.supp_mask for m in small.members} <= {m.supp_mask for m in large.members}
 
-    def test_monotone_accumulation_of_pairs_without_dedup(self):
-        ds, _ = planted_dataset(seed=11)
-        small = mine(
-            ds,
-            PLANTED_CONSTRAINTS,
-            _planted_params(max_iter=1, use_refinement=False, dedup_supports=False),
-        )
-        large = mine(
-            ds,
-            PLANTED_CONSTRAINTS,
-            _planted_params(max_iter=3, use_refinement=False, dedup_supports=False),
-        )
-        assert {m.key for m in small.members} <= {m.key for m in large.members}
-
     def test_all_members_satisfy_constraints(self):
         ds, _ = planted_dataset(seed=11)
         result = mine(ds, PLANTED_CONSTRAINTS, _planted_params())
