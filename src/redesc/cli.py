@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import gc
 import json
 import math
 import sys
@@ -117,21 +119,19 @@ def cmd_reduce(args) -> int:
         return EXIT_ERROR
 
     outputs = []
-    for size in cfg.sizes:
-        for row_idx, reduced in enumerate(
-            reduce_set(pool, cfg.weight_rows, size), start=1
-        ):
-            path = out_dir / f"reduced_w{row_idx}_n{size}.tsv"
-            write_records(path, reduced.members)
-            outputs.append(
-                {
-                    "weights": reduced.weights.as_tuple(),
-                    "requested": size,
-                    "selected": len(reduced.members),
-                    "output": str(path),
-                }
-            )
-            print(f"reduced set ({len(reduced.members)}/{size}) -> {path}")
+    rows = len(cfg.weight_rows)
+    for i, reduced in enumerate(reduce_set(pool, cfg.weight_rows, cfg.sizes)):
+        path = out_dir / f"reduced_w{i % rows + 1}_n{reduced.n}.tsv"
+        write_records(path, reduced.members)
+        outputs.append(
+            {
+                "weights": reduced.weights.as_tuple(),
+                "requested": reduced.n,
+                "selected": len(reduced.members),
+                "output": str(path),
+            }
+        )
+        print(f"reduced set ({len(reduced.members)}/{reduced.n}) -> {path}")
     report = {
         "command": "reduce",
         "tool_version": __version__,
@@ -266,7 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_start_up() -> None:
+    """Once per process, move what the imports left (numpy, scipy, this
+    package) out of the collector's reach, so no full collection walks it
+    inside a command. Objects made later stay collectable. Counting the
+    frozen objects walks them all, so the count is read only once."""
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+
+
 def main(argv=None) -> int:
+    _freeze_start_up()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

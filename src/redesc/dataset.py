@@ -211,6 +211,8 @@ def read_schema(path: str | Path) -> dict[str, str]:
 
 def _parse_numeric(token: str, path, lineno: int, name: str) -> float:
     try:
+        if "_" in token:  # float() reads '1_5' as 15.0; the grammar's numbers have no '_'
+            raise ValueError(token)
         value = float(token)
     except ValueError:
         raise DataError(
@@ -234,7 +236,9 @@ def _parse_boolean(token: str, path, lineno: int, name: str) -> float:
 
 def _numeric_column(tokens: Sequence[str]) -> np.ndarray | None:
     """The column's values (missing cells NaN), or None when a cell does not
-    parse or is not finite."""
+    parse, holds a digit-group '_', or is not finite."""
+    if "_" in "".join(tokens):
+        return None
     try:
         col = np.array([math.nan if t in MISSING_TOKENS else float(t) for t in tokens])
     except ValueError:

@@ -286,6 +286,10 @@ def score_size(attr_count: int, k: int = DEFAULT_SIZE_NORMALIZER) -> float:
 # per block in `aej`/`aaj`; each block and its float64 products stay under
 # 40 KB, so packing adds no visible peak memory
 _BLOCK_CELLS = 1 << 12
+# words per block of `_pick_overlaps`: one block holds several picks against
+# a small pool (256 KB of uint64 words at most), and one pick at a time
+# against a large one, as a single pick's row scan needs anyway
+_PICK_CELLS = 1 << 15
 
 
 class PackedMembers:
@@ -317,6 +321,9 @@ class PackedMembers:
         )
         self.incidence = np.zeros((len(members), len(self.attr_col)), dtype=bool)
         self.incidence[np.repeat(np.arange(len(members)), self.attr_sizes), cols] = True
+        # the pairwise kernels' layout: word w of every member is one row
+        self.word_cols = np.ascontiguousarray(self.words.T)
+        self.attr_cols = np.ascontiguousarray(np.packbits(self.incidence, axis=1).T)
 
         def column(values) -> np.ndarray:
             return np.fromiter(values, dtype=np.float64, count=len(members))
@@ -350,53 +357,65 @@ class PackedMembers:
             counts += bits.sum(axis=0)
         return counts
 
-    def element_similarity(self, i: int) -> np.ndarray:
-        """Support Jaccard of every member against member i."""
-        inter = np.bitwise_count(self.words & self.words[i]).sum(axis=1, dtype=np.int64)
-        return inter / np.maximum(self.sizes + self.sizes[i] - inter, 1)
+    def element_similarity(self, picks: np.ndarray) -> np.ndarray:
+        """Support Jaccard of every member (columns) against each member in `picks` (rows)."""
+        inter = _pick_overlaps(self.word_cols, picks)
+        return inter / np.maximum(self.sizes + self.sizes[picks, None] - inter, 1)
 
-    def attribute_similarity(self, i: int) -> np.ndarray:
-        """Attribute-set Jaccard of every member against member i."""
-        shared = self.incidence[:, self.incidence[i]].sum(axis=1, dtype=np.int64)
-        return shared / np.maximum(self.attr_sizes + self.attr_sizes[i] - shared, 1)
+    def attribute_similarity(self, picks: np.ndarray) -> np.ndarray:
+        """Attribute-set Jaccard of every member (columns) against each member in `picks` (rows)."""
+        inter = _pick_overlaps(self.attr_cols, picks)
+        return inter / np.maximum(self.attr_sizes + self.attr_sizes[picks, None] - inter, 1)
 
 
-def _mean_jaccard_over_others(
-    packed: PackedMembers, bits: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
+def _pick_overlaps(cols: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """inter[a, b]: how many set bits member picks[a] shares with member b,
+    where column b of `cols` holds member b's bits as words.
+
+    Picks go in blocks whose words-by-members temporary stays within
+    `_PICK_CELLS` words, or one pick's words when those alone are more.
+    """
+    out = np.empty((len(picks), cols.shape[1]), dtype=np.int64)
+    step = max(1, _PICK_CELLS // max(cols.size, 1))
+    for lo in range(0, len(picks), step):
+        shared = cols[:, picks[lo : lo + step]].T[:, :, None] & cols
+        out[lo : lo + len(shared)] = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+    return out
+
+
+def _mean_jaccard_over_others(cols: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per member, the mean Jaccard of its set against every other member's.
 
-    Row i of `bits` holds member i's set as packed words, `sizes[i]` its size.
-    Each block of rows meets every member one word column at a time, so no
-    temporary outgrows `_BLOCK_CELLS` pairs. Each member's entry for itself
-    becomes +0.0, which leaves a non-negative running sum's bits alone, so the
-    last prefix sum of a row is the left-to-right sum over the other members;
-    an equal copy in another row is another member.
+    Column i of `cols` holds member i's set as packed words, `sizes[i]` its
+    size. Each block of members meets every member one word row at a time,
+    so no temporary outgrows `_BLOCK_CELLS` pairs. Each member's entry for
+    itself becomes +0.0, which leaves a non-negative running sum's bits alone,
+    so the last prefix sum of a row is the left-to-right sum over the other
+    members; an equal copy in another column is another member.
     """
-    m = len(packed)
+    m = len(sizes)
     out = np.empty(m)
     step = max(1, _BLOCK_CELLS // m)
     for lo in range(0, m, step):
         rows = slice(lo, lo + step)
-        block = bits[rows]
-        inter = np.zeros((len(block), m), dtype=np.int64)
-        for w in range(bits.shape[1]):
-            inter += np.bitwise_count(block[:, w, None] & bits[:, w])
+        block = cols[:, rows]
+        inter = np.zeros((block.shape[1], m), dtype=np.int64)
+        for block_words, words in zip(block, cols):
+            inter += np.bitwise_count(block_words[:, None] & words)
         similarity = inter / np.maximum(sizes[rows, None] + sizes - inter, 1)
-        similarity[np.arange(len(block)), np.arange(lo, lo + len(block))] = 0.0
+        similarity[np.arange(len(inter)), np.arange(lo, lo + len(inter))] = 0.0
         out[rows] = np.cumsum(similarity, axis=1)[:, -1] / max(m - 1, 1)
     return out
 
 
 def aej(packed: PackedMembers) -> np.ndarray:
     """Per member, the average Jaccard of its support against every other member's."""
-    return _mean_jaccard_over_others(packed, packed.words, packed.sizes)
+    return _mean_jaccard_over_others(packed.word_cols, packed.sizes)
 
 
 def aaj(packed: PackedMembers) -> np.ndarray:
     """Per member, the average Jaccard of its attribute set against every other member's."""
-    bits = np.packbits(packed.incidence, axis=1)
-    return _mean_jaccard_over_others(packed, bits, packed.attr_sizes)
+    return _mean_jaccard_over_others(packed.attr_cols, packed.attr_sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
                 rset.add(extended)
 
         if len(rset) > params.max_set_size:
-            reduced = reduce.reduce_set(rset, [reduce.EQUAL_WEIGHTS], params.max_set_size // 2)[0]
+            reduced = reduce.reduce_set(rset, [reduce.EQUAL_WEIGHTS], [params.max_set_size // 2])[0]
             trimmed = RedescriptionSet()
             for member in reduced.members:
                 trimmed.add(member)

@@ -7,9 +7,12 @@ minimizes the same sum with the occurrence scores swapped for similarity
 against the set built so far and the significance score blended with relative
 support. Positive weights make each pick a non-dominated candidate.
 
-The pool is packed once (`PackedMembers`), and the selection works on its
-rows: `find_specific` and `find_best` return row numbers, and a pick excludes
-its row only, so a record listed twice is two candidates.
+`reduce_set` packs and profiles the pool once (`PackedMembers`) and runs
+every requested (size, weight row) selection, a lane, in one lockstep pass
+over it: `find_specific` makes every lane's first pick, and each `find_best`
+call advances every lane still short of its size by one pick. Lanes work on
+rows of the packed pool, and a pick excludes its row only, so a record listed
+twice is two candidates.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ EQUAL_WEIGHTS = WeightVector(0.2, 0.2, 0.2, 0.2, 0.2, 0.0)
 
 @dataclass
 class ReducedSet:
-    """Selection result for one weight row, in selection order."""
+    """Selection result for one size and weight row, in selection order."""
 
     members: list[Redescription]
     weights: WeightVector
@@ -92,59 +95,89 @@ def compute_occurrence(cand: PackedMembers) -> OccurrenceProfile:
 
 
 class _Selection:
-    """Running greedy state over packed candidates: the rows picked so far,
-    in order, and each candidate's highest element and attribute Jaccard
-    against them."""
+    """Running greedy state of every lane over one packed pool; a lane is one
+    (size, weight row) selection. Per lane: its weights and size, the rows
+    picked so far in order, and each candidate's highest element and
+    attribute Jaccard against them. Every live lane has made `k` picks.
+    """
 
-    def __init__(self, cand: PackedMembers) -> None:
+    def __init__(
+        self, cand: PackedMembers, weights: Sequence[WeightVector], sizes: Sequence[int]
+    ) -> None:
+        lanes, m = len(weights), len(cand)
         self.cand = cand
-        self.picks: list[int] = []
-        self.taken = np.zeros(len(cand), dtype=bool)
-        self.elem_max = np.zeros(len(cand))
-        self.attr_max = np.zeros(len(cand))
+        self.weights = np.array([w.as_tuple() for w in weights], dtype=np.float64).reshape(lanes, 6)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.k = 0
+        self.live = np.arange(lanes)
+        self.picks: list[list[int]] = [[] for _ in range(lanes)]
+        self.taken = np.zeros((lanes, m), dtype=bool)
+        self.elem_max = np.zeros((lanes, m))
+        self.attr_max = np.zeros((lanes, m))
 
-    def take(self, i: int) -> None:
-        """Pick row i: exclude it and fold its similarities in."""
-        self.picks.append(i)
-        self.taken[i] = True
-        np.maximum(self.elem_max, self.cand.element_similarity(i), out=self.elem_max)
-        np.maximum(self.attr_max, self.cand.attribute_similarity(i), out=self.attr_max)
+    def take(self, picks: np.ndarray) -> None:
+        """Give live lane i the row picks[i]; a lane whose pick is -1 (no
+        candidate left) stops without one, and a lane that reaches its size
+        stops after it. Only lanes that go on fold in the new similarities."""
+        found = picks >= 0
+        lanes, picks = self.live[found], picks[found]
+        for lane, i in zip(lanes.tolist(), picks.tolist()):
+            self.picks[lane].append(i)
+        self.taken[lanes, picks] = True
+        self.k += 1
+        going = self.sizes[lanes] > self.k
+        self.live, picks = lanes[going], picks[going]
+        if self.live.size:
+            lanes = self.live
+            self.elem_max[lanes] = np.maximum(
+                self.elem_max[lanes], self.cand.element_similarity(picks)
+            )
+            self.attr_max[lanes] = np.maximum(
+                self.attr_max[lanes], self.cand.attribute_similarity(picks)
+            )
 
 
 def _first_min(
-    w: WeightVector,
+    weights: np.ndarray,
     cand: PackedMembers,
     taken: np.ndarray,
     pval_term: np.ndarray,
     elem_term: np.ndarray,
     attr_term: np.ndarray,
-) -> int | None:
-    """The row of the untaken candidate with the lowest weighted score; ties
-    keep the earliest. None when no untaken candidate scores below infinity.
+) -> np.ndarray:
+    """Per lane (a row of `weights`), the row of the untaken candidate with
+    the lowest weighted score; ties keep the earliest. -1 for a lane in which
+    no untaken candidate scores below infinity.
 
     The three term arrays are the significance, element and attribute terms
-    per candidate; accuracy, query size and variability come from `cand`.
+    per candidate, one row per lane or one row for all; accuracy, query size
+    and variability come from `cand`.
     """
+    # one (lanes, 1) column per weight, in `WeightVector` field order
+    j, pval, attr_jaccard, elem_jaccard, query_size, variability = weights.T[:, :, None]
     # float addition is not associative: reordering the terms can flip near-ties
     scores = (
-        w.j * cand.inaccuracy
-        + w.pval * pval_term
-        + w.elem_jaccard * elem_term
-        + w.attr_jaccard * attr_term
-        + w.query_size * cand.size_score
-        + w.variability * cand.variability
+        j * cand.inaccuracy
+        + pval * pval_term
+        + elem_jaccard * elem_term
+        + attr_jaccard * attr_term
+        + query_size * cand.size_score
+        + variability * cand.variability
     )
     # a NaN score never won the strict `<` scan; argmin keeps the first minimum
     scores[taken | np.isnan(scores)] = np.inf
-    best = int(np.argmin(scores))
-    return best if scores[best] < np.inf else None
+    best = np.argmin(scores, axis=1)
+    return np.where(scores[np.arange(len(best)), best] < np.inf, best, -1)
 
 
-def find_specific(cand: PackedMembers, profile: OccurrenceProfile, w: WeightVector) -> int:
-    """Row of the first pick among the packed candidates: accurate,
-    significant, small, and built from elements and attributes that few other
-    redescriptions touch. Ties keep input order.
+def find_specific(state: _Selection, profile: OccurrenceProfile) -> np.ndarray:
+    """Per lane of `state`, none picked yet, the row of its first pick among
+    the packed candidates: accurate, significant, small, and built from elements and
+    attributes that few other redescriptions touch. Ties keep input order.
+    The occurrence terms do not depend on the weights, so all lanes share one
+    computation of them.
     """
+    cand = state.cand
     # the counts are integers, so these sums are exact in any order
     el_total = profile.element_counts.sum()
     at_total = profile.attribute_counts.sum()
@@ -154,46 +187,55 @@ def find_specific(cand: PackedMembers, profile: OccurrenceProfile, w: WeightVect
     ocur_at = np.zeros(len(cand))
     if at_total:
         ocur_at = (cand.incidence * profile.attribute_counts).sum(axis=1) / at_total
-    best = _first_min(w, cand, np.zeros(len(cand), dtype=bool), cand.pval_score, ocur_el, ocur_at)
-    return 0 if best is None else best
+    best = _first_min(state.weights, cand, state.taken, cand.pval_score, ocur_el, ocur_at)
+    return np.maximum(best, 0)
 
 
-def find_best(state: _Selection, w: WeightVector, n: int) -> int | None:
-    """Row of the next pick given the rows `state` has picked; None when the
-    candidates are exhausted.
+def find_best(state: _Selection) -> np.ndarray:
+    """Per live lane of `state`, the row of its next pick given the rows it
+    has picked; -1 when its candidates are exhausted.
 
     The significance weight splits between the p-value score and relative
-    support with ratio k/n, where k is the current reduced-set size: early
-    picks favour small significant redescriptions, late picks larger support.
+    support with ratio k/n, where k is the current reduced-set size and n the
+    lane's size: early picks favour small significant redescriptions, late
+    picks larger support.
     """
-    cand = state.cand
-    k = len(state.picks)
-    blend = (k / n) * cand.pval_score + (1.0 - k / n) * cand.rel_support
-    return _first_min(w, cand, state.taken, blend, state.elem_max, state.attr_max)
+    cand, lanes = state.cand, state.live
+    ratio = (state.k / state.sizes[lanes])[:, None]
+    blend = ratio * cand.pval_score + (1.0 - ratio) * cand.rel_support
+    return _first_min(
+        state.weights[lanes],
+        cand,
+        state.taken[lanes],
+        blend,
+        state.elem_max[lanes],
+        state.attr_max[lanes],
+    )
 
 
-def reduce_set(pool, weight_rows: Sequence[WeightVector], n: int) -> list[ReducedSet]:
-    """One reduced set per weight row, selected from the whole pool: no
-    constraint applies. Selection stops at n members or pool exhaustion, so
-    an empty pool gives empty sets. The pool is packed and profiled once and
-    shared by every weight row; each pick then costs one vector update
-    against the newest member.
+def reduce_set(
+    pool, weight_rows: Sequence[WeightVector], sizes: Sequence[int]
+) -> list[ReducedSet]:
+    """One reduced set per (size, weight row), size-major, selected from the
+    whole pool: no constraint applies. A set stops at its size or when the
+    pool is exhausted, so an empty pool gives empty sets.
+
+    The pool is packed and profiled once, and every set advances in lockstep:
+    each step scores all unfinished sets together and costs one vector update
+    per set against its newest member.
     """
-    if n < 1:
+    if any(n < 1 for n in sizes):
         raise ValueError("reduced set size must be at least 1")
+    lanes = [(n, w) for n in sizes for w in weight_rows]
     candidates = list(pool)
     if not candidates:
-        return [ReducedSet(members=[], weights=w, n=n) for w in weight_rows]
+        return [ReducedSet(members=[], weights=w, n=n) for n, w in lanes]
     cand = PackedMembers(candidates)
-    profile = compute_occurrence(cand)
-    outputs: list[ReducedSet] = []
-    for w in weight_rows:
-        state = _Selection(cand)
-        state.take(find_specific(cand, profile, w))
-        while len(state.picks) < n:
-            nxt = find_best(state, w, n)
-            if nxt is None:
-                break
-            state.take(nxt)
-        outputs.append(ReducedSet([candidates[i] for i in state.picks], w, n))
-    return outputs
+    state = _Selection(cand, [w for _, w in lanes], [n for n, _ in lanes])
+    state.take(find_specific(state, compute_occurrence(cand)))
+    while state.live.size:
+        state.take(find_best(state))
+    return [
+        ReducedSet([candidates[i] for i in picks], w, n)
+        for picks, (n, w) in zip(state.picks, lanes)
+    ]

@@ -258,12 +258,12 @@ def packed(pool) -> PackedMembers:
     return PackedMembers(list(pool))
 
 
-def selection(pool, picks=()) -> _Selection:
-    """A greedy state over the packed pool, as `reduce_set` starts one per
-    weight row, with the rows `picks` taken in order."""
-    state = _Selection(packed(pool))
+def selection(pool, w, n, picks=()) -> _Selection:
+    """A one-lane greedy state over the packed pool, for weight row `w` and
+    size `n`, with the rows `picks` taken in order."""
+    state = _Selection(packed(pool), [w], [n])
     for i in picks:
-        state.take(i)
+        state.take(np.array([i]))
     return state
 
 

@@ -194,7 +194,7 @@ def test_criterion_06_selection_step_optimality():
     rows = [WeightVector.from_row(r) for r in ACCURACY_LADDER + STABILITY_LADDER]
     pool, _ = fabricate_pool(rng, 200, n_elements=150, missing=True)
     for w in rows:
-        got = reduce_set(pool, [w], 50)[0].members
+        got = reduce_set(pool, [w], [50])[0].members
         want = oracle_reduce(pool, w, 50)
         ok &= [id(m) for m in got] == [id(m) for m in want]
         if not ok:
@@ -271,12 +271,12 @@ def test_criterion_09_weight_trends():
     accuracy_rows = [WeightVector.from_row(r) for r in ACCURACY_LADDER[:3]]
     j_means = [
         sum(m.j_qnm for m in out.members) / len(out.members)
-        for out in reduce_set(pool, accuracy_rows, 50)
+        for out in reduce_set(pool, accuracy_rows, [50])
     ]
     stability_rows = [WeightVector.from_row(r) for r in STABILITY_LADDER]
     v_means = [
         sum(m.variability for m in out.members) / len(out.members)
-        for out in reduce_set(pool, stability_rows, 50)
+        for out in reduce_set(pool, stability_rows, [50])
     ]
     ok = (
         all(a <= b + 1e-12 for a, b in zip(j_means, j_means[1:]))

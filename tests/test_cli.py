@@ -4,7 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import redesc
 from redesc.cli import main
 from redesc.interchange import read_records, write_records
 from redesc.measures import Redescription, mask_jaccard
@@ -89,7 +94,9 @@ class TestMineCommand:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token", ["bogus", "nan", "inf", "-inf", "infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "token", ["bogus", "nan", "inf", "-inf", "infinity", "1e999", "1_5"]
+    )
     def test_bad_numeric_cell_exits_two_and_names_file_line(
         self, planted_files, tmp_path, capsys, token
     ):
@@ -728,3 +735,49 @@ class TestInterchangeRoundTrip:
         write_records(p1, [r])
         write_records(p2, [r])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Run in a fresh interpreter: the freeze is once per process, and the test
+# process has long since run `main`.
+_FREEZE_SCRIPT = textwrap.dedent(
+    """
+    import gc, json, sys, weakref
+    import redesc.cli as cli
+
+    assert gc.get_freeze_count() == 0, "importing redesc froze objects"
+    first, second = json.loads(sys.argv[1])
+    assert cli.main(first) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0, "main froze nothing"
+    assert cli.main(second) == 0
+    assert gc.get_freeze_count() == frozen, "the second command froze again"
+
+    class Node:
+        pass
+
+    a, b = Node(), Node()
+    a.other, b.other = b, a
+    alive = weakref.ref(a)
+    del a, b
+    gc.collect()
+    assert alive() is None, "a cycle made after the freeze was not collected"
+    print("ok")
+    """
+)
+
+
+def test_main_freezes_start_up_objects_once_and_later_garbage_is_collected(tmp_path):
+    _, paths = _wide_dataset(tmp_path)
+    src = tmp_path / "set.tsv"
+    _synthetic_interchange(src, 6)
+    first = ["eval", str(src), *_dataset_args(paths), "--out", str(tmp_path / "ev")]
+    second = [
+        "reduce", str(src), *_dataset_args(paths), "--sizes", "3", "--out", str(tmp_path / "red")
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(redesc.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _FREEZE_SCRIPT, json.dumps([first, second])],
+        env=env, capture_output=True, encoding="utf-8", cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"

@@ -84,6 +84,13 @@ class TestLoadView:
         with pytest.raises(DataError, match=re.escape(f"v.csv:3: non-finite token {token!r}")):
             load_view(csv, {"a": "numeric"})
 
+    @pytest.mark.parametrize("token", ["1_5", "1_000.5", "2e1_0", "_1"])
+    def test_digit_group_underscore_rejected(self, tmp_path, token):
+        # float() reads '1_5' as 15.0, but the query grammar's numbers have no '_'
+        csv = _write(tmp_path, "v.csv", f"a\n1\n\n{token}\n")
+        with pytest.raises(DataError, match=re.escape(f"v.csv:4: non-numeric token {token!r}")):
+            load_view(csv, {"a": "numeric"})
+
     def test_non_numeric_token_names_row(self, tmp_path):
         csv = _write(tmp_path, "v.csv", "a\n1\nbogus\n")
         with pytest.raises(DataError, match="bogus"):

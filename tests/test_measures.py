@@ -44,7 +44,16 @@ from redesc.query import (
 from redesc.reduce import OccurrenceProfile, WeightVector, compute_occurrence, find_specific
 
 from conftest import fabricate_pool, make_dataset
-from reference import from_sets, loop_aaj, loop_aej, packed, set_jaccard, supp, support_set_add
+from reference import (
+    from_sets,
+    loop_aaj,
+    loop_aej,
+    packed,
+    selection,
+    set_jaccard,
+    supp,
+    support_set_add,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +452,10 @@ class TestScores:
         # both occurrence terms are 0 for every candidate, so the first row wins
         w = WeightVector(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
         for order in (pool, pool[::-1]):
-            cand = packed(order)
-            empty = OccurrenceProfile(np.zeros(10), np.zeros(len(cand.attr_col), dtype=np.int64))
-            assert find_specific(cand, empty, w) == 0
+            state = selection(order, w, 1)
+            attrs = len(state.cand.attr_col)
+            empty = OccurrenceProfile(np.zeros(10), np.zeros(attrs, dtype=np.int64))
+            assert find_specific(state, empty)[0] == 0
 
 
 class TestConstraints:

@@ -96,14 +96,14 @@ class TestFindSpecific:
         rng = np.random.default_rng(4)
         pool, _ = fabricate_pool(rng, 60, n_elements=100)
         profile = compute_occurrence(packed(pool))
-        pick = pool[find_specific(packed(pool), profile, WeightVector(1, 0, 0, 0, 0, 0))]
+        pick = pool[find_specific(selection(pool, WeightVector(1, 0, 0, 0, 0, 0), 1), profile)[0]]
         assert pick.j_qnm == max(r.j_qnm for r in pool)
 
     def test_pure_size_weight_takes_fewest_literals(self):
         rng = np.random.default_rng(5)
         pool, _ = fabricate_pool(rng, 60, n_elements=100)
         profile = compute_occurrence(packed(pool))
-        pick = pool[find_specific(packed(pool), profile, WeightVector(0, 0, 0, 0, 1, 0))]
+        pick = pool[find_specific(selection(pool, WeightVector(0, 0, 0, 0, 1, 0), 1), profile)[0]]
         assert pick.attr_count == min(r.attr_count for r in pool)
 
     def test_balanced_row_matches_oracle(self):
@@ -111,7 +111,7 @@ class TestFindSpecific:
         pool, _ = fabricate_pool(rng, 100, n_elements=120, missing=True)
         profile = compute_occurrence(packed(pool))
         w = WeightVector.from_row(ACCURACY_LADDER[0])
-        assert pool[find_specific(packed(pool), profile, w)] is oracle_specific(pool, w)
+        assert pool[find_specific(selection(pool, w, 1), profile)[0]] is oracle_specific(pool, w)
 
 
 class TestFindBest:
@@ -119,7 +119,7 @@ class TestFindBest:
         rng = np.random.default_rng(7)
         pool, _ = fabricate_pool(rng, 40, n_elements=80)
         w = WeightVector(0, 0, 0, 1, 0, 0)
-        pick = pool[find_best(selection(pool, [0]), w, n=10)]
+        pick = pool[find_best(selection(pool, w, 10, [0]))[0]]
         overlaps = {
             id(r): set_jaccard(supp(r), supp(pool[0])) for r in pool[1:]
         }
@@ -131,7 +131,7 @@ class TestFindBest:
         w = WeightVector(0, 1, 0, 0, 0, 0)
         n = 10
         k = n - 1
-        pick = pool[find_best(selection(pool, range(k)), w, n=n)]
+        pick = pool[find_best(selection(pool, w, n, range(k)))[0]]
         remaining = pool[k:]
         scores = {
             id(r): (k / n) * pv_score(r.p_value) + (1 - k / n) * r.support_size / 60
@@ -143,7 +143,7 @@ class TestFindBest:
         rng = np.random.default_rng(9)
         pool, _ = fabricate_pool(rng, 200, n_elements=150, missing=True)
         w = WeightVector.from_row(ACCURACY_LADDER[1])
-        got = reduce_set(pool, [w], 30)[0]
+        got = reduce_set(pool, [w], [30])[0]
         want = oracle_reduce(pool, w, 30)
         assert [id(m) for m in got.members] == [id(m) for m in want]
 
@@ -164,8 +164,18 @@ _weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 def test_reduce_set_matches_oracle_property(seed, size, n_elements, missing, row, data):
     rng = np.random.default_rng(seed)
     pool, dataset = fabricate_pool(rng, size, n_elements=n_elements, missing=missing)
-    # equal-support duplicates: an equal copy ties on every term, a different
-    # query pair over the same supports ties on all but the attribute terms
+    _insert_twins(pool, dataset, data)
+    w = WeightVector.from_row(row)
+    n = data.draw(st.integers(1, len(pool) + 5))
+    got = reduce_set(pool, [w], [n])[0].members
+    assert [id(m) for m in got] == [id(m) for m in oracle_reduce(pool, w, n)]
+
+
+def _insert_twins(pool, dataset, data):
+    """Insert drawn equal-support duplicates into the pool: an equal copy ties
+    on every term, a different query pair over the same supports ties on all
+    but the attribute terms."""
+    size = len(pool)
     for i in data.draw(st.lists(st.integers(0, size - 1), max_size=6)):
         donor = pool[data.draw(st.integers(0, size - 1))]
         twin = data.draw(
@@ -177,17 +187,40 @@ def test_reduce_set_matches_oracle_property(seed, size, n_elements, missing, row
             )
         )
         pool.insert(data.draw(st.integers(0, len(pool))), twin)
-    w = WeightVector.from_row(row)
-    n = data.draw(st.integers(1, len(pool) + 5))
-    got = reduce_set(pool, [w], n)[0].members
-    assert [id(m) for m in got] == [id(m) for m in oracle_reduce(pool, w, n)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 30),
+    n_elements=st.integers(1, 120),
+    missing=st.booleans(),
+    rows=st.lists(st.lists(_weight, min_size=5, max_size=6), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_lockstep_lanes_match_oracle_property(seed, size, n_elements, missing, rows, data):
+    # every (size, weight row) lane of one call is the set a call of its own
+    # would select: lanes of different sizes blend with their own k/n, and a
+    # lane whose candidates run out stops while the others go on
+    rng = np.random.default_rng(seed)
+    pool, dataset = fabricate_pool(rng, size, n_elements=n_elements, missing=missing)
+    _insert_twins(pool, dataset, data)
+    weights = [WeightVector.from_row(row) for row in rows]
+    sizes = data.draw(
+        st.lists(st.integers(1, len(pool) + 5), min_size=1, max_size=3, unique=True)
+    )
+    got = reduce_set(pool, weights, sizes)
+    lanes = [(n, w) for n in sizes for w in weights]
+    assert [(out.n, out.weights) for out in got] == lanes
+    for out, (n, w) in zip(got, lanes):
+        assert [id(m) for m in out.members] == [id(m) for m in oracle_reduce(pool, w, n)]
 
 
 class TestReduceSet:
     def test_requesting_more_than_pool_returns_everything(self):
         rng = np.random.default_rng(10)
         pool, _ = fabricate_pool(rng, 20, n_elements=50)
-        out = reduce_set(pool, [WeightVector.from_row(ACCURACY_LADDER[0])], 100)[0]
+        out = reduce_set(pool, [WeightVector.from_row(ACCURACY_LADDER[0])], [100])[0]
         assert len(out.members) == 20
         assert set(map(id, out.members)) == set(map(id, pool))
 
@@ -195,15 +228,15 @@ class TestReduceSet:
         rng = np.random.default_rng(11)
         pool, _ = fabricate_pool(rng, 80, n_elements=100)
         w = [WeightVector.from_row(row) for row in ACCURACY_LADDER]
-        first = reduce_set(pool, w, 25)
-        second = reduce_set(pool, w, 25)
+        first = reduce_set(pool, w, [25])
+        second = reduce_set(pool, w, [25])
         for a, b in zip(first, second):
             assert [id(m) for m in a.members] == [id(m) for m in b.members]
 
     def test_no_duplicates_and_size_bound(self):
         rng = np.random.default_rng(12)
         pool, _ = fabricate_pool(rng, 120, n_elements=100, missing=True)
-        for reduced in reduce_set(pool, [WeightVector.from_row(r) for r in STABILITY_LADDER], 40):
+        for reduced in reduce_set(pool, [WeightVector.from_row(r) for r in STABILITY_LADDER], [40]):
             ids = [id(m) for m in reduced.members]
             assert len(set(ids)) == len(ids)
             assert len(ids) <= 40
@@ -215,7 +248,7 @@ class TestReduceSet:
         pool, _ = fabricate_pool(rng, 3000, n_elements=200, missing=True)
         equal = WeightVector(0.2, 0.2, 0.2, 0.2, 0.2, 0.0)
         started = time.perf_counter()
-        out = reduce_set(pool, [equal], 1500)[0]
+        out = reduce_set(pool, [equal], [1500])[0]
         elapsed = time.perf_counter() - started
         ids = [id(m) for m in out.members]
         assert len(ids) == len(set(ids)) == 1500
@@ -224,8 +257,10 @@ class TestReduceSet:
 
     def test_empty_pool_gives_one_empty_set_per_weight_row(self):
         rows = [WeightVector.from_row(r) for r in ACCURACY_LADDER]
-        out = reduce_set([], rows, 5)
-        assert [(s.members, s.weights, s.n) for s in out] == [([], w, 5) for w in rows]
+        out = reduce_set([], rows, [5, 7])
+        assert [(s.members, s.weights, s.n) for s in out] == [
+            ([], w, n) for n in (5, 7) for w in rows
+        ]
 
     def test_accuracy_trend_over_ladder(self):
         rng = np.random.default_rng(14)
@@ -233,7 +268,7 @@ class TestReduceSet:
         rows = [WeightVector.from_row(r) for r in ACCURACY_LADDER[:3]]
         means = [
             sum(m.j_qnm for m in out.members) / len(out.members)
-            for out in reduce_set(pool, rows, 40)
+            for out in reduce_set(pool, rows, [40])
         ]
         assert means[0] <= means[1] + 1e-12 <= means[2] + 2e-12
 
@@ -256,8 +291,8 @@ class TestReduceSet:
             for r in pool
         ]
         w = WeightVector.from_row(ACCURACY_LADDER[0])  # stability weight 0
-        got = [m.key for m in reduce_set(pool, [w], 30)[0].members]
-        want = [m.key for m in reduce_set(resolved, [w], 30)[0].members]
+        got = [m.key for m in reduce_set(pool, [w], [30])[0].members]
+        want = [m.key for m in reduce_set(resolved, [w], [30])[0].members]
         assert got == want
 
     def test_stability_trend_over_ladder(self):
@@ -266,7 +301,7 @@ class TestReduceSet:
         rows = [WeightVector.from_row(r) for r in STABILITY_LADDER]
         means = [
             sum(m.variability for m in out.members) / len(out.members)
-            for out in reduce_set(pool, rows, 40)
+            for out in reduce_set(pool, rows, [40])
         ]
         for a, b in zip(means, means[1:]):
             assert a >= b - 1e-12
