@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .config import FIELDS, MODE_ALIASES, ConfigError, RunConfig
 from .dataset import DataError, Dataset, SchemaError, load_dataset
-from .interchange import merge_records, read_records, write_records
+from .interchange import STATS, merge_records, read_records, record_fields, write_records
 from .measures import PVALUE_SCORE_FLOOR, PackedMembers, aaj, aej, score_size
 from .mine import mine
 from .reduce import reduce_set
@@ -36,6 +36,13 @@ EXIT_ERROR = 2
 
 def _log10_floored(pv: float) -> float:
     return math.log10(max(pv, PVALUE_SCORE_FLOOR))
+
+
+def _eval_row(record: list[str], log10_p_value: str, elem: str, attr: str) -> list[str]:
+    """An interchange record's fields (or column names) as `eval` writes them:
+    log10_p_value after p_value, then the two redundancy columns."""
+    at = 2 + STATS.index("p_value") + 1
+    return [*record[:at], log10_p_value, *record[at:], elem, attr]
 
 
 def _require_files(paths) -> None:
@@ -164,39 +171,10 @@ def cmd_eval(args) -> int:
     rows_path = out_dir / "eval_redescriptions.csv"
     with rows_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "query1",
-                "query2",
-                "j_qnm",
-                "j_opt",
-                "j_pess",
-                "p_value",
-                "log10_p_value",
-                "variability",
-                "support_size",
-                "attr_count",
-                "aej",
-                "aaj",
-            ]
-        )
+        writer.writerow(_eval_row(["query1", "query2", *STATS], "log10_p_value", "aej", "aaj"))
         for m, (m_aej, m_aaj) in zip(members, redundancy):
-            writer.writerow(
-                [
-                    m.key[0],
-                    m.key[1],
-                    repr(m.j_qnm),
-                    repr(m.j_opt),
-                    repr(m.j_pess),
-                    repr(m.p_value),  # raw, full precision
-                    repr(_log10_floored(m.p_value)),
-                    repr(m.variability),
-                    m.support_size,
-                    m.attr_count,
-                    repr(m_aej),
-                    repr(m_aaj),
-                ]
-            )
+            log10 = repr(_log10_floored(m.p_value))
+            writer.writerow(_eval_row(record_fields(m), log10, repr(m_aej), repr(m_aaj)))
 
     covered = int((packed.element_counts() > 0).sum())
     n_attrs_total = dataset.view1.n_cols + dataset.view2.n_cols

@@ -272,7 +272,8 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     parse as MISSING, and numeric cells must be finite. Categorical categories
     are inferred from the data and ordered lexicographically; names and labels
     must read back through the query grammar. Errors name the file and, for a
-    cell or a byte that is not UTF-8, its line. A UTF-8 byte-order mark is skipped.
+    cell, a byte that is not UTF-8 or a line the csv module cannot read, its
+    line. A UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     try:
@@ -302,6 +303,8 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     except UnicodeDecodeError:
         read_text(path)  # not UTF-8: raises the DataError that names the line
         raise
+    except csv.Error as exc:  # such as a cell past the csv module's field size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 

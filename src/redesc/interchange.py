@@ -1,9 +1,10 @@
 """Line-oriented interchange format for redescription sets.
 
 One record per line, UTF-8, tab-separated: the two query texts followed by
-statistics columns. Statistics are written for human inspection only; readers
-always recompute them from the supplied views, so externally authored records
-(hand-written queries, foreign miners) are safe to ingest.
+the `STATS` columns, which `record_fields` gives for a member and which
+`eval`'s rows extend. Statistics are written for human inspection only;
+readers always recompute them from the supplied views, so externally
+authored records (hand-written queries, foreign miners) are safe to ingest.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from .dataset import Dataset, read_lines
 from .measures import Redescription
 from .query import Query, iter_literals, memoize_literals, parse_query, tri_support
 
-_HEADER = "#q1\tq2\tj_qnm\tj_opt\tj_pess\tp_value\tvariability\tsupport_size\tattr_count"
+# the statistics columns of a record, each the name of a `Redescription` attribute
+STATS = ("j_qnm", "j_opt", "j_pess", "p_value", "variability", "support_size", "attr_count")
+_HEADER = "\t".join(("#q1", "q2", *STATS))
 
 
 @dataclass(frozen=True)
@@ -26,25 +29,14 @@ class RejectedRecord:
     reason: str
 
 
+def record_fields(m: Redescription) -> list[str]:
+    """The two query texts, then `repr` of each statistic in `STATS`."""
+    return [*m.key, *(repr(getattr(m, name)) for name in STATS)]
+
+
 def write_records(path: str | Path, members: Iterable[Redescription]) -> None:
     """Deterministic writer: identical member lists give identical bytes."""
-    lines = [_HEADER]
-    for m in members:
-        lines.append(
-            "\t".join(
-                (
-                    m.key[0],
-                    m.key[1],
-                    repr(m.j_qnm),
-                    repr(m.j_opt),
-                    repr(m.j_pess),
-                    repr(m.p_value),
-                    repr(m.variability),
-                    str(m.support_size),
-                    str(m.attr_count),
-                )
-            )
-        )
+    lines = [_HEADER, *("\t".join(record_fields(m)) for m in members)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -5,7 +5,9 @@ optimistic, and pessimistic variants under missing values), the binomial-tail
 significance p-value, the variability index, set-level redundancy measures
 (average element/attribute Jaccard), the normalized significance and
 query-size scores, and the packed member matrix that reduction and evaluation
-share. The weighted selection score lives in `reduce`.
+share, with its one pairwise Jaccard kernel: it gives both the similarities
+of reduction's picks and evaluation's redundancy. The weighted selection
+score lives in `reduce`.
 
 Canonical redescription support uses query-non-missing semantics throughout:
 supp(R) is the set of instances both queries definitely describe.
@@ -282,13 +284,13 @@ def score_size(attr_count: int, k: int = DEFAULT_SIZE_NORMALIZER) -> float:
 # Packed member matrix
 # ---------------------------------------------------------------------------
 
-# bits unpacked per block in `PackedMembers._bit_blocks`, and member pairs
-# per block in `aej`/`aaj`; each block and its float64 products stay under
-# 40 KB, so packing adds no visible peak memory
+# bits unpacked per block in `PackedMembers._bit_blocks` (each block and its
+# float64 products stay under 40 KB), and member pairs per block of rows in
+# `aej`/`aaj`, whose Jaccards take `_PICK_CELLS` blocks of their own
 _BLOCK_CELLS = 1 << 12
-# words per block of `_pick_overlaps`: one block holds several picks against
-# a small pool (256 KB of uint64 words at most), and one pick at a time
-# against a large one, as a single pick's row scan needs anyway
+# words per block of `_jaccards`: one block holds several picks against a
+# small pool (256 KB of uint64 words at most), and one pick at a time against
+# a large one, as a single pick's row scan needs anyway
 _PICK_CELLS = 1 << 15
 
 
@@ -359,27 +361,27 @@ class PackedMembers:
 
     def element_similarity(self, picks: np.ndarray) -> np.ndarray:
         """Support Jaccard of every member (columns) against each member in `picks` (rows)."""
-        inter = _pick_overlaps(self.word_cols, picks)
-        return inter / np.maximum(self.sizes + self.sizes[picks, None] - inter, 1)
+        return _jaccards(self.word_cols, self.sizes, picks)
 
     def attribute_similarity(self, picks: np.ndarray) -> np.ndarray:
         """Attribute-set Jaccard of every member (columns) against each member in `picks` (rows)."""
-        inter = _pick_overlaps(self.attr_cols, picks)
-        return inter / np.maximum(self.attr_sizes + self.attr_sizes[picks, None] - inter, 1)
+        return _jaccards(self.attr_cols, self.attr_sizes, picks)
 
 
-def _pick_overlaps(cols: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """inter[a, b]: how many set bits member picks[a] shares with member b,
-    where column b of `cols` holds member b's bits as words.
+def _jaccards(cols: np.ndarray, sizes: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """out[a, b]: the Jaccard of member picks[a]'s set with member b's, where
+    column b of `cols` holds member b's set as words and `sizes[b]` its size.
 
     Picks go in blocks whose words-by-members temporary stays within
     `_PICK_CELLS` words, or one pick's words when those alone are more.
     """
-    out = np.empty((len(picks), cols.shape[1]), dtype=np.int64)
+    out = np.empty((len(picks), cols.shape[1]))
     step = max(1, _PICK_CELLS // max(cols.size, 1))
     for lo in range(0, len(picks), step):
-        shared = cols[:, picks[lo : lo + step]].T[:, :, None] & cols
-        out[lo : lo + len(shared)] = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+        block = picks[lo : lo + step]
+        shared = cols[:, block].T[:, :, None] & cols
+        inter = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+        out[lo : lo + len(block)] = inter / np.maximum(sizes[block, None] + sizes - inter, 1)
     return out
 
 
@@ -387,24 +389,20 @@ def _mean_jaccard_over_others(cols: np.ndarray, sizes: np.ndarray) -> np.ndarray
     """Per member, the mean Jaccard of its set against every other member's.
 
     Column i of `cols` holds member i's set as packed words, `sizes[i]` its
-    size. Each block of members meets every member one word row at a time,
-    so no temporary outgrows `_BLOCK_CELLS` pairs. Each member's entry for
-    itself becomes +0.0, which leaves a non-negative running sum's bits alone,
-    so the last prefix sum of a row is the left-to-right sum over the other
+    size. Each block of members meets every member through `_jaccards`, so no
+    block outgrows `_BLOCK_CELLS` pairs. Each member's entry for itself
+    becomes +0.0, which leaves a non-negative running sum's bits alone, so
+    the last prefix sum of a row is the left-to-right sum over the other
     members; an equal copy in another column is another member.
     """
     m = len(sizes)
     out = np.empty(m)
     step = max(1, _BLOCK_CELLS // m)
     for lo in range(0, m, step):
-        rows = slice(lo, lo + step)
-        block = cols[:, rows]
-        inter = np.zeros((block.shape[1], m), dtype=np.int64)
-        for block_words, words in zip(block, cols):
-            inter += np.bitwise_count(block_words[:, None] & words)
-        similarity = inter / np.maximum(sizes[rows, None] + sizes - inter, 1)
-        similarity[np.arange(len(inter)), np.arange(lo, lo + len(inter))] = 0.0
-        out[rows] = np.cumsum(similarity, axis=1)[:, -1] / max(m - 1, 1)
+        rows = np.arange(lo, min(lo + step, m))
+        similarity = _jaccards(cols, sizes, rows)
+        similarity[np.arange(len(rows)), rows] = 0.0
+        out[lo : lo + len(rows)] = np.cumsum(similarity, axis=1)[:, -1] / max(m - 1, 1)
     return out
 
 

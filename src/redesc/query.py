@@ -419,10 +419,17 @@ def _negate(node: Node) -> Node:
     return dual(tuple(_negate(c) for c in node.children))
 
 
+# How deep `(` and `!` may nest. The parser recurses once per level, and a
+# `(` costs three frames, so the bound keeps parsing well inside Python's
+# default recursion limit of 1,000; written queries nest a few levels at most.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, view: View, view_id: int):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # `(` and `!` open around the current token
         self.view = view
         self.view_id = view_id
 
@@ -460,13 +467,17 @@ class _Parser:
 
     def parse_factor(self) -> Node:
         tok = self.peek()
-        if tok[:2] == ("sym", "!"):
-            self.take("sym", "!")
-            return _negate(self.parse_factor())
-        if tok[:2] == ("sym", "("):
-            self.take("sym", "(")
-            node = self.parse_or()
-            self.take("sym", ")")
+        if tok[:2] in (("sym", "!"), ("sym", "(")):
+            if self.depth == _MAX_NESTING:
+                raise QuerySyntaxError(f"'(' and '!' nest more than {_MAX_NESTING} deep", tok[2])
+            self.depth += 1
+            self.i += 1
+            if tok[1] == "!":
+                node = _negate(self.parse_factor())
+            else:
+                node = self.parse_or()
+                self.take("sym", ")")
+            self.depth -= 1
             return node
         if tok[:2] == ("sym", "["):
             return self.parse_interval()
@@ -531,8 +542,8 @@ def parse_query(text: str, view: View, view_id: int) -> Query:
     (categorical), and `[NUM <= NAME <= NUM]` (numeric interval, `inf`
     endpoints allowed); connectives are `&`, `|`, `!` and parentheses, with
     `&` binding tighter than `|`. A `!` over a group negates its literals
-    and swaps `&` and `|` within it, so `!(a & b)` reads as `!a | !b`. The
-    result is canonical.
+    and swaps `&` and `|` within it, so `!(a & b)` reads as `!a | !b`.
+    `(` and `!` nest at most `_MAX_NESTING` deep. The result is canonical.
     """
     return _Parser(text, view, view_id).parse()
 

@@ -46,6 +46,9 @@ class WeightVector:
         for name, value in self.__dict__.items():
             if not 0 <= value < np.inf:  # also False for NaN
                 raise ValueError(f"weights must be finite and non-negative, got {name} = {value}")
+        # every score term lies in [0, 1], so a finite sum bounds every score
+        if not sum(self.__dict__.values()) < np.inf:
+            raise ValueError(f"weights must have a finite sum, got {self.as_tuple()}")
 
     @classmethod
     def from_row(cls, row: Sequence[float]) -> "WeightVector":

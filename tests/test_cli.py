@@ -249,6 +249,23 @@ def test_bytes_that_are_not_utf8_exit_two_and_name_file_line(tmp_path, capsys, t
     err = capsys.readouterr().err
     assert f"error: {paths[target]}:{len(lines) - 1}: not UTF-8 text" in err
 
+@pytest.mark.parametrize("command", ["mine", "reduce", "eval"])
+def test_cell_past_the_csv_field_limit_exits_two_and_names_file_line(tmp_path, capsys, command):
+    _, paths = _wide_dataset(tmp_path)
+    # a categorical view whose sixth data row (line 7) holds a 200,000-character label
+    labels = ["lo", "hi"] * 30
+    labels[5] = "x" * 200_000
+    paths["view2"].write_text("\n".join(["k", *labels]) + "\n", encoding="utf-8")
+    paths["schema2"].write_text("k = categorical\n", encoding="utf-8")
+    src = tmp_path / "pool.tsv"
+    _synthetic_interchange(src, 5)
+    inputs = [] if command == "mine" else [str(src)]
+    code = main([command, *inputs, *_dataset_args(paths), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {paths['view2']}:7: field larger than field limit" in err
+
+
 # Each reader's file as (good lines, the bad line for `content` faults). View
 # lines are the header and one line per data row, so a bad view line
 # replaces a row and the two views keep their row count.
@@ -559,6 +576,22 @@ class TestReduceCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_weight_row_whose_sum_overflows_exits_two_and_names_key(self, tmp_path, capsys):
+        # each weight is finite, but an infinite score reads as "no candidate left"
+        ds, paths = _wide_dataset(tmp_path)
+        src = tmp_path / "pool.tsv"
+        _synthetic_interchange(src, 90)
+        cfg = tmp_path / "weights.cfg"
+        row = ",".join(["1e308"] * 6)
+        cfg.write_text(f"weights = {row}\n", encoding="utf-8")
+        out = tmp_path / "red"
+        code = main(["reduce", str(src), *_dataset_args(paths), "--config", str(cfg),
+                     "--sizes", "10", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: weights must have a finite sum" in err and f"in weights = {row}" in err
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         ds, paths = _wide_dataset(tmp_path)
         src = tmp_path / "pool.tsv"
@@ -723,6 +756,29 @@ class TestInterchangeRoundTrip:
             (2, "unknown attribute name 'nope' (at position 0)"),
             (3, "expected at least two tab-separated fields"),
         ]
+
+    @pytest.mark.parametrize(
+        "query", ["(" * 340 + "z0" + ")" * 340, "!" * 5000 + "z0"], ids=["paren", "not"]
+    )
+    def test_query_nested_too_deep_rejected_with_its_line(self, tmp_path, capsys, query):
+        ds, paths = _wide_dataset(tmp_path)
+        src = tmp_path / "deep.tsv"
+        src.write_text(
+            f"[0.0 <= a0 <= 5.0]\tz0\n[0.0 <= a1 <= 5.0]\t{query}\n[0.0 <= a2 <= 5.0]\tz2\n",
+            encoding="utf-8",
+        )
+        loaded, rejected = read_records(src, ds)
+        assert [m.key[1] for m in loaded] == ["z0", "z2"]
+        assert [(bad.line_no, bad.reason) for bad in rejected] == [
+            (2, "'(' and '!' nest more than 100 deep (at position 100)")
+        ]
+        for command in (["reduce", "--sizes", "2"], ["eval"]):
+            out = tmp_path / command[0]
+            code = main([command[0], str(src), *command[1:], *_dataset_args(paths),
+                         "--out", str(out)])
+            assert code == 0
+            err = capsys.readouterr().err
+            assert f"rejected record in {src} at line 2: '(' and '!' nest" in err
 
     def test_written_bytes_are_deterministic(self, tmp_path):
         ds, _ = _wide_dataset(tmp_path)

@@ -91,6 +91,15 @@ class TestLoadView:
         with pytest.raises(DataError, match=re.escape(f"v.csv:4: non-numeric token {token!r}")):
             load_view(csv, {"a": "numeric"})
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_cell_past_the_csv_field_limit_names_line(self, tmp_path, line):
+        lines = ["k,b", "a,1", "b,0", "c,1"]
+        lines[line - 1] = "x" * 200_000 + ",1"
+        csv_path = _write(tmp_path, "v.csv", "\n".join(lines) + "\n")
+        message = re.escape(f"v.csv:{line}: field larger than field limit")
+        with pytest.raises(DataError, match=message):
+            load_view(csv_path, {"k": "categorical", "b": "numeric"})
+
     def test_non_numeric_token_names_row(self, tmp_path):
         csv = _write(tmp_path, "v.csv", "a\n1\nbogus\n")
         with pytest.raises(DataError, match="bogus"):

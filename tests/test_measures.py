@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -380,6 +381,12 @@ def _dataset_of(pool):
     return make_dataset(spec1, spec2)
 
 
+# block sizes for the pairwise Jaccard kernel: one row or word per block, a
+# few, and the default
+_BLOCKS = st.sampled_from([1, 3, measures_module._BLOCK_CELLS])
+_PICK_BLOCKS = st.sampled_from([1, 40, measures_module._PICK_CELLS])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -387,9 +394,13 @@ def _dataset_of(pool):
     size=st.one_of(st.integers(1, 12), st.integers(65, 80)),
     n_elements=st.integers(1, 150),
     missing=st.booleans(),
+    block_cells=_BLOCKS,
+    pick_cells=_PICK_BLOCKS,
     data=st.data(),
 )
-def test_set_redundancy_matches_pairwise_loop_property(seed, size, n_elements, missing, data):
+def test_set_redundancy_matches_pairwise_loop_property(
+    seed, size, n_elements, missing, block_cells, pick_cells, data
+):
     rng = np.random.default_rng(seed)
     pool, _ = fabricate_pool(rng, size, n_elements=n_elements, missing=missing)
     members = list(pool)
@@ -398,10 +409,43 @@ def test_set_redundancy_matches_pairwise_loop_property(seed, size, n_elements, m
         twin = dataclasses.replace(data.draw(st.sampled_from(pool)))
         members.insert(data.draw(st.integers(0, len(members))), twin)
     if size > 12:
-        assert len(members) > measures_module._BLOCK_CELLS // len(members)
+        assert len(members) > block_cells // len(members)
     want = [repr((loop_aej(r, members), loop_aaj(r, members))) for r in members]
-    got = list(zip(aej(packed(members)).tolist(), aaj(packed(members)).tolist()))
+    with (
+        mock.patch.object(measures_module, "_BLOCK_CELLS", block_cells),
+        mock.patch.object(measures_module, "_PICK_CELLS", pick_cells),
+    ):
+        got = list(zip(aej(packed(members)).tolist(), aaj(packed(members)).tolist()))
     assert [repr(pair) for pair in got] == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    n_elements=st.integers(1, 150),
+    missing=st.booleans(),
+    pick_cells=_PICK_BLOCKS,
+    data=st.data(),
+)
+def test_pick_similarities_match_set_jaccards_property(
+    seed, size, n_elements, missing, pick_cells, data
+):
+    rng = np.random.default_rng(seed)
+    pool, _ = fabricate_pool(rng, size, n_elements=n_elements, missing=missing)
+    # any order, with repeats, as lanes of one greedy step may pick
+    picks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=2 * size))
+    want = [
+        [repr((set_jaccard(supp(pool[a]), supp(b)), set_jaccard(pool[a].attrs, b.attrs)))
+         for b in pool]
+        for a in picks
+    ]
+    cand = packed(pool)
+    with mock.patch.object(measures_module, "_PICK_CELLS", pick_cells):
+        elem = cand.element_similarity(np.array(picks))
+        attr = cand.attribute_similarity(np.array(picks))
+    got = [[repr(pair) for pair in zip(*rows)] for rows in zip(elem.tolist(), attr.tolist())]
+    assert got == want
 
 
 class TestScores:

@@ -297,6 +297,19 @@ class TestGrammar:
         with pytest.raises(QuerySyntaxError, match="unknown attribute"):
             parse_query("y", view, 1)
 
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", "")], ids=["paren", "not"])
+    def test_nesting_past_the_bound_rejected_at_its_token(self, opener, closer):
+        # the parser recurses per level: past the bound it stops with a syntax
+        # error instead of exhausting Python's recursion limit
+        view = make_view([("x", BOOLEAN, [True, False])])
+        bound = query_module._MAX_NESTING
+        q = parse_query(opener * bound + "x" + closer * bound, view, 1)
+        assert q.root == Leaf(Literal(0, BOOLEAN, negated=opener == "!" and bound % 2 == 1))
+        message = rf"nest more than {bound} deep \(at position {bound}\)"
+        for depth in (bound + 1, 5000):
+            with pytest.raises(QuerySyntaxError, match=message):
+                parse_query(opener * depth + "x" + closer * depth, view, 1)
+
     def test_and_binds_tighter_than_or(self):
         view = make_view([(n, BOOLEAN, [True]) for n in ("a", "b", "c")])
         q = parse_query("a | b & c", view, 1)
