@@ -56,6 +56,26 @@ def _token_kind(text: str) -> str | None:
     return tokens[0][0] if len(tokens) == 2 and tokens[0][1] == text else None
 
 
+def _name_problem(name: str) -> str | None:
+    """Why `name` cannot name a column in queries, or None."""
+    if _token_kind(name) != "name" or name.lower() in _RESERVED_NAMES:
+        return (
+            f"attribute name {name!r} is not usable in queries; use "
+            "letters, digits, '_', '.', '/' and start with a letter or '_'"
+        )
+    return None
+
+
+def _label_problem(label: str, column: str) -> str | None:
+    """Why `label` cannot be a category of `column` in queries, or None."""
+    if _token_kind(label) not in ("name", "num"):
+        return (
+            f"category label {label!r} of column {column!r} is not usable in "
+            "queries; a label must read as one query name or number"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class Attribute:
     """One column of a view: dense id, unique name, and value kind."""
@@ -68,17 +88,11 @@ class Attribute:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise SchemaError(f"unknown attribute kind {self.kind!r} for {self.name!r}")
-        if _token_kind(self.name) != "name" or self.name.lower() in _RESERVED_NAMES:
-            raise SchemaError(
-                f"attribute name {self.name!r} is not usable in queries; use "
-                "letters, digits, '_', '.', '/' and start with a letter or '_'"
-            )
+        problem = _name_problem(self.name)
         for label in self.categories:
-            if _token_kind(label) not in ("name", "num"):
-                raise SchemaError(
-                    f"category label {label!r} of column {self.name!r} is not usable in "
-                    "queries; a label must read as one query name or number"
-                )
+            problem = problem or _label_problem(label, self.name)
+        if problem:
+            raise SchemaError(problem)
         if self.kind == CATEGORICAL and not self.categories:
             raise SchemaError(f"categorical attribute {self.name!r} has no categories")
         if self.kind != CATEGORICAL and self.categories:
@@ -118,6 +132,8 @@ class View:
         # and its known-cell flags and missing-cell bitmask per attribute
         self._literal_supports: dict = {}
         self._unknowns: dict = {}
+        # tree._attribute_blocks' memo: the attributes as two matrices
+        self._attribute_blocks = None
 
     @property
     def n_cols(self) -> int:
@@ -272,10 +288,13 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
     parse as MISSING, and numeric cells must be finite. Categorical categories
     are inferred from the data and ordered lexicographically; names and labels
     must read back through the query grammar. Errors name the file and, for a
-    cell, a byte that is not UTF-8 or a line the csv module cannot read, its
-    line. A UTF-8 byte-order mark is skipped.
+    cell, a byte that is not UTF-8, a column name or label the grammar cannot
+    read, or a record the csv module cannot read, its line: line 1 for a
+    name, and for a cell or a record the line on which its record begins
+    (the first such line for a label). A UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
+    end = 0  # the file line on which the last record read ends
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -283,28 +302,32 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
+            end = reader.line_num
             header = [h.strip() for h in header]
             if len(set(header)) != len(header):
                 raise SchemaError(f"{path}: duplicate column names in header")
             for name in header:
                 if name not in schema:
                     raise SchemaError(f"{path}: column {name!r} not declared in schema")
+                problem = _name_problem(name)
+                if problem:
+                    raise SchemaError(f"{path}:1: {problem}")
             rows: list[list[str]] = []
-            linenos: list[int] = []  # file line of each data row; blank lines are skipped
+            linenos: list[int] = []  # file line each data row begins on; blank lines are skipped
             for row in reader:
+                start, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise DataError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                    )
+                    raise DataError(f"{path}:{start}: expected {len(header)} fields, got {len(row)}")
                 rows.append(row)
-                linenos.append(reader.line_num)
+                linenos.append(start)
     except UnicodeDecodeError:
         read_text(path)  # not UTF-8: raises the DataError that names the line
         raise
     except csv.Error as exc:  # such as a cell past the csv module's field size limit
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        # the failing record begins on the line after the last one read
+        raise DataError(f"{path}:{end + 1}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -318,6 +341,10 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
             labels = sorted({t for t in tokens if t not in MISSING_TOKENS})
             if not labels:
                 raise SchemaError(f"{path}: categorical column {name!r} has no observed categories")
+            for label in labels:
+                problem = _label_problem(label, name)
+                if problem:
+                    raise SchemaError(f"{path}:{linenos[tokens.index(label)]}: {problem}")
             code = {lab: i for i, lab in enumerate(labels)}
             col = np.array(
                 [-1 if t in MISSING_TOKENS else code[t] for t in tokens], dtype=np.int32

@@ -132,15 +132,30 @@ def _bootstrap_targets(doubled, labels: np.ndarray) -> np.ndarray:
     the attribute self-targets make the criterion seek genuine clusters, and
     the label starts separating once a node is no longer 50/50.
     """
-    cols = [_standardized(labels)]
+    width = 1 + sum(len(a.categories) if a.kind == CATEGORICAL else 1 for a in doubled.attributes)
+    targets = np.empty((doubled.n_rows, width))
+    column = iter(targets.T)  # views of the columns, filled in order
+    next(column)[:] = _standardized(labels)
     for attr, col in zip(doubled.attributes, doubled.columns):
         if attr.kind == CATEGORICAL:
             for code in range(len(attr.categories)):
                 indicator = np.where(col >= 0, (col == code).astype(float), np.nan)
-                cols.append(_standardized(indicator))
+                next(column)[:] = _standardized(indicator)
         else:
-            cols.append(_standardized(col))
-    return np.column_stack(cols)
+            next(column)[:] = _standardized(col)
+    return targets
+
+
+def _bootstrap(dataset: Dataset, view_id: int, seed, params: MiningParams, rules: RuleSet) -> None:
+    """Cluster one view's original rows together with a shuffled twin and
+    harvest the tree's rules; the doubled view, its targets and the tree are
+    released on return."""
+    view = dataset.view(view_id)
+    n = dataset.n_elements
+    doubled = concat_rows(view, make_artificial(view, seed))
+    targets = _bootstrap_targets(doubled, np.concatenate([np.ones(n), np.zeros(n)]))
+    tree = build_tree(doubled, targets, params.pct, view_id=view_id)
+    _harvest(tree, dataset, view_id, rules, params.operator_mode)
 
 
 def init_rules(dataset: Dataset, params: MiningParams) -> RuleSet:
@@ -148,14 +163,8 @@ def init_rules(dataset: Dataset, params: MiningParams) -> RuleSet:
     with a shuffled twin and harvest the resulting tree's rules."""
     seeds = np.random.SeedSequence(params.seed).spawn(2)
     rules = RuleSet()
-    n = dataset.n_elements
-    labels = np.concatenate([np.ones(n), np.zeros(n)])
     for view_id, seed in ((1, seeds[0]), (2, seeds[1])):
-        view = dataset.view(view_id)
-        doubled = concat_rows(view, make_artificial(view, seed))
-        targets = _bootstrap_targets(doubled, labels)
-        tree = build_tree(doubled, targets, params.pct, view_id=view_id)
-        _harvest(tree, dataset, view_id, rules, params.operator_mode)
+        _bootstrap(dataset, view_id, seed, params, rules)
     return rules
 
 

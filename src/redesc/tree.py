@@ -6,14 +6,20 @@ cross-view trees get a boolean matrix of rule supports, scored exactly from
 its nonzeros with every numeric attribute of a node at once; the bootstrap
 tree gets standardized real-valued targets, whose prefix sums run densely one
 attribute at a time. On 0/1 targets both paths choose the same split. Each
-tree sorts every numeric attribute once, at the root (as SLIQ does), and
-splits the sorted row lists down with the rows, so no node sorts; both paths
-score into the same two blocks, one for numeric and one for categorical and
-boolean attributes. Every non-root node doubles as a conjunctive rule: the
-AND of the edge conditions on its root path. A node's rows route by its
-split's left edge literal, as `query` evaluates it: definitely true goes
-left, all else (missing cells too) right, so each cover holds its rule's
-in-set and lies within its in-or-unknown set.
+view keeps its attributes as two blocks, built once per view: its numeric
+columns as one matrix, and its boolean and categorical cells as one matrix
+of test slots, so a node gathers each with a single `take`. Each tree sorts
+every numeric attribute once, at the root (as SLIQ does), and splits the
+sorted row lists down with the rows, so no node sorts; both paths score into
+the same two blocks of tests, one for numeric and one for categorical and
+boolean attributes. The dense prefix sums run over blocks of a fixed number
+of cells gathered straight from the caller's targets, each block carrying
+the last prefix row of the one before, so a node copies no target matrix.
+Every non-root node doubles as a conjunctive rule: the AND of the edge
+conditions on its root path. A node's rows route by its split's left edge
+literal, as `query` evaluates it: definitely true goes left, all else
+(missing cells too) right, so each cover holds its rule's in-set and lies
+within its in-or-unknown set.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from .query import mask_to_bools, minimize_query
 _INF = float("inf")
 # numeric cells per block of `_sparse_tests` work arrays (each stays near 2 MB)
 _BLOCK_CELLS = 1 << 18
+# target cells per block of `_dense_tests` prefix sums (each block is 256 KB)
+_DENSE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,13 +114,40 @@ class _Tests(NamedTuple):
     values: np.ndarray | None = None
 
 
-def _numeric_attrs(view: View) -> list[int]:
-    return [i for i, attr in enumerate(view.attributes) if attr.kind == NUMERIC]
+class _AttributeBlocks(NamedTuple):
+    """A view's attributes as two matrices, one row per attribute.
+
+    `values` holds the numeric columns `num`. `slots` holds, for the boolean
+    and categorical attributes `cat`, each cell's test slot: attribute row ×
+    `width` + test index, or -1 for none. A test index is the category code,
+    0 for a true boolean.
+    """
+
+    num: list[int]
+    values: np.ndarray
+    cat: list[int]
+    slots: np.ndarray
+    width: int
 
 
-def _category_attrs(view: View) -> list[int]:
-    """Boolean and categorical attributes: each tests membership of a code."""
-    return [i for i, attr in enumerate(view.attributes) if attr.kind != NUMERIC]
+def _attribute_blocks(view: View) -> _AttributeBlocks:
+    """`view`'s attribute blocks, built once per view (the view is immutable)."""
+    if view._attribute_blocks is None:
+        num = [i for i, attr in enumerate(view.attributes) if attr.kind == NUMERIC]
+        cat = [i for i, attr in enumerate(view.attributes) if attr.kind != NUMERIC]
+        values = np.empty((len(num), view.n_rows))
+        for row, i in enumerate(num):
+            values[row] = view.columns[i]
+        width = max((len(view.attributes[i].categories) or 1 for i in cat), default=1)
+        slots = np.empty((len(cat), view.n_rows), dtype=np.intp)
+        for row, i in enumerate(cat):
+            col = view.columns[i]
+            codes = (col == 1.0) - 1 if view.attributes[i].kind == BOOLEAN else col
+            slots[row] = np.where(codes >= 0, codes + row * width, -1)
+        values.setflags(write=False)
+        slots.setflags(write=False)
+        view._attribute_blocks = _AttributeBlocks(num, values, cat, slots, width)
+    return view._attribute_blocks
 
 
 def presort(view: View, cover: np.ndarray) -> np.ndarray:
@@ -123,33 +158,26 @@ def presort(view: View, cover: np.ndarray) -> np.ndarray:
     order; on an ascending cover that equals sorting at the node, ties
     included.
     """
-    num = _numeric_attrs(view)
-    x = np.stack([view.columns[i][cover] for i in num]) if num else np.empty((0, len(cover)))
+    x = _attribute_blocks(view).values[:, cover]
     return cover[np.argsort(x, axis=1, kind="stable")]
 
 
-def _numeric_order(cover: np.ndarray, view: View, num: list[int], order: np.ndarray):
-    """(sorted positions within the cover, sorted values, cut mask) of the
-    numeric attributes `num`; the mask marks each left-side size `nl` at
-    `nl - 1` where the values at `nl - 1` and `nl` are distinct and observed."""
-    pos = np.empty(view.n_rows, dtype=np.intp)
-    pos[cover] = np.arange(len(cover))
-    xs = np.stack([view.columns[i][rows] for i, rows in zip(num, order)])
+def _numeric_order(view: View, order: np.ndarray):
+    """(sorted values, cut mask) of the numeric attributes at a node whose
+    rows are `order`; the mask marks each left-side size `nl` at `nl - 1`
+    where the values at `nl - 1` and `nl` are distinct and observed."""
+    xs = np.take_along_axis(_attribute_blocks(view).values, order, axis=1)
     cuts = (xs[:, 1:] != xs[:, :-1]) & ~np.isnan(xs[:, 1:])
-    return pos[order], xs, cuts
+    return xs, cuts
 
 
-def _category_slots(cover: np.ndarray, view: View, cat: list[int]):
-    """(slot of each cell's test, -1 for none; left-side size per attribute
-    and test index) of attributes `cat`. A test index is the category code,
-    0 for a true boolean; the slot is attribute row × width + test index."""
-    width = max(len(view.attributes[i].categories) or 1 for i in cat)
-    x = np.stack([view.columns[i][cover] for i in cat])
-    boolean = np.array([view.attributes[i].kind == BOOLEAN for i in cat])[:, None]
-    codes = np.where(boolean, (x == 1.0) - 1, x).astype(np.intp)
-    slot = np.where(codes >= 0, codes + (np.arange(len(cat)) * width)[:, None], -1)
-    nl = np.bincount(slot[slot >= 0], minlength=len(cat) * width).reshape(len(cat), width)
-    return slot, nl
+def _category_slots(cover: np.ndarray, view: View):
+    """(slot of each cell's test at the node, -1 for none; left-side size per
+    attribute and test index) of the boolean and categorical attributes."""
+    blocks = _attribute_blocks(view)
+    slot = blocks.slots[:, cover]
+    nl = np.bincount(slot[slot >= 0], minlength=len(blocks.cat) * blocks.width)
+    return slot, nl.reshape(len(blocks.cat), blocks.width)
 
 
 def _category_block(cat, nl: np.ndarray, sl: np.ndarray, tot: np.ndarray, n: int) -> _Tests:
@@ -163,48 +191,62 @@ def _dense_tests(cover: np.ndarray, view: View, targets: np.ndarray, order: np.n
     """(base score, test blocks) for any real target matrix, or None on
     constant targets.
 
-    Each numeric attribute's prefix sums run over its sorted finite rows,
-    gathered into one buffer per node and summed in place two target columns
-    per step: as complex numbers, whose addition adds the real and imaginary
-    parts separately, so every column sees the additions of a plain cumsum.
+    Each numeric attribute's prefix sums run over its sorted finite rows in
+    blocks of `_DENSE_CELLS` cells, gathered straight from `targets` and
+    summed in place two target columns per step: as complex numbers, whose
+    addition adds the real and imaginary parts separately. A block first
+    adds the last prefix row of the block before into its first row, so
+    every column sees the additions of one plain cumsum over all the rows.
     """
+    targets = np.asarray(targets, dtype=np.float64)  # no copy when already float64
     n, n_targets = len(cover), targets.shape[1]
-    num, cat = _numeric_attrs(view), _category_attrs(view)
-    node = np.zeros((n, n_targets + n_targets % 2))  # zero pad to an even width
-    node[:, :n_targets] = targets[cover]
-    sub = node[:, :n_targets]
+    blocks = _attribute_blocks(view)
+    sub = targets[cover]  # transient: freed before the prefix-sum blocks
     if np.all(sub.max(axis=0) == sub.min(axis=0)):
         return None
     tot = sub.sum(axis=0)
-    blocks = []
-    if num:
-        ranked, xs, cuts = _numeric_order(cover, view, num, order)
+    del sub
+    tests = []
+    if blocks.cat:
+        slot, nl = _category_slots(cover, view)
+        sl = np.zeros(nl.shape + (n_targets,))
+        by_slot = sl.reshape(-1, n_targets)
+        for s in np.flatnonzero(nl).tolist():
+            by_slot[s] = targets[cover[slot[s // blocks.width] == s]].sum(axis=0)
+        tests.append(_category_block(blocks.cat, nl, sl, tot, n))
+    if blocks.num:
+        xs, cuts = _numeric_order(view, order)
         score = np.full(cuts.shape, -_INF)
-        buf, picked = np.empty_like(node), np.empty_like(node)
+        width = n_targets + n_targets % 2
+        step = max(1, _DENSE_CELLS // width)  # rows per block
+        buf = np.zeros((min(step, n), width))  # zero pad: odd widths still add as pairs
+        picked, carry = np.empty_like(buf), np.empty(width)
         pairs = buf.view(np.complex128)
-        scratch = np.empty((n, n_targets))
         for row, cut in enumerate(cuts):
             nl = np.flatnonzero(cut) + 1
             if nl.size == 0:
                 continue
             m = nl[-1]  # rows up to the last cut
-            # mode="clip": the default mode buffers `out`
-            np.take(node, ranked[row, :m], axis=0, out=buf[:m], mode="clip")
-            np.cumsum(pairs[:m], axis=0, out=pairs[:m])
-            sl = np.take(buf, nl - 1, axis=0, out=picked[: nl.size], mode="clip")[:, :n_targets]
-            sr = np.subtract(tot, sl, out=scratch[: nl.size])
-            sq_right = np.square(sr, out=sr).sum(axis=1)
-            sq_left = np.square(sl, out=sl).sum(axis=1)
-            score[row, nl - 1] = sq_left / nl + sq_right / (n - nl)
-        blocks.append(_Tests(num, np.arange(1, n)[None], score, xs))
-    if cat:
-        slot, nl = _category_slots(cover, view, cat)
-        sl = np.zeros(nl.shape + (n_targets,))
-        by_slot = sl.reshape(-1, n_targets)
-        for s in np.flatnonzero(nl).tolist():
-            by_slot[s] = sub[slot[s // nl.shape[1]] == s].sum(axis=0)
-        blocks.append(_category_block(cat, nl, sl, tot, n))
-    return float((tot**2).sum()) / n, blocks
+            # the cuts of rows [lo, lo + step) are nl[first:last]
+            bounds = np.searchsorted(nl, np.arange(0, m + step, step), "right").tolist()
+            for lo, first, last in zip(range(0, m, step), bounds, bounds[1:]):
+                k = min(step, m - lo)
+                # mode="clip": the default mode buffers `out`
+                np.take(targets, order[row, lo : lo + k], axis=0, out=buf[:k, :n_targets], mode="clip")
+                if lo:
+                    buf[0] += carry
+                np.cumsum(pairs[:k], axis=0, out=pairs[:k])
+                carry[:] = buf[k - 1]
+                at = nl[first:last]
+                if at.size == 0:
+                    continue
+                sl = np.take(buf, at - 1 - lo, axis=0, out=picked[: at.size], mode="clip")[:, :n_targets]
+                sr = np.subtract(tot, sl, out=buf[: at.size, :n_targets])
+                sq_right = np.square(sr, out=sr).sum(axis=1)
+                sq_left = np.square(sl, out=sl).sum(axis=1)
+                score[row, at - 1] = sq_left / at + sq_right / (n - at)
+        tests.append(_Tests(blocks.num, np.arange(1, n)[None], score, xs))
+    return float((tot**2).sum()) / n, tests
 
 
 def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray, order: np.ndarray):
@@ -222,17 +264,19 @@ def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray, order: np.
     if np.all((tot == 0) | (tot == n)):
         return None
     total_sq = float((tot**2).sum())
-    num, cat = _numeric_attrs(view), _category_attrs(view)
-    blocks = []
-    if num:
-        ranked, xs, cuts = _numeric_order(cover, view, num, order)
-        rank = np.empty_like(ranked)
-        np.put_along_axis(rank, ranked, np.arange(n), axis=1)
+    blocks = _attribute_blocks(view)
+    tests = []
+    if blocks.num:
+        xs, cuts = _numeric_order(view, order)
+        pos = np.empty(view.n_rows, dtype=np.intp)
+        pos[cover] = np.arange(n)
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, pos[order], np.arange(n), axis=1)
         k = np.arange(len(ts)) - (np.cumsum(tot) - tot)[ts]
-        sq_left = np.empty((len(num), n - 1))  # Σ sl² after each left-side size
+        sq_left = np.empty((len(blocks.num), n - 1))  # Σ sl² after each left-side size
         cross = np.empty_like(sq_left)  # Σ tot·sl
         step = max(1, _BLOCK_CELLS // len(ts))
-        for lo in range(0, len(num), step):
+        for lo in range(0, len(blocks.num), step):
             key = rank[lo : lo + step, rows] + ts * n
             key.sort(axis=1)
             key += (np.arange(len(key)) * n)[:, None] - ts * n  # attribute-major rank
@@ -242,17 +286,17 @@ def _sparse_tests(cover: np.ndarray, view: View, targets: np.ndarray, order: np.
         nl = np.arange(1, n)
         score = sq_left / nl + (total_sq - 2.0 * cross + sq_left) / (n - nl)
         score[~cuts] = -_INF
-        blocks.append(_Tests(num, nl[None], score, xs))
-    if cat:
-        slot, nl = _category_slots(cover, view, cat)
+        tests.append(_Tests(blocks.num, nl[None], score, xs))
+    if blocks.cat:
+        slot, nl = _category_slots(cover, view)
         # one bin per (slot, target); cells with no test drop out
         hit = slot[:, rows]
         keep = hit >= 0
         sl = np.bincount(
             (hit * n_targets + ts)[keep], minlength=nl.size * n_targets
         ).reshape(nl.shape + (n_targets,))
-        blocks.append(_category_block(cat, nl, sl, tot, n))
-    return total_sq / n, blocks
+        tests.append(_category_block(blocks.cat, nl, sl, tot, n))
+    return total_sq / n, tests
 
 
 def best_split(

@@ -400,7 +400,9 @@ def test_label_the_grammar_cannot_read_exits_two_naming_column_and_label(tmp_pat
     code = main(["mine", *_dataset_args(paths), "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{paths['view2']}: category label 'high-risk' of column 'risk'" in err
+    lines = paths["view2"].read_text(encoding="utf-8").splitlines()
+    first = next(no for no, line in enumerate(lines, 1) if line.startswith("high-risk,"))
+    assert f"{paths['view2']}:{first}: category label 'high-risk' of column 'risk'" in err
     assert not (tmp_path / "out" / "mined.tsv").exists()
 
 

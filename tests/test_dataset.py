@@ -100,6 +100,23 @@ class TestLoadView:
         with pytest.raises(DataError, match=message):
             load_view(csv_path, {"k": "categorical", "b": "numeric"})
 
+    def test_quoted_cell_past_the_csv_field_limit_names_the_line_it_opens_on(self, tmp_path):
+        # the csv reader stops some 65,000 lines further down
+        cell = '"' + "x\n" * 70_000 + '"'
+        csv_path = _write(tmp_path, "v.csv", f"k,b\na,1\n\n{cell},1\nc,1\n")
+        with pytest.raises(DataError, match=re.escape("v.csv:4: field larger than field limit")):
+            load_view(csv_path, {"k": "categorical", "b": "numeric"})
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [('"x\ny",1,3', "expected 2 fields, got 3"), ('"x\ny",zz', "category label 'x\\ny'"),
+         ('x,"1\nz"', "non-numeric token")],
+    )
+    def test_record_spanning_lines_named_at_the_line_it_begins_on(self, tmp_path, record, message):
+        csv_path = _write(tmp_path, "v.csv", f"k,b\na,1\n{record}\nc,1\n")
+        with pytest.raises((DataError, SchemaError), match=re.escape(f"v.csv:3: {message}")):
+            load_view(csv_path, {"k": "categorical", "b": "numeric"})
+
     def test_non_numeric_token_names_row(self, tmp_path):
         csv = _write(tmp_path, "v.csv", "a\n1\nbogus\n")
         with pytest.raises(DataError, match="bogus"):
@@ -134,14 +151,15 @@ class TestLoadView:
     @pytest.mark.parametrize("name", ["inf.x", "infinity/2", "-inf", "1e5", "NaN", "INF"])
     def test_name_the_query_tokenizer_splits_or_reads_as_number_rejected(self, tmp_path, name):
         path = _write(tmp_path, "v.csv", f"{name}\n1\n")
-        with pytest.raises(SchemaError, match=re.escape(f"v.csv: attribute name {name!r} is not usable")):
+        with pytest.raises(SchemaError, match=re.escape(f"v.csv:1: attribute name {name!r} is not usable")):
             load_view(path, {name: "numeric"})
 
     @pytest.mark.parametrize("label", ["high-risk", "a b", "x=y", "(a)", "1e", "é"])
     def test_label_the_query_tokenizer_cannot_read_back_rejected(self, tmp_path, label):
-        path = _write(tmp_path, "v.csv", f"risk\nlow\n{label}\n")
+        # named at the first data line that holds it; blank lines count
+        path = _write(tmp_path, "v.csv", f"risk\nlow\n\n{label}\nlow\n{label}\n")
         with pytest.raises(
-            SchemaError, match=re.escape(f"v.csv: category label {label!r} of column 'risk'")
+            SchemaError, match=re.escape(f"v.csv:4: category label {label!r} of column 'risk'")
         ):
             load_view(path, {"risk": "categorical"})
 
