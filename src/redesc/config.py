@@ -6,8 +6,10 @@ the importance-weight matrix (5 or 6 comma-separated non-negative numbers).
 Any other key is rejected.
 
 Each CLI flag sets the key of its name (`--no-refine` is `refine = false`)
-and overrides the file. `FIELDS` maps each key to the dataclass field it sets;
-a key given nowhere keeps that field's default. Two values are sentinels:
+and overrides the file. A file value that its key's parser rejects is
+reported with the file and line; a rejected flag names its key alone.
+`FIELDS` maps each key to the dataclass field it sets; a key given nowhere
+keeps that field's default. Two values are sentinels:
 `max_support = 0` is unbounded, and `min_leaf_size <= 0` (or absent) is
 `max(2, min_support // 2)`.
 
@@ -51,7 +53,9 @@ class ConfigError(ValueError):
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Raw key-value pairs; `weights` accumulates into a list of rows."""
+    """Raw key-value pairs; `weights` accumulates into a list of rows. Each
+    value (each `weights` row) is checked by its key's parser as it is read,
+    so a rejected value names its file and line, even where a flag overrides it."""
     out: dict = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -63,6 +67,10 @@ def parse_config_file(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            FIELDS[key][2]([value] if key == "weights" else value, key)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
         if key == "weights":
             out.setdefault("weights", []).append(value)
         elif key in out:

@@ -59,9 +59,7 @@ def read_records(
         try:
             if len(fields) < 2:
                 raise ValueError("expected at least two tab-separated fields")
-            pairs.append(
-                (parse_query(fields[0], dataset.view1, 1), parse_query(fields[1], dataset.view2, 2))
-            )
+            pairs.append((parse_query(fields[0], dataset.view1), parse_query(fields[1], dataset.view2)))
         except ValueError as exc:
             rejected.append(RejectedRecord(str(path), line_no, str(exc)))
     memoize_literals((lit for q1, _ in pairs for lit in iter_literals(q1.root)), dataset.view1)

@@ -36,7 +36,7 @@ from .query import (
 )
 
 PVALUE_SCORE_FLOOR = 1e-17
-DEFAULT_SIZE_NORMALIZER = 20
+SIZE_NORMALIZER = 20
 
 
 def mask_jaccard(a: int, b: int) -> float:
@@ -173,7 +173,6 @@ class Redescription:
     tri1: TriSupport
     tri2: TriSupport
     supp_mask: int  # supp(R) as a bitmask: the rows both queries definitely describe
-    counts: StatusCounts
     j_qnm: float
     j_opt: float
     j_pess: float
@@ -199,7 +198,6 @@ class Redescription:
             tri1=tri1,
             tri2=tri2,
             supp_mask=tri1.in_mask & tri2.in_mask,
-            counts=counts,
             j_qnm=variants.qnm,
             j_opt=variants.opt,
             j_pess=variants.pess,
@@ -276,8 +274,8 @@ def score_pval(pv: float) -> float:
     return math.log10(pv) / 17.0 + 1.0
 
 
-def score_size(attr_count: int, k: int = DEFAULT_SIZE_NORMALIZER) -> float:
-    return min(attr_count / k, 1.0)
+def score_size(attr_count: int) -> float:
+    return min(attr_count / SIZE_NORMALIZER, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ of the two rule lists, paired by one loop that optionally refines them
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -77,10 +78,6 @@ class RuleSet:
         return self.rules1 if view_id == 1 else self.rules2
 
     def add(self, view_id: int, rule: Rule) -> bool:
-        if rule.query.view_id != view_id:
-            raise ValueError(
-                f"rule for view {rule.query.view_id} added to list {view_id}"
-            )
         keys = self._keys[view_id - 1]
         if rule.text in keys:
             return False
@@ -110,12 +107,21 @@ def _harvest(tree: Tree, dataset: Dataset, view_id: int, rules: RuleSet, mode: s
 
 
 def _standardized(column: np.ndarray) -> np.ndarray:
-    """Unit-variance copy with missing cells at the mean (zero deviation)."""
+    """Unit-variance copy with missing cells at the mean (zero deviation).
+
+    Cells so large that the mean or the squared deviations could overflow,
+    or so small that the squares would underflow, are first scaled by a power
+    of two, which changes no bit of the result.
+    """
     finite = ~np.isnan(column)
     out = np.zeros(len(column))
     if finite.sum() < 2:
         return out
     values = column[finite]
+    top = np.abs(values).max()
+    # n·(2·top)² must stay below 2**1022, and top² above 2**-1000
+    if not 2.0**-500 <= top < 2.0**510 / math.sqrt(len(values)):
+        values = np.ldexp(values, -np.frexp(top)[1])
     std = values.std()
     if std == 0:
         return out
@@ -154,7 +160,7 @@ def _bootstrap(dataset: Dataset, view_id: int, seed, params: MiningParams, rules
     n = dataset.n_elements
     doubled = concat_rows(view, make_artificial(view, seed))
     targets = _bootstrap_targets(doubled, np.concatenate([np.ones(n), np.zeros(n)]))
-    tree = build_tree(doubled, targets, params.pct, view_id=view_id)
+    tree = build_tree(doubled, targets, params.pct)
     _harvest(tree, dataset, view_id, rules, params.operator_mode)
 
 
@@ -168,7 +174,7 @@ def init_rules(dataset: Dataset, params: MiningParams) -> RuleSet:
     return rules
 
 
-def construct_targets(rules: Sequence[Rule], n_elements: int, window: int = 64) -> np.ndarray:
+def construct_targets(rules: Sequence[Rule], n_elements: int, window: int) -> np.ndarray:
     """Boolean indicator matrix of the most recent rules' supports (one
     column per rule, True where the rule definitely holds)."""
     if not rules:
@@ -179,9 +185,9 @@ def construct_targets(rules: Sequence[Rule], n_elements: int, window: int = 64) 
 
 def _or_extend(red: Redescription, side: int, rule: Rule, dataset: Dataset) -> Redescription:
     if side == 1:
-        q1 = canonicalize(Query(Or((red.q1.root, rule.query.root)), 1))
+        q1 = canonicalize(Query(Or((red.q1.root, rule.query.root))))
         return Redescription.create(q1, red.q2, red.tri1.union(rule.tri), red.tri2, dataset)
-    q2 = canonicalize(Query(Or((red.q2.root, rule.query.root)), 2))
+    q2 = canonicalize(Query(Or((red.q2.root, rule.query.root))))
     return Redescription.create(red.q1, q2, red.tri1, red.tri2.union(rule.tri), dataset)
 
 
@@ -253,17 +259,15 @@ def mine(dataset: Dataset, constraints: Constraints, params: MiningParams) -> Re
     done1 = done2 = 0  # rules of each view paired in earlier rounds
 
     for _ in range(params.max_iter):
-        new_trees: list[Tree] = []
+        new_trees: list[tuple[int, Tree]] = []
         for view_id in (1, 2):
             opposing = rules.rules(2 if view_id == 1 else 1)
             if not opposing:
                 continue
             targets = construct_targets(opposing, n, params.target_window)
-            new_trees.append(
-                build_tree(dataset.view(view_id), targets, params.pct, view_id=view_id)
-            )
-        for tree in new_trees:
-            _harvest(tree, dataset, tree.view_id, rules, params.operator_mode)
+            new_trees.append((view_id, build_tree(dataset.view(view_id), targets, params.pct)))
+        for view_id, tree in new_trees:
+            _harvest(tree, dataset, view_id, rules, params.operator_mode)
 
         # Rule lists only grow, so the unpaired part of rules1 × rules2 is, in
         # product order, the old view-1 rules with the new view-2 rules, then

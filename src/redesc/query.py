@@ -1,7 +1,9 @@
 """Query ASTs with three-valued evaluation against a view.
 
-Queries are logical formulas over one view's attributes: AND/OR over
-interval, boolean, and categorical literals, each literal possibly negated.
+Queries are logical formulas over one view's attributes: a tree whose nodes
+are `Literal` (interval, boolean or categorical test, possibly negated),
+`And` and `Or`. A query holds no view: each caller knows the view it
+belongs to and passes that view to whatever evaluates, prints or parses it.
 Evaluation uses strong Kleene semantics with the truth ordering
 FALSE < UNKNOWN < TRUE: a literal over a missing cell is UNKNOWN, AND takes
 the minimum, OR the maximum, and NOT swaps TRUE/FALSE while fixing UNKNOWN.
@@ -58,7 +60,7 @@ class QueryStructureError(ValueError):
 
 @dataclass(frozen=True)
 class Literal:
-    """Single attribute test, optionally negated.
+    """Single attribute test, optionally negated: the leaf node of a query.
 
     Numeric attributes use a closed interval [lo, hi] with infinite endpoints
     allowed; boolean attributes test is-true; categorical attributes test
@@ -80,11 +82,6 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    literal: Literal
-
-
-@dataclass(frozen=True)
 class And:
     children: tuple["Node", ...]
 
@@ -94,13 +91,12 @@ class Or:
     children: tuple["Node", ...]
 
 
-Node = Union[Leaf, And, Or]
+Node = Union[Literal, And, Or]
 
 
 @dataclass(frozen=True)
 class Query:
     root: Node
-    view_id: int
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def _unknown(view: View, attr: int) -> tuple[np.ndarray, int]:
 
 def _fold(node: Node, supports: Iterator[TriSupport]) -> TriSupport:
     """Combine the supports of `node`'s literals, consumed in preorder."""
-    if isinstance(node, Leaf):
+    if isinstance(node, Literal):
         return next(supports)
     combine = TriSupport.intersect if isinstance(node, And) else TriSupport.union
     return reduce(combine, [_fold(child, supports) for child in node.children])
@@ -263,12 +259,12 @@ def tri_support(q: Query, view: View) -> TriSupport:
 
 def iter_literals(node: Node) -> Iterator[Literal]:
     """The literals of `node` in preorder."""
-    if isinstance(node, Leaf):
-        yield node.literal
+    if isinstance(node, Literal):
+        yield node
     else:
         for child in node.children:
-            if isinstance(child, Leaf):  # no generator per leaf of a conjunction
-                yield child.literal
+            if isinstance(child, Literal):  # no generator per literal of a conjunction
+                yield child
             else:
                 yield from iter_literals(child)
 
@@ -286,31 +282,21 @@ def query_attr_count(q: Query) -> int:
 def is_conjunctive(q: Query) -> bool:
     """True when the query is a single literal or an AND of literals."""
     root = q.root
-    if isinstance(root, Leaf):
+    if isinstance(root, Literal):
         return True
-    return isinstance(root, And) and all(isinstance(c, Leaf) for c in root.children)
-
-
-def _leaf_key(lit: Literal):
-    return (
-        lit.attr,
-        lit.negated,
-        lit.lo,
-        lit.hi,
-        lit.category if lit.category is not None else "",
-    )
+    return isinstance(root, And) and all(isinstance(c, Literal) for c in root.children)
 
 
 def _node_key(node: Node):
-    if isinstance(node, Leaf):
-        return (0, _leaf_key(node.literal))
-    if isinstance(node, And):
-        return (1, tuple(_node_key(c) for c in node.children))
-    return (2, tuple(_node_key(c) for c in node.children))
+    """Order of canonical siblings: literals by (attribute id, negation,
+    bounds, label), then ANDs, then ORs."""
+    if isinstance(node, Literal):
+        return (0, (node.attr, node.negated, node.lo, node.hi, node.category or ""))
+    return (1 if isinstance(node, And) else 2, tuple(_node_key(c) for c in node.children))
 
 
 def _canon_node(node: Node) -> Node:
-    if isinstance(node, Leaf):
+    if isinstance(node, Literal):
         return node
     same = And if isinstance(node, And) else Or
     flat: list[Node] = []
@@ -332,8 +318,8 @@ def _canon_node(node: Node) -> Node:
 def canonicalize(q: Query) -> Query:
     """Canonical form: nested same-operator nodes flattened, duplicate
     children dropped, children ordered by (attribute id, bounds). Negation
-    is always on the leaves already: no node negates a subtree."""
-    return Query(_canon_node(q.root), q.view_id)
+    is always on the literals already: no node negates a subtree."""
+    return Query(_canon_node(q.root))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +343,8 @@ def _print_literal(lit: Literal, view: View) -> str:
 
 
 def _print_node(node: Node, view: View) -> str:
-    if isinstance(node, Leaf):
-        return _print_literal(node.literal, view)
+    if isinstance(node, Literal):
+        return _print_literal(node, view)
     if isinstance(node, And):
         parts = []
         for c in node.children:
@@ -411,10 +397,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _negate(node: Node) -> Node:
-    """`node` negated with negation on the leaves only: each literal flips and
-    AND and OR swap (De Morgan). The literals and their order stay."""
-    if isinstance(node, Leaf):
-        return Leaf(replace(node.literal, negated=not node.literal.negated))
+    """`node` negated with negation on the literals only: each literal flips
+    and AND and OR swap (De Morgan). The literals and their order stay."""
+    if isinstance(node, Literal):
+        return replace(node, negated=not node.negated)
     dual = Or if isinstance(node, And) else And
     return dual(tuple(_negate(c) for c in node.children))
 
@@ -426,12 +412,11 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str, view: View, view_id: int):
+    def __init__(self, text: str, view: View):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # `(` and `!` open around the current token
         self.view = view
-        self.view_id = view_id
 
     def peek(self):
         return self.tokens[self.i]
@@ -449,7 +434,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "eof":
             raise QuerySyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return canonicalize(Query(node, self.view_id))
+        return canonicalize(Query(node))
 
     def parse_or(self) -> Node:
         children = [self.parse_and()]
@@ -500,7 +485,7 @@ class _Parser:
         attr_id = self.resolve(name_tok, NUMERIC)
         if lo > hi:
             raise QuerySyntaxError(f"inverted interval bounds [{lo}, {hi}]", open_tok[2])
-        return Leaf(Literal(attr_id, NUMERIC, lo, hi))
+        return Literal(attr_id, NUMERIC, lo, hi)
 
     def parse_named(self) -> Node:
         name_tok = self.take("name")
@@ -517,9 +502,9 @@ class _Parser:
                     f"unknown category {label_tok[1]!r} for attribute {attr.name!r}",
                     label_tok[2],
                 )
-            return Leaf(Literal(attr_id, CATEGORICAL, category=label_tok[1]))
+            return Literal(attr_id, CATEGORICAL, category=label_tok[1])
         attr_id = self.resolve(name_tok, BOOLEAN)
-        return Leaf(Literal(attr_id, BOOLEAN))
+        return Literal(attr_id, BOOLEAN)
 
     def resolve(self, name_tok, expected_kind: str) -> int:
         name = name_tok[1]
@@ -535,7 +520,7 @@ class _Parser:
         return attr_id
 
 
-def parse_query(text: str, view: View, view_id: int) -> Query:
+def parse_query(text: str, view: View) -> Query:
     """Parse query text against a view's attribute table.
 
     Grammar: literals are `NAME` (boolean), `!NAME`, `NAME=LABEL`
@@ -545,7 +530,7 @@ def parse_query(text: str, view: View, view_id: int) -> Query:
     and swaps `&` and `|` within it, so `!(a & b)` reads as `!a | !b`.
     `(` and `!` nest at most `_MAX_NESTING` deep. The result is canonical.
     """
-    return _Parser(text, view, view_id).parse()
+    return _Parser(text, view).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +538,17 @@ def parse_query(text: str, view: View, view_id: int) -> Query:
 # ---------------------------------------------------------------------------
 
 
-def _remove_leaf(node: Node, target: int) -> tuple[Node | None, int]:
-    """Rebuild `node` without the target-th leaf (preorder index).
+def _remove_literal(node: Node, target: int) -> tuple[Node | None, int]:
+    """Rebuild `node` without the target-th literal (preorder index).
 
-    Returns (new node or None when emptied, number of leaves consumed).
+    Returns (new node or None when emptied, number of literals consumed).
     """
-    if isinstance(node, Leaf):
+    if isinstance(node, Literal):
         return (None, 1) if target == 0 else (node, 1)
     consumed = 0
     kept: list[Node] = []
     for child in node.children:
-        new_child, used = _remove_leaf(child, target - consumed)
+        new_child, used = _remove_literal(child, target - consumed)
         consumed += used
         if new_child is not None:
             kept.append(new_child)
@@ -576,7 +561,7 @@ def _remove_leaf(node: Node, target: int) -> tuple[Node | None, int]:
 
 
 def _merge_intervals(node: Node) -> Node:
-    if isinstance(node, Leaf):
+    if isinstance(node, Literal):
         return node
     children = [_merge_intervals(c) for c in node.children]
     if isinstance(node, Or):
@@ -584,24 +569,19 @@ def _merge_intervals(node: Node) -> Node:
     by_attr: dict[int, Literal] = {}
     rest: list[Node] = []
     for child in children:
-        if (
-            isinstance(child, Leaf)
-            and child.literal.kind == NUMERIC
-            and not child.literal.negated
-        ):
-            lit = child.literal
-            prev = by_attr.get(lit.attr)
+        if isinstance(child, Literal) and child.kind == NUMERIC and not child.negated:
+            prev = by_attr.get(child.attr)
             if prev is None:
-                by_attr[lit.attr] = lit
+                by_attr[child.attr] = child
                 continue
-            lo, hi = max(prev.lo, lit.lo), min(prev.hi, lit.hi)
+            lo, hi = max(prev.lo, child.lo), min(prev.hi, child.hi)
             if lo <= hi:
-                by_attr[lit.attr] = Literal(lit.attr, NUMERIC, lo, hi)
+                by_attr[child.attr] = Literal(child.attr, NUMERIC, lo, hi)
             else:
                 rest.append(child)  # empty intersection is unrepresentable; keep both
         else:
             rest.append(child)
-    merged: list[Node] = [Leaf(lit) for lit in by_attr.values()] + rest
+    merged: list[Node] = [*by_attr.values(), *rest]
     if len(merged) == 1:
         return merged[0]
     return And(tuple(merged))
@@ -615,7 +595,7 @@ def minimize_query(q: Query, view: View) -> Query:
     common AND. The canonical result evaluates identically to the input on `view`.
     """
     current = canonicalize(q)
-    # literal supports in preorder; dropping leaf `target` drops its entry
+    # literal supports in preorder; dropping literal `target` drops its entry
     supports = [_literal_support(lit, view) for lit in iter_literals(current.root)]
     base = _fold(current.root, iter(supports))
     changed = True
@@ -624,11 +604,11 @@ def minimize_query(q: Query, view: View) -> Query:
         if len(supports) <= 1:
             break
         for target in range(len(supports)):
-            candidate_root, _ = _remove_leaf(current.root, target)  # never None: 2+ leaves
+            candidate_root, _ = _remove_literal(current.root, target)  # never None: 2+ literals
             rest = supports[:target] + supports[target + 1:]
             if _fold(candidate_root, iter(rest)) == base:
-                current = Query(candidate_root, q.view_id)
+                current = Query(candidate_root)
                 supports = rest
                 changed = True
                 break
-    return canonicalize(Query(_merge_intervals(current.root), q.view_id))
+    return canonicalize(Query(_merge_intervals(current.root)))

@@ -37,7 +37,6 @@ from .measures import (
 from .measures import mask_jaccard  # unused here; kept bound because bench/tracer.py counts calls through it
 from .query import (
     And,
-    Leaf,
     Literal,
     Query,
     canonicalize,
@@ -68,9 +67,8 @@ def _tighten_query(q: Query, target_rows: np.ndarray, view) -> Query:
                 lo = max(lit.lo, float(values.min()))
                 hi = min(lit.hi, float(values.max()))
                 lit = Literal(lit.attr, NUMERIC, lo, hi)
-        tightened.append(Leaf(lit))
-    root = tightened[0] if len(tightened) == 1 else And(tuple(tightened))
-    return Query(root, q.view_id)
+        tightened.append(lit)
+    return Query(tightened[0] if len(tightened) == 1 else And(tuple(tightened)))
 
 
 def _tightened_queries(
@@ -121,8 +119,8 @@ def refine_pair(r: Redescription, ref: Redescription, dataset: Dataset) -> Refin
     tri2 = r.tri2.intersect(query.tri_support(t2, dataset.view2))
     if not jaccard_variants(StatusCounts.from_supports(tri1, tri2)).qnm > r.j_qnm:
         return RefinementOutcome(refined=r, improved=False, applied=True)
-    q1 = minimize_query(Query(And((r.q1.root, t1.root)), r.q1.view_id), dataset.view1)
-    q2 = minimize_query(Query(And((r.q2.root, t2.root)), r.q2.view_id), dataset.view2)
+    q1 = minimize_query(Query(And((r.q1.root, t1.root))), dataset.view1)
+    q2 = minimize_query(Query(And((r.q2.root, t2.root))), dataset.view2)
     return RefinementOutcome(
         refined=Redescription.create(q1, q2, tri1, tri2, dataset), improved=True, applied=True
     )

@@ -16,7 +16,9 @@ boolean attributes. The dense prefix sums run over blocks of a fixed number
 of cells gathered straight from the caller's targets, each block carrying
 the last prefix row of the one before, so a node copies no target matrix.
 Every non-root node doubles as a conjunctive rule: the AND of the edge
-conditions on its root path. A node's rows route by its split's left edge
+literals on its root path, a query of `Literal` and `And` nodes. Neither the
+tree nor its rules hold a view id: `mine` pairs each tree with the view it
+grew the tree for. A node's rows route by its split's left edge
 literal, as `query` evaluates it: definitely true goes left, all else
 (missing cells too) right, so each cover holds its rule's in-set and lies
 within its in-or-unknown set.
@@ -31,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import BOOLEAN, CATEGORICAL, NUMERIC, View
-from .query import And, Leaf, Literal, Node as QueryNode, Query, _literal_support
+from .query import And, Literal, Query, _literal_support
 from .query import mask_to_bools, minimize_query
 
 _INF = float("inf")
@@ -80,7 +82,6 @@ class TreeNode:
 class Tree:
     root: TreeNode
     view: View
-    view_id: int
 
     def iter_nodes(self) -> Iterator[TreeNode]:
         queue = deque([self.root])
@@ -339,12 +340,13 @@ def best_split(
     attr = view.attributes[best]
     if attr.kind == NUMERIC:
         xs = tests.values[row]
-        return Split(best, NUMERIC, gain, threshold=float((xs[pick] + xs[pick + 1]) / 2.0))
+        # halving first is exact and cannot overflow, as a sum near the top of the range can
+        return Split(best, NUMERIC, gain, threshold=float(xs[pick] / 2.0 + xs[pick + 1] / 2.0))
     category = attr.categories[pick] if attr.kind == CATEGORICAL else None
     return Split(best, attr.kind, gain, category=category)
 
 
-def build_tree(view: View, targets: np.ndarray, params: PctParams, view_id: int = 1) -> Tree:
+def build_tree(view: View, targets: np.ndarray, params: PctParams) -> Tree:
     """Recursive best-first induction until depth, leaf-size, or no positive
     split stops growth. Fully deterministic for fixed inputs."""
     targets = np.asarray(targets)
@@ -375,7 +377,7 @@ def build_tree(view: View, targets: np.ndarray, params: PctParams, view_id: int 
         goes_left = in_left[order]
         for child, side in ((node.right, ~goes_left), (node.left, goes_left)):
             stack.append((child, order[side].reshape(len(order), len(child.cover))))
-    return Tree(root=root, view=view, view_id=view_id)
+    return Tree(root=root, view=view)
 
 
 def _next_observed(view: View, attr: int, threshold: float) -> float:
@@ -408,10 +410,7 @@ def extract_rules(tree: Tree) -> list[tuple[Query, np.ndarray]]:
     while queue:
         node, conds = queue.popleft()
         if conds:
-            root: QueryNode = Leaf(conds[0]) if len(conds) == 1 else And(
-                tuple(Leaf(c) for c in conds)
-            )
-            q = minimize_query(Query(root, tree.view_id), tree.view)
+            q = minimize_query(Query(conds[0] if len(conds) == 1 else And(conds)), tree.view)
             results.append((q, node.cover))
         if node.split is not None:
             left_lit = _edge_literal(tree.view, node.split, True)

@@ -34,7 +34,7 @@ from redesc.dataset import (
 )
 from redesc.measures import Redescription
 from redesc.mine import Rule
-from redesc.query import And, Leaf, Literal, Or, Query, TriSupport, canonicalize, parse_query
+from redesc.query import And, Literal, Or, Query, TriSupport, canonicalize, parse_query
 
 from reference import Not, raw_text
 
@@ -84,13 +84,13 @@ def random_view(rng: np.random.Generator, n_rows: int, n_num=2, n_bool=1, n_cat=
     return make_view(spec)
 
 
-def random_query(rng: np.random.Generator, view: View, view_id: int, depth: int = 2) -> Query:
+def random_query(rng: np.random.Generator, view: View, depth: int = 2) -> Query:
     """A canonical query, parsed from the text of a raw tree with `Not` nodes."""
     raw = _random_node(rng, view, depth, nots=True)
-    return parse_query(raw_text(raw, view), view, view_id)
+    return parse_query(raw_text(raw, view), view)
 
 
-def _random_literal(rng: np.random.Generator, view: View) -> Leaf:
+def _random_literal(rng: np.random.Generator, view: View) -> Literal:
     attr_id = int(rng.integers(0, view.n_cols))
     attr = view.attributes[attr_id]
     negated = bool(rng.random() < 0.2)
@@ -106,11 +106,11 @@ def _random_literal(rng: np.random.Generator, view: View) -> Leaf:
             lo = float("-inf")
         if rng.random() < 0.2:
             hi = float("inf")
-        return Leaf(Literal(attr_id, NUMERIC, lo, hi, negated=negated))
+        return Literal(attr_id, NUMERIC, lo, hi, negated=negated)
     if attr.kind == BOOLEAN:
-        return Leaf(Literal(attr_id, BOOLEAN, negated=negated))
+        return Literal(attr_id, BOOLEAN, negated=negated)
     label = attr.categories[int(rng.integers(0, len(attr.categories)))]
-    return Leaf(Literal(attr_id, CATEGORICAL, category=label, negated=negated))
+    return Literal(attr_id, CATEGORICAL, category=label, negated=negated)
 
 
 def _random_node(rng: np.random.Generator, view: View, depth: int, nots: bool = False):
@@ -193,8 +193,8 @@ def fabricate_pool(
         tri2 = TriSupport(in2, unk2, n_elements)
         ids1 = sorted(rng.choice(n_attrs, int(rng.integers(1, 6)), replace=False))
         ids2 = sorted(rng.choice(n_attrs, int(rng.integers(1, 6)), replace=False))
-        q1 = _bool_conj(ids1, 1)
-        q2 = _bool_conj(ids2, 2)
+        q1 = _bool_conj(ids1)
+        q2 = _bool_conj(ids2)
         red = Redescription.create(q1, q2, tri1, tri2, dataset)
         if red.key in seen:
             continue
@@ -203,10 +203,10 @@ def fabricate_pool(
     return pool, dataset
 
 
-def _bool_conj(attr_ids, view_id: int) -> Query:
-    leaves = tuple(Leaf(Literal(int(a), BOOLEAN)) for a in attr_ids)
+def _bool_conj(attr_ids) -> Query:
+    leaves = tuple(Literal(int(a), BOOLEAN) for a in attr_ids)
     root = leaves[0] if len(leaves) == 1 else And(leaves)
-    return canonicalize(Query(root, view_id))
+    return canonicalize(Query(root))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def mask_rules(masks, view_id: int, n: int) -> list:
     """Rules over a placeholder query with the given definite supports; each
     holds its own query and support object, so calls can be traced by `is`."""
     return [
-        Rule(Query(Leaf(Literal(0, BOOLEAN)), view_id), TriSupport(m, 0, n), f"r{view_id}.{i}")
+        Rule(Query(Literal(0, BOOLEAN)), TriSupport(m, 0, n), f"r{view_id}.{i}")
         for i, m in enumerate(masks)
     ]
 

@@ -39,7 +39,6 @@ from redesc.measures import PackedMembers, Redescription
 from redesc.mine import Rule, RuleSet, _bootstrap_targets, _mode_accepts
 from redesc.query import (
     And,
-    Leaf,
     Literal,
     Node,
     Or,
@@ -48,7 +47,7 @@ from redesc.query import (
     QuerySyntaxError,
     TriSupport,
     _merge_intervals,
-    _remove_leaf,
+    _remove_literal,
     canonicalize,
     is_conjunctive,
     mask_to_bools,
@@ -75,8 +74,8 @@ class Not:
 def raw_text(node, view: View) -> str:
     """Query text of a raw tree as it stands: every group in parentheses,
     and a `Not` as `!(...)`."""
-    if isinstance(node, Leaf):
-        return print_query(Query(node, 1), view)
+    if isinstance(node, Literal):
+        return print_query(Query(node), view)
     if isinstance(node, Not):
         return f"!({raw_text(node.child, view)})"
     op = " & " if isinstance(node, And) else " | "
@@ -108,8 +107,8 @@ def _eval_literal_row(lit: Literal, view: View, row: int) -> int:
 
 
 def _eval_node_row(node: Node, view: View, row: int) -> int:
-    if isinstance(node, Leaf):
-        return _eval_literal_row(node.literal, view, row)
+    if isinstance(node, Literal):
+        return _eval_literal_row(node, view, row)
     if isinstance(node, And):
         value = TRUE
         for child in node.children:
@@ -141,8 +140,8 @@ def check_attrs(node: Node, view: View) -> None:
 
 
 def _literals(node: Node):
-    if isinstance(node, Leaf):
-        return [node.literal]
+    if isinstance(node, Literal):
+        return [node]
     if isinstance(node, (And, Or)):
         return [lit for child in node.children for lit in _literals(child)]
     return _literals(node.child)
@@ -344,37 +343,37 @@ def reference_build_tree(view, targets, params):
 
 
 def reference_minimize(q: Query, view: View) -> Query:
-    """The greedy leaf-removal loop that rebuilds each candidate with
-    `_remove_leaf` and compares its support, taken row by row, to the
+    """The greedy literal-removal loop that rebuilds each candidate with
+    `_remove_literal` and compares its support, taken row by row, to the
     input's."""
     current = canonicalize(q)
     base = row_values(current, view)
     changed = True
     while changed:
         changed = False
-        n_leaves = query_attr_count(current)
-        if n_leaves <= 1:
+        n_literals = query_attr_count(current)
+        if n_literals <= 1:
             break
-        for target in range(n_leaves):
-            candidate_root, _ = _remove_leaf(current.root, target)
+        for target in range(n_literals):
+            candidate_root, _ = _remove_literal(current.root, target)
             if candidate_root is None:
                 continue
-            candidate = Query(candidate_root, q.view_id)
+            candidate = Query(candidate_root)
             if row_values(candidate, view) == base:
                 current = candidate
                 changed = True
                 break
-    return canonicalize(Query(_merge_intervals(current.root), q.view_id))
+    return canonicalize(Query(_merge_intervals(current.root)))
 
 
-def reference_rules(view: View, targets, params, view_id: int) -> list[Query]:
+def reference_rules(view: View, targets, params) -> list[Query]:
     """`extract_rules` over the reference tree: one minimized conjunction of
     edge literals per non-root node."""
     rules = []
     for _cover, _split, path in reference_build_tree(view, targets, params):
         if path:
-            root = Leaf(path[0]) if len(path) == 1 else And(tuple(Leaf(c) for c in path))
-            rules.append(reference_minimize(Query(root, view_id), view))
+            root = path[0] if len(path) == 1 else And(tuple(path))
+            rules.append(reference_minimize(Query(root), view))
     return rules
 
 
@@ -450,8 +449,8 @@ def full_build_refine_pair(r, ref, dataset):
     if r.key == ref.key:
         return RefinementOutcome(refined=r, improved=False, applied=True)
     t1, t2 = _tightened_queries(ref, r.supp_mask, dataset)
-    q1 = reference_minimize(Query(And((r.q1.root, t1.root)), r.q1.view_id), dataset.view1)
-    q2 = reference_minimize(Query(And((r.q2.root, t2.root)), r.q2.view_id), dataset.view2)
+    q1 = reference_minimize(Query(And((r.q1.root, t1.root))), dataset.view1)
+    q2 = reference_minimize(Query(And((r.q2.root, t2.root))), dataset.view2)
     refined = row_evaluate(q1, q2, dataset)
     return RefinementOutcome(refined=refined, improved=refined.j_qnm > r.j_qnm, applied=True)
 
@@ -605,7 +604,7 @@ def _refine_into(rules1, rules2, members, constraints, dataset) -> None:
 
 def _or_extend(red: Redescription, side: int, rule: Rule, dataset: Dataset) -> Redescription:
     own = red.q1 if side == 1 else red.q2
-    q = canonicalize(Query(Or((own.root, rule.query.root)), side))
+    q = canonicalize(Query(Or((own.root, rule.query.root))))
     return row_evaluate(q, red.q2, dataset) if side == 1 else row_evaluate(red.q1, q, dataset)
 
 
@@ -647,7 +646,7 @@ def reference_mine(dataset: Dataset, constraints, params) -> list[Redescription]
         view = dataset.view(view_id)
         doubled = concat_rows(view, make_artificial(view, seed))
         targets = _bootstrap_targets(doubled, labels)
-        queries = reference_rules(doubled, targets, params.pct, view_id)
+        queries = reference_rules(doubled, targets, params.pct)
         _harvest(queries, dataset, view_id, rules, params.operator_mode)
 
     members: list[Redescription] = []
@@ -661,7 +660,7 @@ def reference_mine(dataset: Dataset, constraints, params) -> list[Redescription]
                     [[float(r.tri.in_mask >> row & 1) for r in recent] for row in range(n)]
                 )
                 view = dataset.view(view_id)
-                grown.append((view_id, reference_rules(view, targets, params.pct, view_id)))
+                grown.append((view_id, reference_rules(view, targets, params.pct)))
         for view_id, queries in grown:
             _harvest(queries, dataset, view_id, rules, params.operator_mode)
 

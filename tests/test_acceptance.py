@@ -56,13 +56,13 @@ def test_criterion_01_attribute_redundancy_fixed_points(climate_species_dataset)
     )
     q_hare = "[7.2 <= t9p <= 17.2] & [13.5 <= t7p <= 22.7]"
     r_base = Redescription.evaluate(
-        parse_query(q_box, ds.view1, 1), parse_query("Polarbear", ds.view2, 2), ds
+        parse_query(q_box, ds.view1), parse_query("Polarbear", ds.view2), ds
     )
     r_wide = Redescription.evaluate(
-        parse_query(q_two_box, ds.view1, 1), parse_query("Polarbear", ds.view2, 2), ds
+        parse_query(q_two_box, ds.view1), parse_query("Polarbear", ds.view2), ds
     )
     r_hare = Redescription.evaluate(
-        parse_query(q_hare, ds.view1, 1), parse_query("MountainHare", ds.view2, 2), ds
+        parse_query(q_hare, ds.view1), parse_query("MountainHare", ds.view2), ds
     )
     ok = (
         aaj(packed([r_base, r_wide])).tolist() == [0.75, 0.75]
@@ -181,8 +181,8 @@ def test_criterion_05_score_fixed_points():
     ok = (
         score_pval(1.0) == 1.0
         and abs(score_pval(1e-17)) < 1e-12
-        and score_size(5, 20) == 0.25
-        and score_size(25, 20) == 1.0
+        and score_size(5) == 0.25
+        and score_size(25) == 1.0
     )
     _report(5, "significance and size score fixed points are exact", ok)
 

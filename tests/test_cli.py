@@ -154,7 +154,7 @@ class TestMineCommand:
         code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: operator_mode must be one of conj, conjneg, all, got {mode!r}" in err
+        assert f"error: {cfg}:1: operator_mode must be one of conj, conjneg, all, got {mode!r}" in err
 
     def test_unknown_operator_mode_flag_exits_two(self, planted_files, tmp_path, capsys):
         _, _, paths = planted_files
@@ -185,12 +185,14 @@ class TestMineCommand:
             ("min_ref_jaccard = -0.5", "min_ref_jaccard must lie in [0, 1], got -0.5"),
             ("disjunction_threshold = nan", "disjunction_threshold must lie in [0, 1], got nan"),
             ("max_disjuncts = -3", "max_disjuncts must be non-negative, got -3"),
-            ("weights = 1,1", "expected 5 or 6 weights, got 2, in weights = 1,1"),
-            ("weights = a,b,c,d,e", "could not convert string to float: 'a', in weights = a,b,c,d,e"),
-            ("sizes = 5,5", "sizes must be distinct, got '5,5'"),
+            # a value its key's parser rejects is named by file and line
+            ("weights = 1,1", "{cfg}:1: expected 5 or 6 weights, got 2, in weights = 1,1"),
+            ("weights = a,b,c,d,e", "{cfg}:1: could not convert string to float: 'a', in weights = a,b,c,d,e"),
+            ("sizes = 5,5", "{cfg}:1: sizes must be distinct, got '5,5'"),
+            ("seed = x", "{cfg}:1: seed must be an integer, got 'x'"),
         ],
         ids=["min_ref_jaccard-nan", "min_ref_jaccard-negative", "disjunction_threshold", "max_disjuncts",
-             "weights-count", "weights-word", "sizes-repeated"],
+             "weights-count", "weights-word", "sizes-repeated", "seed-word"],
     )
     def test_out_of_range_value_exits_two_and_names_key(
         self, planted_files, tmp_path, capsys, line, message
@@ -201,7 +203,7 @@ class TestMineCommand:
         out = tmp_path / "out"
         code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("size", [1, 0, -3])
@@ -574,7 +576,7 @@ class TestReduceCommand:
         code = main(["reduce", str(src), *_dataset_args(paths), "--config", str(cfg),
                      "--sizes", "5", "--out", str(out)])
         assert code == 2
-        message = f"error: weights must be finite and non-negative, got j = {float(value)}"
+        message = f"error: {cfg}:1: weights must be finite and non-negative, got j = {float(value)}"
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -591,7 +593,7 @@ class TestReduceCommand:
                      "--sizes", "10", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: weights must have a finite sum" in err and f"in weights = {row}" in err
+        assert f"error: {cfg}:1: weights must have a finite sum" in err and f"in weights = {row}" in err
         assert not out.exists()
 
     def test_flag_overrides_config_file(self, tmp_path):
@@ -701,7 +703,7 @@ class TestInterchangeRoundTrip:
         ]
         originals = [
             Redescription.evaluate(
-                parse_query(q1, ds.view1, 1), parse_query(q2, ds.view2, 2), ds
+                parse_query(q1, ds.view1), parse_query(q2, ds.view2), ds
             )
             for q1, q2 in queries
         ]
@@ -727,8 +729,8 @@ class TestInterchangeRoundTrip:
         loaded, rejected = read_records(src, ds)
         assert not rejected and len(loaded) == 1
         honest = Redescription.evaluate(
-            parse_query("[0.0 <= a0 <= 5.0]", ds.view1, 1),
-            parse_query("z0", ds.view2, 2),
+            parse_query("[0.0 <= a0 <= 5.0]", ds.view1),
+            parse_query("z0", ds.view2),
             ds,
         )
         assert loaded[0] == honest
@@ -785,8 +787,8 @@ class TestInterchangeRoundTrip:
     def test_written_bytes_are_deterministic(self, tmp_path):
         ds, _ = _wide_dataset(tmp_path)
         r = Redescription.evaluate(
-            parse_query("[0.0 <= a0 <= 5.0]", ds.view1, 1),
-            parse_query("z0", ds.view2, 2),
+            parse_query("[0.0 <= a0 <= 5.0]", ds.view1),
+            parse_query("z0", ds.view2),
             ds,
         )
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -59,3 +59,24 @@ def test_line_separator_inside_a_comment_stays_in_the_comment(tmp_path):
     path.write_text("# a note\u2028inside\nworkers = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown key 'workers'"):
         parse_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("min_jaccard = 0.4\n\nseed = x\n", 3, "seed must be an integer, got 'x'"),
+        # each weights row is named at its own line
+        (
+            "weights = 1,1,1,1,1\n# second row\nweights = 1,1\n",
+            3,
+            "expected 5 or 6 weights, got 2, in weights = 1,1",
+        ),
+    ],
+    ids=["seed", "weights-row"],
+)
+def test_value_its_parser_rejects_names_file_and_line(tmp_path, text, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        RunConfig.from_sources(path, {})
+    assert str(raised.value) == f"{path}:{line}: {message}"

@@ -26,7 +26,7 @@ from redesc.dataset import (
     make_artificial,
     read_schema,
 )
-from redesc.query import Leaf, Literal, Or, Query, canonicalize, parse_query, print_query
+from redesc.query import Literal, Or, Query, canonicalize, parse_query, print_query
 
 from conftest import make_view, random_view
 from reference import MISSING, value_at, views_equal, write_schema, write_view
@@ -203,8 +203,8 @@ def test_loaded_names_and_labels_read_back_through_the_grammar_property(
         return
     literals = [Literal(0, NUMERIC, 1.5, 2.5), Literal(0, NUMERIC, -np.inf, 2.0, negated=True)]
     literals += [Literal(1, CATEGORICAL, category=c) for c in view.attributes[1].categories]
-    for q in [Query(Leaf(lit), 1) for lit in literals] + [Query(Or(tuple(map(Leaf, literals))), 1)]:
-        assert parse_query(print_query(q, view), view, 1) == canonicalize(q)
+    for q in [Query(lit) for lit in literals] + [Query(Or(tuple(literals)))]:
+        assert parse_query(print_query(q, view), view) == canonicalize(q)
 
 
 def per_cell_load_view(path, schema):

@@ -215,8 +215,8 @@ class TestVariability:
         tri = TriSupport(in_mask, unk_mask, n)
         spec = [("a0", "boolean", [False] * n)]
         dataset = make_dataset(spec, [("z0", "boolean", [False] * n)])
-        q1 = parse_query("a0", dataset.view1, 1)
-        q2 = parse_query("z0", dataset.view2, 2)
+        q1 = parse_query("a0", dataset.view1)
+        q2 = parse_query("z0", dataset.view2)
         return Redescription.create(q1, q2, tri, tri, dataset)
 
     def test_complete_data_has_zero_variability(self):
@@ -324,14 +324,14 @@ class TestSetMeasures:
         )
         q_hare_box = "[7.2 <= t9p <= 17.2] & [13.5 <= t7p <= 22.7]"
         r_base = Redescription.evaluate(
-            parse_query(q_box, ds.view1, 1), parse_query("Polarbear", ds.view2, 2), ds
+            parse_query(q_box, ds.view1), parse_query("Polarbear", ds.view2), ds
         )
         r_wide = Redescription.evaluate(
-            parse_query(q_two_box, ds.view1, 1), parse_query("Polarbear", ds.view2, 2), ds
+            parse_query(q_two_box, ds.view1), parse_query("Polarbear", ds.view2), ds
         )
         r_hare = Redescription.evaluate(
-            parse_query(q_hare_box, ds.view1, 1),
-            parse_query("MountainHare", ds.view2, 2),
+            parse_query(q_hare_box, ds.view1),
+            parse_query("MountainHare", ds.view2),
             ds,
         )
         return r_base, r_wide, r_hare
@@ -456,9 +456,9 @@ class TestScores:
         assert score_pval(0.0) == 0.0
 
     def test_size_fixed_points(self):
-        assert score_size(5, 20) == 0.25
-        assert score_size(25, 20) == 1.0
-        assert score_size(20, 20) == 1.0
+        assert score_size(5) == 0.25
+        assert score_size(25) == 1.0
+        assert score_size(20) == 1.0
 
     def test_pval_monotone_on_supported_range(self):
         values = np.logspace(-17, 0, 200)
@@ -533,13 +533,13 @@ def test_recheck_raises_on_member_built_from_non_canonical_query(shape):
         [("a", "boolean", flags), ("b", "boolean", flags), ("d", "boolean", flags)],
         [("c", "boolean", flags)],
     )
-    a, b, d = (parse_query(text, ds.view1, 1).root for text in ("a", "b", "d"))
+    a, b, d = (parse_query(text, ds.view1).root for text in ("a", "b", "d"))
     root = {
         "unordered": And((b, a)),
         "duplicate": And((a, a)),
         "leaf-after-group": Or((And((a, b)), d)),
     }[shape]
-    red = Redescription.evaluate(Query(root, 1), parse_query("c", ds.view2, 2), ds)
+    red = Redescription.evaluate(Query(root), parse_query("c", ds.view2), ds)
     constraints = Constraints(min_jaccard=0.5, max_pvalue=1.0, min_support=5)
     assert constraints.admits(red)  # only the query form is wrong
     rset = RedescriptionSet()
@@ -559,8 +559,8 @@ def _support_pool() -> list[Redescription]:
 
     def build(s1, s2):
         return Redescription.evaluate(
-            parse_query(f"[{s1[0]} <= x <= {s1[1]}]", ds.view1, 1),
-            parse_query(f"[{s2[0]} <= y <= {s2[1]}]", ds.view2, 2),
+            parse_query(f"[{s1[0]} <= x <= {s1[1]}]", ds.view1),
+            parse_query(f"[{s2[0]} <= y <= {s2[1]}]", ds.view2),
             ds,
         )
 

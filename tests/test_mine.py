@@ -24,7 +24,6 @@ from redesc.mine import (
     mine,
 )
 from redesc.query import (
-    Leaf,
     Literal,
     Query,
     TriSupport,
@@ -55,8 +54,8 @@ mine_module = importlib.import_module("redesc.mine")
 refine_module = importlib.import_module("redesc.refine")
 
 
-def _rule(text, view, view_id):
-    q = parse_query(text, view, view_id)
+def _rule(text, view):
+    q = parse_query(text, view)
     return Rule(query=q, tri=tri_support(q, view), text=print_query(q, view))
 
 
@@ -109,7 +108,7 @@ class TestConstructTargets:
         ds = make_dataset(
             [("x", NUMERIC, [0.0] * n)], [("y", NUMERIC, [0.0] * n)]
         )
-        q = parse_query("[0.0 <= x <= 1.0]", ds.view1, 1)
+        q = parse_query("[0.0 <= x <= 1.0]", ds.view1)
         return [
             Rule(query=q, tri=from_sets(m, set(), n), text=f"r{i}")
             for i, m in enumerate(masks)
@@ -117,19 +116,19 @@ class TestConstructTargets:
 
     def test_indicator_column(self):
         rules = self._rules([{0, 2}], 3)
-        out = construct_targets(rules, 3)
+        out = construct_targets(rules, 3, window=64)
         assert out.shape == (3, 1)
         assert list(out[:, 0]) == [1.0, 0.0, 1.0]
 
     def test_empty_support_gives_zero_column(self):
         rules = self._rules([set()], 3)
-        assert construct_targets(rules, 3).sum() == 0.0
+        assert construct_targets(rules, 3, window=64).sum() == 0.0
 
     def test_column_mass_matches_support_sizes(self):
         rng = np.random.default_rng(4)
         masks = [set(int(x) for x in rng.choice(20, rng.integers(0, 20), replace=False)) for _ in range(7)]
         rules = self._rules(masks, 20)
-        out = construct_targets(rules, 20)
+        out = construct_targets(rules, 20, window=64)
         assert out.shape == (20, 7)
         assert out.dtype == np.bool_ and out.flags.c_contiguous
         assert [int(c) for c in out.sum(axis=0)] == [len(m) for m in masks]
@@ -157,8 +156,8 @@ class TestPairingWithoutRefinement:
 
     def test_identical_supports_kept_at_full_accuracy(self):
         ds = self._fixture()
-        r1 = _rule("[0.0 <= x <= 2.0]", ds.view1, 1)
-        r2 = _rule("y", ds.view2, 2)
+        r1 = _rule("[0.0 <= x <= 2.0]", ds.view1)
+        r2 = _rule("y", ds.view2)
         kept = _pair_without_refinement(
             [r1], [r2], Constraints(min_jaccard=0.9, max_pvalue=0.05, min_support=5), ds
         )
@@ -166,8 +165,8 @@ class TestPairingWithoutRefinement:
 
     def test_disjoint_supports_discarded(self):
         ds = self._fixture()
-        r1 = _rule("[4.0 <= x <= 6.0]", ds.view1, 1)
-        r2 = _rule("y", ds.view2, 2)
+        r1 = _rule("[4.0 <= x <= 6.0]", ds.view1)
+        r2 = _rule("y", ds.view2)
         kept = _pair_without_refinement(
             [r1], [r2], Constraints(min_jaccard=0.1, max_pvalue=1.0, min_support=1), ds
         )
@@ -178,8 +177,8 @@ class TestPairingWithoutRefinement:
         x = [1.0] * 5 + [5.0] * 25
         y = [True] * 5 + [False] * 25
         ds = make_dataset([("x", NUMERIC, x)], [("y", BOOLEAN, y)])
-        r1 = _rule("[0.0 <= x <= 2.0]", ds.view1, 1)
-        r2 = _rule("y", ds.view2, 2)
+        r1 = _rule("[0.0 <= x <= 2.0]", ds.view1)
+        r2 = _rule("y", ds.view2)
         kept = _pair_without_refinement(
             [r1], [r2], Constraints(min_jaccard=0.5, max_pvalue=1.0, min_support=10), ds
         )
@@ -238,9 +237,9 @@ class TestCombineDisjunctive:
     def test_two_box_concept_reaches_full_accuracy_in_one_step(self):
         ds, A, B = self._two_box()
         rules = RuleSet()
-        rules.add(1, _rule("[0.0 <= a0 <= 1.0]", ds.view1, 1))
-        rules.add(1, _rule("[4.0 <= a0 <= 5.0]", ds.view1, 1))
-        rules.add(2, _rule("b0", ds.view2, 2))
+        rules.add(1, _rule("[0.0 <= a0 <= 1.0]", ds.view1))
+        rules.add(1, _rule("[4.0 <= a0 <= 5.0]", ds.view1))
+        rules.add(2, _rule("b0", ds.view2))
         base_rule = rules.rules1[0]
         from redesc.measures import Redescription
 
@@ -258,8 +257,8 @@ class TestCombineDisjunctive:
     def test_no_improving_rule_returns_base_unchanged(self):
         ds, A, B = self._two_box()
         rules = RuleSet()
-        rules.add(1, _rule("[0.0 <= a0 <= 1.0]", ds.view1, 1))
-        rules.add(2, _rule("b0", ds.view2, 2))
+        rules.add(1, _rule("[0.0 <= a0 <= 1.0]", ds.view1))
+        rules.add(2, _rule("b0", ds.view2))
         from redesc.measures import Redescription
 
         base = Redescription.create(
@@ -277,9 +276,9 @@ class TestCombineDisjunctive:
     def test_below_gate_base_passes_through(self):
         ds, A, B = self._two_box()
         rules = RuleSet()
-        rules.add(1, _rule("[0.0 <= a0 <= 1.0]", ds.view1, 1))
-        rules.add(1, _rule("[4.0 <= a0 <= 5.0]", ds.view1, 1))
-        rules.add(2, _rule("b0", ds.view2, 2))
+        rules.add(1, _rule("[0.0 <= a0 <= 1.0]", ds.view1))
+        rules.add(1, _rule("[4.0 <= a0 <= 5.0]", ds.view1))
+        rules.add(2, _rule("b0", ds.view2))
         from redesc.measures import Redescription
 
         base = Redescription.create(
@@ -319,7 +318,7 @@ def test_disjunction_screen_matches_scalar_loop_property(case, threshold, max_di
     for _ in range(data.draw(st.integers(1, 4))):
         in1, in2, unk1, unk2 = (data.draw(mask) for _ in range(4))
         base.append(Redescription.create(
-            Query(Leaf(Literal(0, BOOLEAN)), 1), Query(Leaf(Literal(0, BOOLEAN)), 2),
+            Query(Literal(0, BOOLEAN)), Query(Literal(0, BOOLEAN)),
             TriSupport(in1, unk1 & ~in1, n), TriSupport(in2, unk2 & ~in2, n), ds,
         ))
     # nothing is admitted, so each gated base tries every improving rule once,

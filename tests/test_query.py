@@ -22,7 +22,6 @@ from redesc.dataset import (
 )
 from redesc.query import (
     And,
-    Leaf,
     Literal,
     Or,
     Query,
@@ -59,8 +58,8 @@ from reference import (
 )
 
 
-def _leaf(attr, lo=float("-inf"), hi=float("inf"), negated=False):
-    return Leaf(Literal(attr, NUMERIC, lo, hi, negated=negated))
+def _interval(attr, lo=float("-inf"), hi=float("inf"), negated=False):
+    return Literal(attr, NUMERIC, lo, hi, negated=negated)
 
 
 # row counts on both sides of the byte and 64-bit word edges of the masks
@@ -76,7 +75,7 @@ def _raw_query_view(seed, n_rows, depth, missing):
         view = random_view(rng, n_rows, n_num=2, n_bool=1, n_cat=1, missing_rate=missing)
     except SchemaError:  # every categorical cell missing: no label to test
         assume(False)
-    return view, Query(_random_node(rng, view, depth), 1)
+    return view, Query(_random_node(rng, view, depth))
 
 
 def _tri_values(tri):
@@ -94,7 +93,7 @@ def _cold_copy(view):
 class TestKleeneSemantics:
     def test_literal_on_missing_is_unknown(self):
         view = make_view([("x", NUMERIC, [None])])
-        q = Query(_leaf(0, 0.0, 5.0), 1)
+        q = Query(_interval(0, 0.0, 5.0))
         assert eval_query(q, view, 0) == UNKNOWN
 
     @pytest.mark.parametrize(
@@ -131,7 +130,7 @@ class TestKleeneSemantics:
     def test_not_table(self, v, expected):
         cell = {TRUE: 1.0, FALSE: 10.0, UNKNOWN: None}[v]
         view = make_view([("x", NUMERIC, [cell])])
-        q = Query(Not(_leaf(0, 0.0, 5.0)), 1)
+        q = Query(Not(_interval(0, 0.0, 5.0)))
         assert eval_query(q, view, 0) == expected
 
     @staticmethod
@@ -139,7 +138,7 @@ class TestKleeneSemantics:
         # one column per operand; value 1.0 hits [0,5], 10.0 misses, None unknown
         cell = {TRUE: 1.0, FALSE: 10.0, UNKNOWN: None}
         view = make_view([("x", NUMERIC, [cell[a]]), ("y", NUMERIC, [cell[b]])])
-        q = Query(ctor((_leaf(0, 0.0, 5.0), _leaf(1, 0.0, 5.0))), 1)
+        q = Query(ctor((_interval(0, 0.0, 5.0), _interval(1, 0.0, 5.0))))
         return view, q
 
     def test_information_monotonicity(self):
@@ -148,7 +147,7 @@ class TestKleeneSemantics:
         checked = 0
         for _ in range(200):
             view = random_view(rng, 6, n_num=2, n_bool=1, missing_rate=0.4)
-            q = random_query(rng, view, 1, depth=2)
+            q = random_query(rng, view, depth=2)
             for row in range(view.n_rows):
                 before = eval_query(q, view, row)
                 if before == UNKNOWN:
@@ -176,12 +175,12 @@ class TestTriSupport:
     def test_complete_data_has_no_unknowns(self):
         rng = np.random.default_rng(0)
         view = random_view(rng, 20)
-        q = random_query(rng, view, 1)
+        q = random_query(rng, view)
         assert unk_set(tri_support(q, view)) == frozenset()
 
     def test_single_literal_partition(self):
         view = make_view([("x", NUMERIC, [0.5, 2.0, None])])
-        q = Query(_leaf(0, 0.0, 1.0), 1)
+        q = Query(_interval(0, 0.0, 1.0))
         tri = tri_support(q, view)
         assert in_set(tri) == frozenset({0})
         assert unk_set(tri) == frozenset({2})
@@ -192,7 +191,7 @@ class TestTriSupport:
         rng = np.random.default_rng(17)
         for _ in range(150):
             view = random_view(rng, 20, n_num=3, n_bool=1, n_cat=1, missing_rate=0.1)
-            q = random_query(rng, view, 1, depth=3)
+            q = random_query(rng, view, depth=3)
             tri = tri_support(q, view)
             expected_in = {r for r in range(20) if eval_query(q, view, r) == TRUE}
             expected_unk = {r for r in range(20) if eval_query(q, view, r) == UNKNOWN}
@@ -215,13 +214,13 @@ class TestTriSupport:
         from redesc.query import QueryStructureError
 
         with pytest.raises(QueryStructureError):
-            tri_support(Query(_leaf(5, 0, 1), 1), view)
+            tri_support(Query(_interval(5, 0, 1)), view)
 
     def test_complete_data_agrees_with_two_valued_semantics(self):
         # brute-force boolean interpreter, no third truth value anywhere
         def two_valued(node, view, row):
-            if isinstance(node, Leaf):
-                lit = node.literal
+            if isinstance(node, Literal):
+                lit = node
                 attr = view.attributes[lit.attr]
                 cell = value_at(view, row, lit.attr)
                 if attr.kind == NUMERIC:
@@ -238,7 +237,7 @@ class TestTriSupport:
         rng = np.random.default_rng(99)
         for _ in range(200):
             view = random_view(rng, 10, n_num=2, n_bool=1, n_cat=1, missing_rate=0.0)
-            q = random_query(rng, view, 1, depth=3)
+            q = random_query(rng, view, depth=3)
             for row in range(view.n_rows):
                 got = eval_query(q, view, row)
                 assert got in (TRUE, FALSE)
@@ -248,11 +247,11 @@ class TestTriSupport:
         rng = np.random.default_rng(23)
         for _ in range(60):
             view = random_view(rng, 15, n_num=2, n_bool=1, missing_rate=0.2)
-            qa = random_query(rng, view, 1, depth=2)
-            qb = random_query(rng, view, 1, depth=2)
+            qa = random_query(rng, view, depth=2)
+            qb = random_query(rng, view, depth=2)
             ta, tb = tri_support(qa, view), tri_support(qb, view)
-            t_and = tri_support(Query(And((qa.root, qb.root)), 1), view)
-            t_or = tri_support(Query(Or((qa.root, qb.root)), 1), view)
+            t_and = tri_support(Query(And((qa.root, qb.root))), view)
+            t_or = tri_support(Query(Or((qa.root, qb.root))), view)
             assert ta.intersect(tb) == t_and
             assert ta.union(tb) == t_or
 
@@ -269,9 +268,9 @@ def test_unpack_rows_puts_bit_i_in_column_i_property(n, data):
 class TestGrammar:
     def test_interval_conjunction_example(self):
         view = make_view([("t7", NUMERIC, [0.0]), ("p6", NUMERIC, [15.0])])
-        q = parse_query("[ -1.8 <= t7 <= 4.4 ] & [ 12.1 <= p6 <= 21.2 ]", view, 1)
+        q = parse_query("[ -1.8 <= t7 <= 4.4 ] & [ 12.1 <= p6 <= 21.2 ]", view)
         assert isinstance(q.root, And)
-        lits = [c.literal for c in q.root.children]
+        lits = q.root.children
         assert [(l.lo, l.hi) for l in lits] == [(-1.8, 4.4), (12.1, 21.2)]
 
     def test_boolean_negation_example(self):
@@ -282,20 +281,20 @@ class TestGrammar:
                 ("MountainHare", BOOLEAN, [False]),
             ]
         )
-        q = parse_query("Woodmouse & ArcticFox & !MountainHare", view, 2)
+        q = parse_query("Woodmouse & ArcticFox & !MountainHare", view)
         assert isinstance(q.root, And)
-        negs = [c.literal.negated for c in q.root.children]
+        negs = [c.negated for c in q.root.children]
         assert sorted(negs) == [False, False, True]
 
     def test_inverted_bounds_rejected(self):
         view = make_view([("x", NUMERIC, [1.0])])
         with pytest.raises(QuerySyntaxError, match="inverted"):
-            parse_query("[5 <= x <= 3]", view, 1)
+            parse_query("[5 <= x <= 3]", view)
 
     def test_unknown_attribute_rejected(self):
         view = make_view([("x", NUMERIC, [1.0])])
         with pytest.raises(QuerySyntaxError, match="unknown attribute"):
-            parse_query("y", view, 1)
+            parse_query("y", view)
 
     @pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", "")], ids=["paren", "not"])
     def test_nesting_past_the_bound_rejected_at_its_token(self, opener, closer):
@@ -303,30 +302,30 @@ class TestGrammar:
         # error instead of exhausting Python's recursion limit
         view = make_view([("x", BOOLEAN, [True, False])])
         bound = query_module._MAX_NESTING
-        q = parse_query(opener * bound + "x" + closer * bound, view, 1)
-        assert q.root == Leaf(Literal(0, BOOLEAN, negated=opener == "!" and bound % 2 == 1))
+        q = parse_query(opener * bound + "x" + closer * bound, view)
+        assert q.root == Literal(0, BOOLEAN, negated=opener == "!" and bound % 2 == 1)
         message = rf"nest more than {bound} deep \(at position {bound}\)"
         for depth in (bound + 1, 5000):
             with pytest.raises(QuerySyntaxError, match=message):
-                parse_query(opener * depth + "x" + closer * depth, view, 1)
+                parse_query(opener * depth + "x" + closer * depth, view)
 
     def test_and_binds_tighter_than_or(self):
         view = make_view([(n, BOOLEAN, [True]) for n in ("a", "b", "c")])
-        q = parse_query("a | b & c", view, 1)
+        q = parse_query("a | b & c", view)
         assert isinstance(q.root, Or)
 
     def test_infinite_bounds_round_trip(self):
         view = make_view([("x", NUMERIC, [1.0])])
-        q = parse_query("[-inf <= x <= 3.5]", view, 1)
+        q = parse_query("[-inf <= x <= 3.5]", view)
         assert print_query(q, view) == "[-inf <= x <= 3.5]"
 
     def test_parse_print_identity_fuzz(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             view = random_view(rng, 8, n_num=2, n_bool=2, n_cat=1)
-            q = random_query(rng, view, 1, depth=3)
+            q = random_query(rng, view, depth=3)
             text = print_query(q, view)
-            assert parse_query(text, view, 1) == canonicalize(q)
+            assert parse_query(text, view) == canonicalize(q)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -339,10 +338,10 @@ class TestGrammar:
         # duplicate children occur
         rng = np.random.default_rng(seed)
         view = random_view(rng, 8, n_num=2, n_bool=2, n_cat=1, missing_rate=missing)
-        raw = Query(_random_node(rng, view, depth), 2)
+        raw = Query(_random_node(rng, view, depth))
         canon = canonicalize(raw)
         assert canonicalize(canon) == canon
-        assert parse_query(print_query(raw, view), view, 2) == canon
+        assert parse_query(print_query(raw, view), view) == canon
         assert print_query(canon, view) == print_query(raw, view)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -360,22 +359,22 @@ class TestGrammar:
             view = random_view(rng, n_rows, n_num=2, n_bool=1, n_cat=1, missing_rate=missing)
         except SchemaError:  # every categorical cell missing: no label to test
             assume(False)
-        raw = Query(_random_node(rng, view, depth, nots=True), 1)
-        q = parse_query(raw_text(raw.root, view), view, 1)
+        raw = Query(_random_node(rng, view, depth, nots=True))
+        q = parse_query(raw_text(raw.root, view), view)
         assert _tri_values(tri_support(q, view)) == row_values(raw, view)
         text = print_query(q, view)
         assert "!(" not in text
-        assert parse_query(text, view, 1) == q
+        assert parse_query(text, view) == q
 
     def test_negated_group_prints_on_its_literals(self):
         view = make_view([(n, BOOLEAN, [True]) for n in ("a", "b", "c")])
-        assert print_query(parse_query("!(a & !b)", view, 1), view) == "!a | b"
-        assert print_query(parse_query("!(a | b & c)", view, 1), view) == "!a & (!b | !c)"
-        assert parse_query("!!(a | b)", view, 1) == parse_query("a | b", view, 1)
+        assert print_query(parse_query("!(a & !b)", view), view) == "!a | b"
+        assert print_query(parse_query("!(a | b & c)", view), view) == "!a & (!b | !c)"
+        assert parse_query("!!(a | b)", view) == parse_query("a | b", view)
 
     def test_categorical_equality_round_trip(self):
         view = make_view([("k", "categorical", ["red", "blue", "red"])])
-        q = parse_query("k=red", view, 1)
+        q = parse_query("k=red", view)
         assert in_set(tri_support(q, view)) == frozenset({0, 2})
         assert print_query(q, view) == "k=red"
 
@@ -383,16 +382,16 @@ class TestGrammar:
 class TestMinimize:
     def test_interval_intersection(self):
         view = make_view([("x", NUMERIC, [1.0, 3.0, 6.0, 11.0])])
-        q = Query(And((_leaf(0, 0, 10), _leaf(0, 2, 5))), 1)
+        q = Query(And((_interval(0, 0, 10), _interval(0, 2, 5))))
         m = minimize_query(q, view)
-        assert isinstance(m.root, Leaf)
-        assert (m.root.literal.lo, m.root.literal.hi) == (2.0, 5.0)
+        assert isinstance(m.root, Literal)
+        assert (m.root.lo, m.root.hi) == (2.0, 5.0)
 
     def test_no_op_when_every_literal_matters(self):
         view = make_view(
             [("x", NUMERIC, [1.0, 5.0, 9.0]), ("y", NUMERIC, [0.0, 1.0, 1.0])]
         )
-        q = Query(And((_leaf(0, 0, 6), _leaf(1, 0.5, 1.5))), 1)
+        q = Query(And((_interval(0, 0, 6), _interval(1, 0.5, 1.5))))
         m = minimize_query(q, view)
         assert m == canonicalize(q)
 
@@ -405,19 +404,19 @@ class TestMinimize:
             attr = int(rng.integers(0, 3))
             col = view.columns[attr]
             base = Query(
-                And((_leaf(0, -2.0, 2.0), _leaf(1, -3.0, 3.0))), 1
+                And((_interval(0, -2.0, 2.0), _interval(1, -3.0, 3.0)))
             )
-            redundant = _leaf(attr, float(col.min()) - 1, float(col.max()) + 1)
-            q = Query(And(base.root.children + (redundant,)), 1)
+            redundant = _interval(attr, float(col.min()) - 1, float(col.max()) + 1)
+            q = Query(And(base.root.children + (redundant,)))
             m = minimize_query(q, view)
             assert tri_support(m, view) == tri_support(q, view)
-            assert sum(1 for _ in _leaves(m.root)) < 3
+            assert sum(1 for _ in iter_literals(m.root)) < 3
 
     def test_preserves_tri_support_fuzz(self):
         rng = np.random.default_rng(77)
         for _ in range(1000):
             view = random_view(rng, 12, n_num=2, n_bool=1, missing_rate=0.15)
-            q = random_query(rng, view, 1, depth=2)
+            q = random_query(rng, view, depth=2)
             m = minimize_query(q, view)
             assert tri_support(m, view) == tri_support(q, view)
 
@@ -438,9 +437,9 @@ class TestMinimize:
         rng = np.random.default_rng(13)
         for _ in range(200):
             view = random_view(rng, 10, n_num=2, n_bool=1)
-            q = random_query(rng, view, 1, depth=2)
+            q = random_query(rng, view, depth=2)
             m = minimize_query(q, view)
-            assert sum(1 for _ in _leaves(m.root)) <= sum(1 for _ in _leaves(q.root))
+            assert sum(1 for _ in iter_literals(m.root)) <= sum(1 for _ in iter_literals(q.root))
 
 
 class TestLiteralMemo:
@@ -458,7 +457,7 @@ class TestLiteralMemo:
         monkeypatch.setattr(query_module, "_compute_literal_supports", recording)
         rng = np.random.default_rng(3)
         view = random_view(rng, 30, n_num=3, n_bool=1, n_cat=1, missing_rate=0.1)
-        queries = [random_query(rng, view, 1, depth=3) for _ in range(20)]
+        queries = [random_query(rng, view, depth=3) for _ in range(20)]
         for q in queries + queries:
             tri_support(q, view)
             minimize_query(q, view)
@@ -481,7 +480,7 @@ class TestLiteralMemo:
         view, q = _raw_query_view(seed, n_rows, depth, missing)
         rng = np.random.default_rng([seed, 1])
         for _ in range(3):  # other queries over the same columns share literals
-            tri_support(Query(_random_node(rng, view, depth), 1), view)
+            tri_support(Query(_random_node(rng, view, depth)), view)
         minimized = minimize_query(q, view)  # fills the memo with q's literals
         warm = tri_support(q, view)
         assert set(iter_literals(canonicalize(q).root)) <= set(view._literal_supports)
@@ -534,18 +533,18 @@ class TestLiteralMemo:
             view = random_view(rng, n_rows, n_num=2, n_bool=2, n_cat=2, missing_rate=missing)
         except SchemaError:  # every categorical cell missing: no label to test
             assume(False)
-        drawn = [_random_literal(rng, view).literal for _ in range(12)]
+        drawn = [_random_literal(rng, view) for _ in range(12)]
         drawn += [Literal(0, NUMERIC), Literal(1, NUMERIC, hi=0.0), Literal(0, NUMERIC, lo=0.0)]
         pool = drawn + [dataclasses.replace(lit, negated=not lit.negated) for lit in drawn]
         batch = data.draw(st.lists(st.sampled_from(pool), max_size=40))  # repeats too
         for lit in data.draw(st.lists(st.sampled_from(pool), max_size=6)):
-            tri_support(Query(Leaf(lit), 1), view)  # already in the memo
+            tri_support(Query(lit), view)  # already in the memo
         cells = data.draw(st.sampled_from([1, 64, query_module._BLOCK_CELLS]))
         with mock.patch.object(query_module, "_BLOCK_CELLS", cells):  # blocks of 1, some, all
             memoize_literals(batch, view)
         assert set(batch) <= set(view._literal_supports)
         for lit in set(batch):
-            q = Query(Leaf(lit), 1)
+            q = Query(lit)
             assert view._literal_supports[lit] == row_support(q, view)
             assert tri_support(q, view) is view._literal_supports[lit]
 
@@ -569,8 +568,8 @@ class TestLiteralMemo:
             assume(kind != view.attributes[attr].kind)
             bad = Literal(attr, kind, category="c0" if kind == CATEGORICAL else None)
         ctor = data.draw(st.sampled_from([And, Or]))
-        children = [q.root, Leaf(bad)] if data.draw(st.booleans()) else [Leaf(bad), q.root]
-        query = Query(ctor(tuple(children)), 1)
+        children = [q.root, bad] if data.draw(st.booleans()) else [bad, q.root]
+        query = Query(ctor(tuple(children)))
         with pytest.raises(QueryStructureError) as expected:
             check_attrs(query.root, view)
         for _ in range(2):  # a failed literal never enters the memo
@@ -605,16 +604,10 @@ def test_tokenizer_matches_per_token_reference_property(text):
     else:
         assert query_module._tokenize(text) == want
 
-def _leaves(node):
-    from redesc.query import iter_literals
-
-    return iter_literals(node)
-
-
 def test_is_conjunctive():
-    a = _leaf(0, 0, 1)
-    b = _leaf(1, 0, 1)
-    assert is_conjunctive(Query(a, 1))
-    assert is_conjunctive(Query(And((a, b)), 1))
-    assert not is_conjunctive(Query(Or((a, b)), 1))
-    assert not is_conjunctive(Query(And((a, Or((a, b)))), 1))
+    a = _interval(0, 0, 1)
+    b = _interval(1, 0, 1)
+    assert is_conjunctive(Query(a))
+    assert is_conjunctive(Query(And((a, b))))
+    assert not is_conjunctive(Query(Or((a, b))))
+    assert not is_conjunctive(Query(And((a, Or((a, b))))))

@@ -13,7 +13,6 @@ from redesc.measures import Constraints, Redescription, RedescriptionSet
 from redesc.mine import Rule
 from redesc.query import (
     And,
-    Leaf,
     Literal,
     Or,
     Query,
@@ -49,7 +48,7 @@ def random_two_view_dataset(rng, n_rows, missing_rate=0.1):
     return make_dataset(spec1, spec2)
 
 
-def random_conjunctive(rng, view, view_id, max_literals=3):
+def random_conjunctive(rng, view, max_literals=3):
     leaves = []
     for attr_id in rng.choice(view.n_cols, int(rng.integers(1, max_literals + 1)), replace=False):
         attr = view.attributes[int(attr_id)]
@@ -59,22 +58,22 @@ def random_conjunctive(rng, view, view_id, max_literals=3):
             # wide intervals keep most fuzzed supports non-empty
             lo = np.quantile(obs, rng.uniform(0.0, 0.35))
             hi = np.quantile(obs, rng.uniform(0.65, 1.0))
-            leaves.append(Leaf(Literal(int(attr_id), NUMERIC, float(lo), float(hi))))
+            leaves.append(Literal(int(attr_id), NUMERIC, float(lo), float(hi)))
         else:
-            leaves.append(Leaf(Literal(int(attr_id), BOOLEAN, negated=bool(rng.random() < 0.15))))
+            leaves.append(Literal(int(attr_id), BOOLEAN, negated=bool(rng.random() < 0.15)))
     root = leaves[0] if len(leaves) == 1 else And(tuple(leaves))
-    return canonicalize(Query(root, view_id))
+    return canonicalize(Query(root))
 
 
 def nested_pair(rng, dataset):
     """(r, ref) with supp(r) ⊆ supp(ref) by construction: r conjoins extra
     literals onto ref's queries."""
-    ref_q1 = random_conjunctive(rng, dataset.view1, 1, 2)
-    ref_q2 = random_conjunctive(rng, dataset.view2, 2, 2)
-    extra1 = random_conjunctive(rng, dataset.view1, 1, 1)
-    extra2 = random_conjunctive(rng, dataset.view2, 2, 1)
-    r_q1 = canonicalize(Query(And((ref_q1.root, extra1.root)), 1))
-    r_q2 = canonicalize(Query(And((ref_q2.root, extra2.root)), 2))
+    ref_q1 = random_conjunctive(rng, dataset.view1, 2)
+    ref_q2 = random_conjunctive(rng, dataset.view2, 2)
+    extra1 = random_conjunctive(rng, dataset.view1, 1)
+    extra2 = random_conjunctive(rng, dataset.view2, 1)
+    r_q1 = canonicalize(Query(And((ref_q1.root, extra1.root))))
+    r_q2 = canonicalize(Query(And((ref_q2.root, extra2.root))))
     ref = Redescription.evaluate(ref_q1, ref_q2, dataset)
     r = Redescription.evaluate(r_q1, r_q2, dataset)
     return r, ref
@@ -87,8 +86,8 @@ class TestTightenBounds:
             [("p6", NUMERIC, values)],
             [("g", BOOLEAN, [True, True, True, True, False, False])],
         )
-        q1 = Query(Leaf(Literal(0, NUMERIC, 0.0, 100.0)), 1)
-        q2 = Query(Leaf(Literal(0, BOOLEAN)), 2)
+        q1 = Query(Literal(0, NUMERIC, 0.0, 100.0))
+        q2 = Query(Literal(0, BOOLEAN))
         ref = Redescription.evaluate(q1, q2, ds)
         tightened = tighten_bounds(ref, 0b1111, ds)
         lit = next(iter_literals(tightened.q1.root))
@@ -98,8 +97,8 @@ class TestTightenBounds:
         rng = np.random.default_rng(1)
         for _ in range(50):
             ds = random_two_view_dataset(rng, 30)
-            q1 = random_conjunctive(rng, ds.view1, 1)
-            q2 = random_conjunctive(rng, ds.view2, 2)
+            q1 = random_conjunctive(rng, ds.view1)
+            q2 = random_conjunctive(rng, ds.view2)
             ref = Redescription.evaluate(q1, q2, ds)
             tightened = tighten_bounds(ref, ref.supp_mask, ds)
             assert tightened.supp_mask == ref.supp_mask
@@ -137,8 +136,8 @@ class TestTightenBounds:
             [("x", NUMERIC, [1.0, 2.0, 3.0, 4.0, 8.0])],
             [("g", BOOLEAN, [True, True, True, True, False])],
         )
-        q1 = parse_query("[0.0 <= x <= 5.0] & [1.0 <= x <= 9.0]", ds.view1, 1)
-        ref = Redescription.evaluate(q1, parse_query("g", ds.view2, 2), ds)
+        q1 = parse_query("[0.0 <= x <= 5.0] & [1.0 <= x <= 9.0]", ds.view1)
+        ref = Redescription.evaluate(q1, parse_query("g", ds.view2), ds)
         tightened = tighten_bounds(ref, 0b0110, ds)
         assert tightened.q1 == canonicalize(tightened.q1)
         assert tightened.key == ("[2.0 <= x <= 3.0]", "g")
@@ -148,9 +147,9 @@ class TestTightenBounds:
             [("x", NUMERIC, [1.0, 2.0])], [("g", BOOLEAN, [True, False])]
         )
         q1 = Query(
-            Or((Leaf(Literal(0, NUMERIC, 0, 1)), Leaf(Literal(0, NUMERIC, 2, 3)))), 1
+            Or((Literal(0, NUMERIC, 0, 1), Literal(0, NUMERIC, 2, 3)))
         )
-        q2 = Query(Leaf(Literal(0, BOOLEAN)), 2)
+        q2 = Query(Literal(0, BOOLEAN))
         ref = Redescription.evaluate(q1, q2, ds)
         with pytest.raises(ValueError, match="conjunctive"):
             tighten_bounds(ref, 0, ds)
@@ -163,13 +162,13 @@ class TestRefinePair:
             [("g", BOOLEAN, [True, True, False, False])],
         )
         r = Redescription.evaluate(
-            Query(Leaf(Literal(0, NUMERIC, 0, 2.5)), 1),
-            Query(Leaf(Literal(0, BOOLEAN)), 2),
+            Query(Literal(0, NUMERIC, 0, 2.5)),
+            Query(Literal(0, BOOLEAN)),
             ds,
         )
         ref = Redescription.evaluate(
-            Query(Leaf(Literal(0, NUMERIC, 3, 5)), 1),
-            Query(Leaf(Literal(0, BOOLEAN)), 2),
+            Query(Literal(0, NUMERIC, 3, 5)),
+            Query(Literal(0, BOOLEAN)),
             ds,
         )
         outcome = refine_pair(r, ref, ds)
@@ -180,8 +179,8 @@ class TestRefinePair:
         rng = np.random.default_rng(4)
         for _ in range(40):
             ds = random_two_view_dataset(rng, 20)
-            q1 = random_conjunctive(rng, ds.view1, 1)
-            q2 = random_conjunctive(rng, ds.view2, 2)
+            q1 = random_conjunctive(rng, ds.view1)
+            q2 = random_conjunctive(rng, ds.view2)
             r = Redescription.evaluate(q1, q2, ds)
             outcome = refine_pair(r, r, ds)
             assert outcome.applied
@@ -197,13 +196,13 @@ class TestRefinePair:
             [("y", NUMERIC, [1.0, 1.0, 1.0, 1.0, 5.0, 9.0])],
         )
         r = Redescription.evaluate(
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 10.0)), 1),
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 2.0)), 2),
+            Query(Literal(0, NUMERIC, 0.0, 10.0)),
+            Query(Literal(0, NUMERIC, 0.0, 2.0)),
             ds,
         )
         ref = Redescription.evaluate(
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 30.0)), 1),
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 30.0)), 2),
+            Query(Literal(0, NUMERIC, 0.0, 30.0)),
+            Query(Literal(0, NUMERIC, 0.0, 30.0)),
             ds,
         )
         assert r.supp_mask & ~ref.supp_mask == 0
@@ -257,12 +256,12 @@ def _small_dataset(draw):
     )
 
 
-def _small_leaf(draw, view):
+def _small_literal(draw, view):
     attr = draw(st.integers(0, view.n_cols - 1))
     if view.attributes[attr].kind == BOOLEAN:
-        return Leaf(Literal(attr, BOOLEAN, negated=draw(st.booleans())))
+        return Literal(attr, BOOLEAN, negated=draw(st.booleans()))
     # wide intervals keep most supports non-empty
-    return Leaf(Literal(attr, NUMERIC, draw(_tenths(-1.0, 4.0)), draw(_tenths(6.0, 11.0))))
+    return Literal(attr, NUMERIC, draw(_tenths(-1.0, 4.0)), draw(_tenths(6.0, 11.0)))
 
 
 @st.composite
@@ -272,11 +271,11 @@ def nested_pairs(draw):
     ds = _small_dataset(draw)
     queries = {}
     for view_id, view in ((1, ds.view1), (2, ds.view2)):
-        leaves = [_small_leaf(draw, view) for _ in range(draw(st.integers(1, 2)))]
+        leaves = [_small_literal(draw, view) for _ in range(draw(st.integers(1, 2)))]
         ref_root = leaves[0] if len(leaves) == 1 else And(tuple(leaves))
         queries[view_id] = (
-            canonicalize(Query(And((ref_root, _small_leaf(draw, view))), view_id)),
-            canonicalize(Query(ref_root, view_id)),
+            canonicalize(Query(And((ref_root, _small_literal(draw, view))))),
+            canonicalize(Query(ref_root)),
         )
     r = Redescription.evaluate(queries[1][0], queries[2][0], ds)
     ref = Redescription.evaluate(queries[1][1], queries[2][1], ds)
@@ -299,15 +298,15 @@ def unrelated_pairs(draw):
     and a refiner query is sometimes a disjunction."""
     ds = _small_dataset(draw)
 
-    def query(view, view_id):
-        leaves = [_small_leaf(draw, view) for _ in range(draw(st.integers(1, 3)))]
+    def query(view):
+        leaves = [_small_literal(draw, view) for _ in range(draw(st.integers(1, 3)))]
         if len(leaves) == 1:
-            return Query(leaves[0], view_id)
+            return Query(leaves[0])
         ctor = draw(st.sampled_from([And, And, Or]))
-        return canonicalize(Query(ctor(tuple(leaves)), view_id))
+        return canonicalize(Query(ctor(tuple(leaves))))
 
     r, ref = (
-        Redescription.evaluate(query(ds.view1, 1), query(ds.view2, 2), ds) for _ in range(2)
+        Redescription.evaluate(query(ds.view1), query(ds.view2), ds) for _ in range(2)
     )
     return ds, r, ref
 
@@ -332,10 +331,10 @@ def test_matches_full_build_on_unrelated_pairs_property(case):
     _assert_matches_full_build(*case)
 
 
-def _rule(q_text, view, view_id, dataset):
+def _rule(q_text, view, dataset):
     from redesc.query import parse_query
 
-    q = parse_query(q_text, view, view_id)
+    q = parse_query(q_text, view)
     return Rule(query=q, tri=tri_support(q, view), text=print_query(q, view))
 
 
@@ -379,8 +378,8 @@ class TestConstructAndRefine:
     def test_low_accuracy_candidate_improves_member_but_stays_out(self):
         ds = self._fixture()
         member = Redescription.evaluate(
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 4.5)), 1),
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 2.2)), 2),
+            Query(Literal(0, NUMERIC, 0.0, 4.5)),
+            Query(Literal(0, NUMERIC, 0.0, 2.2)),
             ds,
         )
         assert member.supp_mask == 0b111 and member.j_qnm == 0.75
@@ -389,8 +388,8 @@ class TestConstructAndRefine:
         # candidate pair: j = 4/10 = 0.4, inside [min_ref_jaccard, min_jaccard);
         # its support strictly contains the member's, so it refines the member
         # but cannot itself be refined past the admission floor
-        rules1 = [_rule("[0.0 <= x <= 20.0]", ds.view1, 1, ds)]
-        rules2 = [_rule("[0.0 <= y <= 3.0]", ds.view2, 2, ds)]
+        rules1 = [_rule("[0.0 <= x <= 20.0]", ds.view1, ds)]
+        rules2 = [_rule("[0.0 <= y <= 3.0]", ds.view2, ds)]
         constraints = Constraints(
             min_jaccard=0.9, min_ref_jaccard=0.3, max_pvalue=1.0, min_support=1
         )
@@ -404,12 +403,12 @@ class TestConstructAndRefine:
     def test_collapses_to_plain_creation_when_floors_match(self):
         ds = self._fixture()
         rules1 = [
-            _rule("[0.0 <= x <= 4.5]", ds.view1, 1, ds),
-            _rule("[0.0 <= x <= 20.0]", ds.view1, 1, ds),
+            _rule("[0.0 <= x <= 4.5]", ds.view1, ds),
+            _rule("[0.0 <= x <= 20.0]", ds.view1, ds),
         ]
         rules2 = [
-            _rule("[0.0 <= y <= 3.0]", ds.view2, 2, ds),
-            _rule("[0.0 <= y <= 20.0]", ds.view2, 2, ds),
+            _rule("[0.0 <= y <= 3.0]", ds.view2, ds),
+            _rule("[0.0 <= y <= 20.0]", ds.view2, ds),
         ]
         constraints = Constraints(min_jaccard=0.9, max_pvalue=1.0, min_support=1)
         rset = RedescriptionSet()
@@ -424,11 +423,11 @@ class TestConstructAndRefine:
         ds = random_two_view_dataset(rng, 30, missing_rate=0.05)
         rules1 = [
             Rule(query=q, tri=tri_support(q, ds.view1), text=print_query(q, ds.view1))
-            for q in (random_conjunctive(rng, ds.view1, 1) for _ in range(6))
+            for q in (random_conjunctive(rng, ds.view1) for _ in range(6))
         ]
         rules2 = [
             Rule(query=q, tri=tri_support(q, ds.view2), text=print_query(q, ds.view2))
-            for q in (random_conjunctive(rng, ds.view2, 2) for _ in range(6))
+            for q in (random_conjunctive(rng, ds.view2) for _ in range(6))
         ]
         constraints = Constraints(min_jaccard=0.3, min_ref_jaccard=0.1, max_pvalue=1.0, min_support=1)
         rset = RedescriptionSet()
@@ -441,16 +440,16 @@ class TestConstructAndRefine:
         # a and m have distinct supports, both nested in the candidate's: the
         # walk refines a in place and goes on to refine m in place too
         ds = self._fixture()
-        rules1 = [_rule("[0.0 <= x <= 20.0]", ds.view1, 1, ds)]
-        rules2 = [_rule("[0.0 <= y <= 3.0]", ds.view2, 2, ds)]
+        rules1 = [_rule("[0.0 <= x <= 20.0]", ds.view1, ds)]
+        rules2 = [_rule("[0.0 <= y <= 3.0]", ds.view2, ds)]
         a = Redescription.evaluate(
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 4.5)), 1),
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 2.2)), 2),
+            Query(Literal(0, NUMERIC, 0.0, 4.5)),
+            Query(Literal(0, NUMERIC, 0.0, 2.2)),
             ds,
         )
         m = Redescription.evaluate(
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 3.5)), 1),
-            Query(Leaf(Literal(0, NUMERIC, 0.0, 1.7)), 2),
+            Query(Literal(0, NUMERIC, 0.0, 3.5)),
+            Query(Literal(0, NUMERIC, 0.0, 1.7)),
             ds,
         )
         assert (a.supp_mask, m.supp_mask) == (0b111, 0b11)

@@ -1,16 +1,18 @@
 """Variance-reduction splitting, tree growth, and rule extraction."""
 
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from redesc import tree as tree_module
 from redesc.dataset import BOOLEAN, CATEGORICAL, NUMERIC, Attribute, View
-from redesc.query import Leaf, tri_support
+from redesc.mine import _standardized
+from redesc.query import Literal, tri_support
 from redesc.tree import (
     PctParams,
     Split,
@@ -280,6 +282,57 @@ def test_sparse_scoring_equals_dense_property(
         assert sparse.gain == dense.gain
 
 
+# a cell of magnitude in [2**-20, 2**1), or zero
+_cell = st.builds(
+    lambda m, j, sign: sign * math.ldexp(m, j),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-20, 0),
+    st.sampled_from([1.0, -1.0]),
+) | st.just(0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(_cell, _cell, st.booleans(), st.booleans()), min_size=4, max_size=30),
+    below_top=st.integers(0, 2100),
+    dense=st.booleans(),
+)
+@example(
+    rows=[(1.0, 0.0, False, True), (1.25, 0.0, False, True), (1.5, 0.0, True, False), (1.75, 1.0, True, False)],
+    below_top=0,
+    dense=False,
+)
+def test_power_of_two_scaling_changes_no_bit_property(rows, below_top, dense):
+    """Scaling a numeric column by 2**k, for any k that keeps every cell
+    finite and every nonzero cell's half normal, leaves its standardized
+    bootstrap target bit for bit, and `best_split`'s attribute and gain; the
+    threshold scales by exactly 2**k."""
+    x, y, t1, t2 = (np.array(column) for column in zip(*rows))
+    magnitudes = np.abs(x[x != 0])
+    assume(magnitudes.size > 0)
+    k = 1024 - math.frexp(magnitudes.max())[1] - below_top  # below_top 0: top cell in [2**1023, 2**1024)
+    assume(k >= -1020 - math.frexp(magnitudes.min())[1])  # smallest cell at least 2**-1021
+    scaled = np.ldexp(x, k)
+    assert np.isfinite(scaled).all()
+    assert _standardized(scaled).tobytes() == _standardized(x).tobytes()
+
+    targets = np.column_stack([t1, t2])
+    if dense:
+        targets = targets.astype(float)
+    splits = []
+    for column in (x, scaled):
+        view = make_view([("x", NUMERIC, list(column)), ("y", NUMERIC, list(y))])
+        cover = np.arange(len(rows))
+        splits.append(best_split(cover, view, targets, 1, presort(view, cover)))
+    plain, big = splits
+    if plain is None:
+        assert big is None
+        return
+    assert (big.attr, big.gain) == (plain.attr, plain.gain)
+    want = math.ldexp(plain.threshold, k) if plain.attr == 0 else plain.threshold
+    assert big.threshold == want
+
+
 def _oracle_second_best(cover, view, targets, min_leaf_size, best):
     sub = targets[cover]
     n = len(cover)
@@ -390,14 +443,14 @@ class TestExtractRules:
         root.right = TreeNode(cover=np.array([3]), depth=1)
         left.left = TreeNode(cover=np.array([0]), depth=2)
         left.right = TreeNode(cover=np.array([1, 2]), depth=2)
-        tree = Tree(root=root, view=view, view_id=1)
+        tree = Tree(root=root, view=view)
         rules = dict()
         for q, cover in extract_rules(tree):
             rules[tuple(cover)] = q
         deepest = rules[(0,)]
-        assert isinstance(deepest.root, Leaf)
-        assert deepest.root.literal.lo == float("-inf")
-        assert deepest.root.literal.hi == 1.0
+        assert isinstance(deepest.root, Literal)
+        assert deepest.root.lo == float("-inf")
+        assert deepest.root.hi == 1.0
 
     def test_rules_reevaluate_to_node_covers_on_complete_data(self):
         rng = np.random.default_rng(6)
