@@ -6,8 +6,9 @@ the importance-weight matrix (5 or 6 comma-separated non-negative numbers).
 Any other key is rejected.
 
 Each CLI flag sets the key of its name (`--no-refine` is `refine = false`)
-and overrides the file. A file value that its key's parser rejects is
-reported with the file and line; a rejected flag names its key alone.
+and overrides the file. A file value that its key's parser or its
+dataclass rejects is reported with the file and line; a rejected flag
+names its key alone.
 `FIELDS` maps each key to the dataclass field it sets; a key given nowhere
 keeps that field's default. Two values are sentinels:
 `max_support = 0` is unbounded, and `min_leaf_size <= 0` (or absent) is
@@ -52,11 +53,13 @@ class ConfigError(ValueError):
     """Unusable configuration file or flag combination."""
 
 
-def parse_config_file(path: str | Path) -> dict:
-    """Raw key-value pairs; `weights` accumulates into a list of rows. Each
-    value (each `weights` row) is checked by its key's parser as it is read,
-    so a rejected value names its file and line, even where a flag overrides it."""
+def parse_config_file(path: str | Path) -> tuple[dict, dict[str, int]]:
+    """(raw key-value pairs, the line of each key); `weights` accumulates into
+    a list of rows. Each value (each `weights` row) is checked by its key's
+    parser as it is read, so a rejected value names its file and line, even
+    where a flag overrides it."""
     out: dict = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -77,7 +80,8 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         else:
             out[key] = value
-    return out
+        lines[key] = lineno
+    return out, lines
 
 
 def _as_str(value, key: str) -> str:
@@ -161,6 +165,7 @@ FIELDS = {
     "max_depth": ("pct", "max_depth", _as_int),
     "min_leaf_size": ("pct", "min_leaf_size", _as_int),
 }
+_KEYS = {name: key for key, (_, name, _) in FIELDS.items()}  # field -> key
 
 
 @dataclass
@@ -181,8 +186,9 @@ class RunConfig:
     def from_sources(cls, config_path: str | Path | None, overrides: dict) -> "RunConfig":
         """Merge a config file (if any) with overrides keyed like the file
         (which win; None values are ignored)."""
-        raw = parse_config_file(config_path) if config_path else {}
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+        raw, lines = parse_config_file(config_path) if config_path else ({}, {})
+        flags = {k: v for k, v in overrides.items() if v is not None}
+        raw.update(flags)
         sections: dict[str, dict] = {"run": {}, "constraints": {}, "mining": {}, "pct": {}}
         try:
             for key, value in raw.items():
@@ -194,6 +200,10 @@ class RunConfig:
                 pct["min_leaf_size"] = max(2, constraints.min_support // 2)
             mining = MiningParams(pct=PctParams(**pct), **sections["mining"])
         except ValueError as exc:
+            # every check's message starts with its field: name that key's line
+            key = _KEYS.get(str(exc).split(" ", 1)[0])
+            if key in lines and key not in flags:
+                raise ConfigError(f"{config_path}:{lines[key]}: {exc}") from None
             raise ConfigError(str(exc)) from None
         return cls(constraints=constraints, mining=mining, **sections["run"])
 

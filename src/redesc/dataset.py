@@ -78,9 +78,9 @@ def _label_problem(label: str, column: str) -> str | None:
 
 @dataclass(frozen=True)
 class Attribute:
-    """One column of a view: dense id, unique name, and value kind."""
+    """One column of a view: unique name and value kind. Its id is its
+    position in the view."""
 
-    id: int
     name: str
     kind: str
     categories: tuple[str, ...] = ()
@@ -114,9 +114,6 @@ class View:
         names = [a.name for a in attributes]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate attribute names in view")
-        for i, attr in enumerate(attributes):
-            if attr.id != i:
-                raise SchemaError(f"attribute ids must be dense; got {attr.id} at position {i}")
         lengths = {len(c) for c in columns}
         if len(lengths) > 1:
             raise DataError("columns differ in row count")
@@ -127,7 +124,7 @@ class View:
             if attr.kind == CATEGORICAL and col.dtype.kind not in "i":
                 raise DataError(f"categorical column {attr.name!r} must hold integer codes")
         self.n_rows = len(self.columns[0]) if self.columns else 0
-        self._index = {a.name: a.id for a in self.attributes}
+        self._index = {a.name: i for i, a in enumerate(self.attributes)}
         # query._literal_support's memo: Literal -> TriSupport over these rows,
         # and its known-cell flags and missing-cell bitmask per attribute
         self._literal_supports: dict = {}
@@ -333,7 +330,7 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
 
     attributes: list[Attribute] = []
     columns: list[np.ndarray] = []
-    for j, (name, cells) in enumerate(zip(header, zip(*rows))):
+    for name, cells in zip(header, zip(*rows)):
         kind = schema[name]
         tokens = [t.strip() for t in cells]
         labels: list[str] = []
@@ -358,7 +355,7 @@ def load_view(path: str | Path, schema: Mapping[str, str]) -> View:
                 for i, (t, lineno) in enumerate(zip(tokens, linenos)):
                     col[i] = np.nan if t in MISSING_TOKENS else parse(t, path, lineno, name)
         try:
-            attributes.append(Attribute(j, name, kind, tuple(labels)))
+            attributes.append(Attribute(name, kind, tuple(labels)))
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from None
         columns.append(col)

@@ -282,14 +282,11 @@ def score_size(attr_count: int) -> float:
 # Packed member matrix
 # ---------------------------------------------------------------------------
 
-# bits unpacked per block in `PackedMembers._bit_blocks` (each block and its
-# float64 products stay under 40 KB), and member pairs per block of rows in
-# `aej`/`aaj`, whose Jaccards take `_PICK_CELLS` blocks of their own
-_BLOCK_CELLS = 1 << 12
-# words per block of `_jaccards`: one block holds several picks against a
-# small pool (256 KB of uint64 words at most), and one pick at a time against
-# a large one, as a single pick's row scan needs anyway
-_PICK_CELLS = 1 << 15
+# cells per block of the bulk kernels, so each temporary stays within 256 KB:
+# bits unpacked by `PackedMembers._bit_blocks`, and words per block of picks
+# in `_jaccards` and of rows in `aej`/`aaj` (one pick at a time against a
+# large pool, as a single pick's row scan needs anyway)
+_BLOCK_CELLS = 1 << 15
 
 
 class PackedMembers:
@@ -371,10 +368,10 @@ def _jaccards(cols: np.ndarray, sizes: np.ndarray, picks: np.ndarray) -> np.ndar
     column b of `cols` holds member b's set as words and `sizes[b]` its size.
 
     Picks go in blocks whose words-by-members temporary stays within
-    `_PICK_CELLS` words, or one pick's words when those alone are more.
+    `_BLOCK_CELLS` words, or one pick's words when those alone are more.
     """
     out = np.empty((len(picks), cols.shape[1]))
-    step = max(1, _PICK_CELLS // max(cols.size, 1))
+    step = max(1, _BLOCK_CELLS // max(cols.size, 1))
     for lo in range(0, len(picks), step):
         block = picks[lo : lo + step]
         shared = cols[:, block].T[:, :, None] & cols
@@ -387,15 +384,15 @@ def _mean_jaccard_over_others(cols: np.ndarray, sizes: np.ndarray) -> np.ndarray
     """Per member, the mean Jaccard of its set against every other member's.
 
     Column i of `cols` holds member i's set as packed words, `sizes[i]` its
-    size. Each block of members meets every member through `_jaccards`, so no
-    block outgrows `_BLOCK_CELLS` pairs. Each member's entry for itself
+    size. Members go in the blocks of picks that `_jaccards` takes, so no
+    block's pairs outgrow `_BLOCK_CELLS`. Each member's entry for itself
     becomes +0.0, which leaves a non-negative running sum's bits alone, so
     the last prefix sum of a row is the left-to-right sum over the other
     members; an equal copy in another column is another member.
     """
     m = len(sizes)
     out = np.empty(m)
-    step = max(1, _BLOCK_CELLS // m)
+    step = max(1, _BLOCK_CELLS // max(cols.size, 1))
     for lo in range(0, m, step):
         rows = np.arange(lo, min(lo + step, m))
         similarity = _jaccards(cols, sizes, rows)

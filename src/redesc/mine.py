@@ -91,19 +91,13 @@ def _mode_accepts(q: Query, mode: str) -> bool:
     return mode != "conjunctive" or not any(lit.negated for lit in iter_literals(q.root))
 
 
-def _harvest(tree: Tree, dataset: Dataset, view_id: int, rules: RuleSet, mode: str) -> int:
+def _harvest(tree: Tree, dataset: Dataset, view_id: int, rules: RuleSet, mode: str) -> None:
     """Extract a tree's rules, re-evaluate them on the original view, and add
-    the mode-surviving ones. Returns the number of new rules."""
+    the mode-surviving ones."""
     view = dataset.view(view_id)
-    added = 0
     for q, _cover in extract_rules(tree):
-        if not _mode_accepts(q, mode):
-            continue
-        tri = tri_support(q, view)
-        rule = Rule(query=q, tri=tri, text=_print_node(q.root, view))
-        if rules.add(view_id, rule):
-            added += 1
-    return added
+        if _mode_accepts(q, mode):
+            rules.add(view_id, Rule(query=q, tri=tri_support(q, view), text=_print_node(q.root, view)))
 
 
 def _standardized(column: np.ndarray) -> np.ndarray:

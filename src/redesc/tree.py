@@ -18,8 +18,8 @@ the last prefix row of the one before, so a node copies no target matrix.
 Every non-root node doubles as a conjunctive rule: the AND of the edge
 literals on its root path, a query of `Literal` and `And` nodes. Neither the
 tree nor its rules hold a view id: `mine` pairs each tree with the view it
-grew the tree for. A node's rows route by its split's left edge
-literal, as `query` evaluates it: definitely true goes left, all else
+grew the tree for. A split is its left edge literal, and a node's rows
+route by it as `query` evaluates it: definitely true goes left, all else
 (missing cells too) right, so each cover holds its rule's in-set and lies
 within its in-or-unknown set.
 """
@@ -27,7 +27,7 @@ within its in-or-unknown set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -59,14 +59,12 @@ class PctParams:
 
 @dataclass(frozen=True)
 class Split:
-    """Chosen test: numeric `value <= threshold`, boolean is-true, or
-    categorical equals(category). Gain is the variance reduction achieved."""
+    """Chosen test as its left edge literal: numeric `value <= cut`, boolean
+    is-true, or categorical equals(label). Gain is the variance reduction
+    achieved; the literal's support on the node is the scored left side."""
 
-    attr: int
-    kind: str
+    literal: Literal
     gain: float
-    threshold: float | None = None
-    category: str | None = None
 
 
 @dataclass
@@ -306,13 +304,15 @@ def best_split(
     """Scan every candidate single-attribute test and return the one with the
     largest positive variance reduction, or None.
 
-    Candidates are numeric thresholds at midpoints between consecutive
-    distinct observed values, boolean is-true, and categorical equality with
-    each label. Ties resolve to the lowest attribute id, then the lowest
-    threshold / earliest category. A boolean target matrix is scored from its
-    nonzeros, any other densely; both give the same split, gain included.
-    `order` is `presort(view, cover)`, or the rows of a child's cover in that
-    order as `build_tree` splits them down.
+    Candidates are numeric cuts between consecutive distinct observed values
+    a < b, boolean is-true, and categorical equality with each label. The
+    split is its left edge literal, built at the scored test: a numeric cut
+    is `a / 2 + b / 2`, or a where that rounds up to b, so it lies in [a, b).
+    Ties resolve to the lowest attribute id, then the lowest cut / earliest
+    category. A boolean target matrix is scored from its nonzeros, any other
+    densely; both give the same split, gain included. `order` is
+    `presort(view, cover)`, or the rows of a child's cover in that order as
+    `build_tree` splits them down.
     """
     n = len(cover)
     if n < 2 * min_leaf_size:
@@ -339,11 +339,13 @@ def best_split(
     gain, tests, row, pick = tops[best]
     attr = view.attributes[best]
     if attr.kind == NUMERIC:
-        xs = tests.values[row]
-        # halving first is exact and cannot overflow, as a sum near the top of the range can
-        return Split(best, NUMERIC, gain, threshold=float(xs[pick] / 2.0 + xs[pick + 1] / 2.0))
+        a, b = tests.values[row, pick : pick + 2].tolist()
+        # halving first cannot overflow, as a sum near the top of the range can;
+        # a midpoint that rounds up to b would put b's rows left too
+        cut = a / 2.0 + b / 2.0
+        return Split(Literal(best, NUMERIC, hi=cut if cut < b else a), gain)
     category = attr.categories[pick] if attr.kind == CATEGORICAL else None
-    return Split(best, attr.kind, gain, category=category)
+    return Split(Literal(best, attr.kind, category=category), gain)
 
 
 def build_tree(view: View, targets: np.ndarray, params: PctParams) -> Tree:
@@ -367,8 +369,7 @@ def build_tree(view: View, targets: np.ndarray, params: PctParams) -> Tree:
         split = best_split(node.cover, view, targets, params.min_leaf_size, order)
         if split is None:
             continue
-        left = _literal_support(_edge_literal(view, split, True), view).in_mask
-        in_left = mask_to_bools(left, view.n_rows)
+        in_left = mask_to_bools(_literal_support(split.literal, view).in_mask, view.n_rows)
         left_mask = in_left[node.cover]
         node.split = split
         node.left = TreeNode(cover=node.cover[left_mask], depth=node.depth + 1)
@@ -380,25 +381,14 @@ def build_tree(view: View, targets: np.ndarray, params: PctParams) -> Tree:
     return Tree(root=root, view=view)
 
 
-def _next_observed(view: View, attr: int, threshold: float) -> float:
-    """Smallest observed value strictly above `threshold` in the column; used
-    to express a 'greater than' branch as a closed interval that is exact on
-    this view."""
-    col = view.columns[attr]
-    above = col[col > threshold]  # NaN compares false
-    if above.size == 0:
-        return float(np.nextafter(threshold, _INF))
-    return float(above.min())
-
-
-def _edge_literal(view: View, split: Split, follow_left: bool) -> Literal:
-    if split.kind == NUMERIC:
-        if follow_left:
-            return Literal(split.attr, NUMERIC, lo=-_INF, hi=split.threshold)
-        return Literal(split.attr, NUMERIC, lo=_next_observed(view, split.attr, split.threshold))
-    if split.kind == BOOLEAN:
-        return Literal(split.attr, BOOLEAN, negated=not follow_left)
-    return Literal(split.attr, CATEGORICAL, category=split.category, negated=not follow_left)
+def _right_literal(view: View, left: Literal) -> Literal:
+    """The right edge of a split whose left edge is `left`: the left literal
+    negated, or for a numeric cut (which lies below an observed value) the
+    interval from the smallest value observed above it, exact on this view."""
+    if left.kind != NUMERIC:
+        return replace(left, negated=True)
+    col = view.columns[left.attr]
+    return Literal(left.attr, NUMERIC, lo=float(col[col > left.hi].min()))  # NaN compares false
 
 
 def extract_rules(tree: Tree) -> list[tuple[Query, np.ndarray]]:
@@ -413,8 +403,7 @@ def extract_rules(tree: Tree) -> list[tuple[Query, np.ndarray]]:
             q = minimize_query(Query(conds[0] if len(conds) == 1 else And(conds)), tree.view)
             results.append((q, node.cover))
         if node.split is not None:
-            left_lit = _edge_literal(tree.view, node.split, True)
-            right_lit = _edge_literal(tree.view, node.split, False)
-            queue.append((node.left, conds + (left_lit,)))
-            queue.append((node.right, conds + (right_lit,)))
+            left = node.split.literal
+            queue.append((node.left, conds + (left,)))
+            queue.append((node.right, conds + (_right_literal(tree.view, left),)))
     return results

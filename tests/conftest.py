@@ -43,17 +43,17 @@ def make_view(spec: list[tuple[str, str, list]]) -> View:
     """Build a view from (name, kind, values) triples; None marks missing."""
     attributes = []
     columns = []
-    for j, (name, kind, values) in enumerate(spec):
+    for name, kind, values in spec:
         if kind == CATEGORICAL:
             labels = sorted({v for v in values if v is not None})
             code = {lab: i for i, lab in enumerate(labels)}
             col = np.array([-1 if v is None else code[v] for v in values], dtype=np.int32)
-            attributes.append(Attribute(j, name, CATEGORICAL, tuple(labels)))
+            attributes.append(Attribute(name, CATEGORICAL, tuple(labels)))
         else:
             col = np.array(
                 [np.nan if v is None else float(v) for v in values], dtype=np.float64
             )
-            attributes.append(Attribute(j, name, kind))
+            attributes.append(Attribute(name, kind))
         columns.append(col)
     return View(attributes, columns)
 

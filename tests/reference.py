@@ -26,7 +26,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -56,7 +57,7 @@ from redesc.query import (
 )
 from redesc.reduce import EQUAL_WEIGHTS, _Selection
 from redesc.refine import RefinementOutcome, _tightened_queries
-from redesc.tree import Split, _edge_literal
+from redesc.tree import Split
 
 FALSE = 0
 UNKNOWN = 1
@@ -213,6 +214,7 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)  # pairwise loops convert each member's mask once
 def _mask_set(mask: int, n: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask_to_bools(mask, n)).tolist())
 
@@ -297,7 +299,10 @@ def reference_best_split(cover, view, targets, min_leaf_size):
                 continue
             sl = np.cumsum(sub[np.flatnonzero(finite)[order]], axis=0)[nl - 1]
             score = (sl**2).sum(axis=1) / nl + ((tot - sl) ** 2).sum(axis=1) / (n - nl)
-            labels = [float((xs[c - 1] + xs[c]) / 2.0) for c in nl.tolist()]
+            labels = []  # the cut between neighbours a < b
+            for a, b in zip(xs[nl - 1].tolist(), xs[nl].tolist()):
+                mid = a / 2.0 + b / 2.0
+                labels.append(mid if mid < b else a)  # b's rows stay right
         else:
             codes = [1.0] if attr.kind == BOOLEAN else range(len(attr.categories))
             nl, score = [], []
@@ -314,10 +319,10 @@ def reference_best_split(cover, view, targets, min_leaf_size):
         pick = int(gain.argmax())
         if gain[pick] > (0.0 if best is None else best[0]):
             if attr.kind == NUMERIC:
-                split = Split(attr_id, NUMERIC, float(gain[pick]), threshold=labels[pick])
+                literal = Literal(attr_id, NUMERIC, hi=labels[pick])
             else:
-                split = Split(attr_id, attr.kind, float(gain[pick]), category=labels[pick])
-            best = (float(gain[pick]), attr_id, split)
+                literal = Literal(attr_id, attr.kind, category=labels[pick])
+            best = (float(gain[pick]), attr_id, Split(literal, float(gain[pick])))
     return None if best is None else best[2]
 
 
@@ -334,8 +339,12 @@ def reference_build_tree(view, targets, params):
             split = reference_best_split(cover, view, targets, params.min_leaf_size)
         out.append((cover, split, path))
         if split is not None:
-            left_lit = _edge_literal(view, split, True)
-            right_lit = _edge_literal(view, split, False)
+            left_lit = split.literal
+            if left_lit.kind == NUMERIC:
+                lo = min(x for x in view.columns[left_lit.attr].tolist() if x > left_lit.hi)
+                right_lit = Literal(left_lit.attr, NUMERIC, lo=lo)
+            else:
+                right_lit = replace(left_lit, negated=True)
             go_left = np.array([_eval_literal_row(left_lit, view, i) == TRUE for i in cover], bool)
             queue.append((cover[go_left], depth + 1, path + (left_lit,)))
             queue.append((cover[~go_left], depth + 1, path + (right_lit,)))

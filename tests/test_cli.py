@@ -143,7 +143,7 @@ class TestMineCommand:
         out = tmp_path / "out"
         code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert "error: max_support" in capsys.readouterr().err
+        assert f"error: {cfg}:2: max_support" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["conjunctive2", "conjunctive"])
@@ -170,22 +170,25 @@ class TestMineCommand:
     def test_negative_seed_exits_two(self, planted_files, tmp_path, capsys, source):
         _, _, paths = planted_files
         cfg = tmp_path / "seed.cfg"
-        cfg.write_text("seed = -1\n" if source == "file" else "", encoding="utf-8")
+        # a flag value names only its key, also where it overrides a file value
+        cfg.write_text("seed = -1\n" if source == "file" else "seed = 3\n", encoding="utf-8")
         flag = ["--seed", "-1"] if source == "flag" else []
         out = tmp_path / "out"
         code = main(["mine", *_dataset_args(paths), "--config", str(cfg), *flag, "--out", str(out)])
         assert code == 2
-        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        at = f"{cfg}:1: " if source == "file" else ""
+        assert f"error: {at}seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("min_ref_jaccard = nan", "min_ref_jaccard must lie in [0, 1], got nan"),
-            ("min_ref_jaccard = -0.5", "min_ref_jaccard must lie in [0, 1], got -0.5"),
-            ("disjunction_threshold = nan", "disjunction_threshold must lie in [0, 1], got nan"),
-            ("max_disjuncts = -3", "max_disjuncts must be non-negative, got -3"),
-            # a value its key's parser rejects is named by file and line
+            # a value the settings reject is named by file and line
+            ("min_ref_jaccard = nan", "{cfg}:1: min_ref_jaccard must lie in [0, 1], got nan"),
+            ("min_ref_jaccard = -0.5", "{cfg}:1: min_ref_jaccard must lie in [0, 1], got -0.5"),
+            ("disjunction_threshold = nan", "{cfg}:1: disjunction_threshold must lie in [0, 1], got nan"),
+            ("max_disjuncts = -3", "{cfg}:1: max_disjuncts must be non-negative, got -3"),
+            # and so is a value its key's parser rejects
             ("weights = 1,1", "{cfg}:1: expected 5 or 6 weights, got 2, in weights = 1,1"),
             ("weights = a,b,c,d,e", "{cfg}:1: could not convert string to float: 'a', in weights = a,b,c,d,e"),
             ("sizes = 5,5", "{cfg}:1: sizes must be distinct, got '5,5'"),
@@ -214,7 +217,7 @@ class TestMineCommand:
         out = tmp_path / "out"
         code = main(["mine", *_dataset_args(paths), "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert f"error: max_set_size must be at least 2, got {size}" in capsys.readouterr().err
+        assert f"error: {cfg}:1: max_set_size must be at least 2, got {size}" in capsys.readouterr().err
         assert not out.exists()
 
 

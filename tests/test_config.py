@@ -50,7 +50,7 @@ def test_override_beats_file_and_none_is_ignored(tmp_path):
 def test_utf8_byte_order_mark_skipped(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("\ufeffmin_jaccard = 0.4\nseed = 3\n", encoding="utf-8")
-    assert parse_config_file(path) == {"min_jaccard": "0.4", "seed": "3"}
+    assert parse_config_file(path) == ({"min_jaccard": "0.4", "seed": "3"}, {"min_jaccard": 1, "seed": 2})
 
 
 def test_line_separator_inside_a_comment_stays_in_the_comment(tmp_path):
@@ -71,8 +71,17 @@ def test_line_separator_inside_a_comment_stays_in_the_comment(tmp_path):
             3,
             "expected 5 or 6 weights, got 2, in weights = 1,1",
         ),
+        # values the parsers accept but the dataclasses reject
+        ("min_jaccard = 0.4\nseed = -1\n", 2, "seed must be non-negative, got -1"),
+        ("min_ref_jaccard = nan\n", 1, "min_ref_jaccard must lie in [0, 1], got nan"),
+        ("# cap\n\nmax_set_size = 1\n", 3, "max_set_size must be at least 2, got 1"),
+        (
+            "max_support = 20\nmin_support = 30\n",
+            1,
+            "max_support (20) must not be below min_support (30)",
+        ),
     ],
-    ids=["seed", "weights-row"],
+    ids=["seed", "weights-row", "seed-negative", "min-ref-jaccard-nan", "max-set-size", "max-support"],
 )
 def test_value_its_parser_rejects_names_file_and_line(tmp_path, text, line, message):
     path = tmp_path / "run.cfg"

@@ -233,7 +233,7 @@ def per_cell_load_view(path, schema):
                  for t, n in zip(tokens, linenos)],
                 dtype=np.float64,
             )
-        attributes.append(Attribute(j, name, kind, tuple(labels)))
+        attributes.append(Attribute(name, kind, tuple(labels)))
         columns.append(col)
     return View(attributes, columns)
 

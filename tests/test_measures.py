@@ -383,23 +383,21 @@ def _dataset_of(pool):
 
 # block sizes for the pairwise Jaccard kernel: one row or word per block, a
 # few, and the default
-_BLOCKS = st.sampled_from([1, 3, measures_module._BLOCK_CELLS])
-_PICK_BLOCKS = st.sampled_from([1, 40, measures_module._PICK_CELLS])
+_BLOCKS = st.sampled_from([1, 3, 40, measures_module._BLOCK_CELLS])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # past 64 members, `_BLOCK_CELLS` pairs take more than one block of rows
-    size=st.one_of(st.integers(1, 12), st.integers(65, 80)),
+    # past 181 members, even one word per member takes more than one block of rows
+    size=st.one_of(st.integers(1, 12), st.integers(182, 190)),
     n_elements=st.integers(1, 150),
     missing=st.booleans(),
     block_cells=_BLOCKS,
-    pick_cells=_PICK_BLOCKS,
     data=st.data(),
 )
 def test_set_redundancy_matches_pairwise_loop_property(
-    seed, size, n_elements, missing, block_cells, pick_cells, data
+    seed, size, n_elements, missing, block_cells, data
 ):
     rng = np.random.default_rng(seed)
     pool, _ = fabricate_pool(rng, size, n_elements=n_elements, missing=missing)
@@ -411,10 +409,7 @@ def test_set_redundancy_matches_pairwise_loop_property(
     if size > 12:
         assert len(members) > block_cells // len(members)
     want = [repr((loop_aej(r, members), loop_aaj(r, members))) for r in members]
-    with (
-        mock.patch.object(measures_module, "_BLOCK_CELLS", block_cells),
-        mock.patch.object(measures_module, "_PICK_CELLS", pick_cells),
-    ):
+    with mock.patch.object(measures_module, "_BLOCK_CELLS", block_cells):
         got = list(zip(aej(packed(members)).tolist(), aaj(packed(members)).tolist()))
     assert [repr(pair) for pair in got] == want
 
@@ -425,11 +420,11 @@ def test_set_redundancy_matches_pairwise_loop_property(
     size=st.integers(1, 12),
     n_elements=st.integers(1, 150),
     missing=st.booleans(),
-    pick_cells=_PICK_BLOCKS,
+    block_cells=_BLOCKS,
     data=st.data(),
 )
 def test_pick_similarities_match_set_jaccards_property(
-    seed, size, n_elements, missing, pick_cells, data
+    seed, size, n_elements, missing, block_cells, data
 ):
     rng = np.random.default_rng(seed)
     pool, _ = fabricate_pool(rng, size, n_elements=n_elements, missing=missing)
@@ -441,7 +436,7 @@ def test_pick_similarities_match_set_jaccards_property(
         for a in picks
     ]
     cand = packed(pool)
-    with mock.patch.object(measures_module, "_PICK_CELLS", pick_cells):
+    with mock.patch.object(measures_module, "_BLOCK_CELLS", block_cells):
         elem = cand.element_similarity(np.array(picks))
         attr = cand.attribute_similarity(np.array(picks))
     got = [[repr(pair) for pair in zip(*rows)] for rows in zip(elem.tolist(), attr.tolist())]

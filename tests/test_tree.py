@@ -25,7 +25,15 @@ from redesc.tree import (
 )
 
 from conftest import make_view, random_view
-from reference import in_set, reference_best_split, reference_build_tree, unk_set
+from reference import (
+    FALSE,
+    TRUE,
+    _eval_literal_row,
+    in_set,
+    reference_best_split,
+    reference_build_tree,
+    unk_set,
+)
 
 
 def _variance_sum(rows: np.ndarray) -> float:
@@ -75,10 +83,10 @@ def _drawn_view(rng, n_rows, kinds, levels, missing_rate):
         codes = rng.integers(0, levels, n_rows)
         missing = rng.random(n_rows) < missing_rate
         if kind == CATEGORICAL:
-            attributes.append(Attribute(j, f"a{j}", kind, ("p", "q", "r", "s")))
+            attributes.append(Attribute(f"a{j}", kind, ("p", "q", "r", "s")))
             columns.append(np.where(missing, -1, codes % 4).astype(np.int32))
         else:
-            attributes.append(Attribute(j, f"a{j}", kind))
+            attributes.append(Attribute(f"a{j}", kind))
             values = codes * 0.25 - 3.0 if kind == NUMERIC else codes % 2.0
             columns.append(np.where(missing, np.nan, values))
     return View(attributes, columns)
@@ -196,7 +204,7 @@ class TestBestSplit:
         cover = np.arange(6)
         split = best_split(cover, view, targets, 1, presort(view, cover))
         assert split is not None
-        assert split.attr == 0 and split.threshold == 5.5
+        assert split.literal == Literal(0, NUMERIC, hi=5.5)
         assert split.gain == pytest.approx(_variance_sum(targets), abs=1e-12)
 
     def test_constant_targets_yield_nothing(self):
@@ -208,7 +216,7 @@ class TestBestSplit:
         view = make_view([("x", NUMERIC, [1.0, 2.0, 3.0, 4.0])])
         targets = np.array([1, 0, 0, 0], dtype=float)[:, None]
         split = best_split(np.arange(4), view, targets, 2, presort(view, np.arange(4)))
-        assert split is None or split.threshold == 2.5
+        assert split is None or split.literal.hi == 2.5
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
     def test_agrees_with_exhaustive_oracle(self, dtype):
@@ -227,7 +235,7 @@ class TestBestSplit:
             # identity only checked when the optimum is isolated
             second = _oracle_second_best(cover, view, targets, 2, want)
             if second is None or want[0] - second > 1e-9:
-                assert (got.attr, got.threshold) == (want[1], want[3])
+                assert got.literal == Literal(want[1], NUMERIC, hi=want[3])
 
     def test_boolean_and_categorical_candidates(self):
         view = make_view(
@@ -239,7 +247,7 @@ class TestBestSplit:
         targets = np.array([1, 1, 0, 0], dtype=float)[:, None]
         split = best_split(np.arange(4), view, targets, 1, presort(view, np.arange(4)))
         assert split is not None and split.gain == pytest.approx(0.25, abs=1e-12)
-        assert split.attr == 0  # tie with k=a resolves to the lower attribute id
+        assert split.literal.attr == 0  # tie with k=a resolves to the lower attribute id
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -263,10 +271,10 @@ def test_sparse_scoring_equals_dense_property(
         codes = rng.integers(0, levels, n_rows)
         missing = rng.random(n_rows) < 0.05
         if kind == CATEGORICAL:
-            attributes.append(Attribute(j, f"a{j}", kind, ("p", "q", "r", "s")))
+            attributes.append(Attribute(f"a{j}", kind, ("p", "q", "r", "s")))
             columns.append(np.where(missing, -1, codes % 4).astype(np.int32))
         else:
-            attributes.append(Attribute(j, f"a{j}", kind))
+            attributes.append(Attribute(f"a{j}", kind))
             values = codes * 0.25 - 3.0 if kind == NUMERIC else codes % 2.0
             columns.append(np.where(missing, np.nan, values))
     view = View(attributes, columns)
@@ -306,7 +314,7 @@ def test_power_of_two_scaling_changes_no_bit_property(rows, below_top, dense):
     """Scaling a numeric column by 2**k, for any k that keeps every cell
     finite and every nonzero cell's half normal, leaves its standardized
     bootstrap target bit for bit, and `best_split`'s attribute and gain; the
-    threshold scales by exactly 2**k."""
+    cut scales by exactly 2**k."""
     x, y, t1, t2 = (np.array(column) for column in zip(*rows))
     magnitudes = np.abs(x[x != 0])
     assume(magnitudes.size > 0)
@@ -328,9 +336,9 @@ def test_power_of_two_scaling_changes_no_bit_property(rows, below_top, dense):
     if plain is None:
         assert big is None
         return
-    assert (big.attr, big.gain) == (plain.attr, plain.gain)
-    want = math.ldexp(plain.threshold, k) if plain.attr == 0 else plain.threshold
-    assert big.threshold == want
+    assert (big.literal.attr, big.gain) == (plain.literal.attr, plain.gain)
+    want = math.ldexp(plain.literal.hi, k) if plain.literal.attr == 0 else plain.literal.hi
+    assert big.literal.hi == want
 
 
 def _oracle_second_best(cover, view, targets, min_leaf_size, best):
@@ -437,8 +445,8 @@ class TestExtractRules:
 
     def test_left_left_path_intersects_intervals(self):
         view = make_view([("x", NUMERIC, [0.5, 1.5, 2.5, 3.5])])
-        root = TreeNode(cover=np.arange(4), depth=0, split=Split(0, NUMERIC, 1.0, threshold=3.0))
-        left = TreeNode(cover=np.arange(3), depth=1, split=Split(0, NUMERIC, 1.0, threshold=1.0))
+        root = TreeNode(cover=np.arange(4), depth=0, split=Split(Literal(0, NUMERIC, hi=3.0), 1.0))
+        left = TreeNode(cover=np.arange(3), depth=1, split=Split(Literal(0, NUMERIC, hi=1.0), 1.0))
         root.left = left
         root.right = TreeNode(cover=np.array([3]), depth=1)
         left.left = TreeNode(cover=np.array([0]), depth=2)
@@ -486,8 +494,66 @@ def test_covers_bracket_rule_supports_with_missing_cells_property(
     tree = build_tree(view, targets, PctParams(max_depth=4, min_leaf_size=1))
     for node in tree.iter_nodes():
         if node.split is not None:
-            missing = node.cover[view.missing_mask(node.split.attr)[node.cover]]
+            missing = node.cover[view.missing_mask(node.split.literal.attr)[node.cover]]
             assert set(missing.tolist()) <= set(node.right.cover.tolist())
     for q, cover in extract_rules(tree):
         tri = tri_support(q, tree.view)
         assert in_set(tri) <= frozenset(cover.tolist()) <= in_set(tri) | unk_set(tri)
+
+
+def _ulps_above(base: float, steps: int) -> float:
+    for _ in range(steps):
+        base = math.nextafter(base, math.inf)
+    return base
+
+
+# cells a few ulps apart around zero, the subnormals, the smallest normal and
+# a few larger magnitudes, or missing
+_NEIGHBOUR = st.builds(
+    _ulps_above,
+    st.sampled_from([0.0, 3 * 2.0**-1074, 2.0**-1022, -(2.0**-1022), 1.0, -1.0, 0.1, 1e300]),
+    st.integers(0, 3),
+) | st.none()
+_A = math.nextafter(1.0, 2.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(_NEIGHBOUR, _NEIGHBOUR, st.booleans(), st.booleans()), min_size=2, max_size=40),
+    dense=st.booleans(),
+    min_leaf_size=st.integers(1, 3),
+)
+@example(
+    rows=[(_A, 0.0, True, True)] * 3 + [(math.nextafter(_A, 2.0), 0.0, False, False)] * 3,
+    dense=True,
+    min_leaf_size=1,
+)
+@example(
+    rows=[(3 * 2.0**-1074, 0.0, True, True)] * 3 + [(4 * 2.0**-1074, 0.0, False, False)] * 3,
+    dense=False,
+    min_leaf_size=3,
+)
+def test_split_literal_routes_the_scored_sides_property(rows, dense, min_leaf_size):
+    """Every split's left edge literal holds exactly the rows scored left:
+    each child's cover is the node's cover filtered by its edge literal,
+    evaluated row by row (left: definitely true; right: not false, so missing
+    cells go right), each child holds at least `min_leaf_size` rows, and a
+    numeric cut lies in [a, b) of the neighbours it falls between."""
+    x, y, t1, t2 = (list(column) for column in zip(*rows))
+    view = make_view([("x", NUMERIC, x), ("y", NUMERIC, y)])
+    targets = np.column_stack([t1, t2])
+    if dense:
+        targets = targets.astype(float)
+    tree = build_tree(view, targets, PctParams(max_depth=4, min_leaf_size=min_leaf_size))
+    for node in tree.iter_nodes():
+        if node.split is None:
+            continue
+        left = node.split.literal
+        right = tree_module._right_literal(view, left)
+        cover = node.cover.tolist()
+        assert node.left.cover.tolist() == [i for i in cover if _eval_literal_row(left, view, i) == TRUE]
+        assert node.right.cover.tolist() == [i for i in cover if _eval_literal_row(right, view, i) != FALSE]
+        assert min(len(node.left.cover), len(node.right.cover)) >= min_leaf_size
+        if left.kind == NUMERIC:
+            col = view.columns[left.attr]
+            assert col[node.left.cover].max() <= left.hi < np.nanmin(col[node.right.cover])
